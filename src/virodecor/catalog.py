@@ -119,9 +119,3 @@ DIAGONAL_COUNTS = {
     1: 2, 3: 8, 5: 38, 7: 192, 9: 1002, 11: 5336, 13: 28814,
     15: 157184, 17: 864146, 19: 4780008, 21: 26572086,
 }
-
-FIXTURES = {
-    "planar-hexagon": planar_hexagon_fixture,
-    "snd-6-3": snd63_fixture,
-    "snd-11-5": snd115_fixture,
-}

@@ -62,21 +62,31 @@ def _heights_json(heights) -> str:
     return json.dumps({"heights": [format_rational(h) for h in heights]})
 
 
+def _load(path: str, parse, what: str):
+    """Parse an input file; malformed content is a usage error."""
+    try:
+        return parse(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        _fail_usage(f"malformed {what} file {path}: {detail}")
+
+
 def _load_heights(path: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(h)
-                 for h in json.loads(Path(path).read_text())["heights"])
+    return _load(path, lambda s: tuple(
+        parse_rational(h) for h in json.loads(s)["heights"]), "heights")
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    return SimplicialComplex.from_json(Path(path).read_text())
+    return _load(path, SimplicialComplex.from_json, "complex")
 
 
 def _load_matrix(path: str) -> RationalMatrix:
-    return RationalMatrix.from_json(Path(path).read_text())
+    return _load(path, RationalMatrix.from_json, "matrix")
 
 
 def _load_points(path: str) -> PointConfiguration:
-    return PointConfiguration.from_json_dict(json.loads(Path(path).read_text()))
+    return _load(path, lambda s: PointConfiguration.from_json_dict(
+        json.loads(s)), "points")
 
 
 @click.group()
@@ -110,7 +120,8 @@ def family(kind, n, d, poset_path, out_dir):
     elif kind == "order":
         if poset_path is None:
             _fail_usage("order requires --poset")
-        P = Poset.from_json_dict(json.loads(Path(poset_path).read_text()))
+        P = _load(poset_path, lambda s: Poset.from_json_dict(json.loads(s)),
+                  "poset")
         fam = order_polytope_triangulation(P)
         K, A, heights, coloring = (fam.complex, fam.configuration,
                                    fam.heights, fam.coloring)
@@ -247,21 +258,17 @@ def viro(points_path, matrix_path, heights_path, out_path, render):
 @click.option("--t", "t_str", default="1/1000", show_default=True,
               help="deformation parameter, a positive rational p/q")
 @click.option("--expect", type=int, help="minimum acceptable count")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="reserved; refinement currently runs sequentially")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-def count(system_path, complex_path, t_str, expect, jobs, fmt):
+def count(system_path, complex_path, t_str, expect, fmt):
     """Count distinct positive roots reachable from the per-facet starts."""
-    if jobs < 1:
-        _fail_usage("--jobs must be >= 1")
     try:
         t = parse_rational(t_str)
         if t <= 0:
             raise ValueError
     except (ValueError, ZeroDivisionError):
         _fail_usage(f"invalid t: {t_str!r}")
-    S = ViroSystem.from_json(Path(system_path).read_text())
+    S = _load(system_path, ViroSystem.from_json, "system")
     K = _load_complex(complex_path)
     try:
         result = certified_positive_count(S, K, t)

@@ -64,15 +64,6 @@ class RationalMatrix:
     def delete_column(self, j: int) -> "RationalMatrix":
         return self.submatrix_columns([c for c in range(self.cols) if c != j])
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        ot = other.transpose()
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot._data]
-             for row in self._data]
-        )
-
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [_frac(x) for x in v]
         if len(v) != self.cols:
@@ -126,77 +117,64 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-# -- core eliminations ----------------------------------------------------
+# -- core elimination ------------------------------------------------------
 
 
-def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], Fraction]:
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return rows and the product of scalings."""
-    rows = []
-    scale = Fraction(1)
-    for row in M.to_lists():
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * mult) for x in row])
+    out = []
+    scale = 1
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
         scale *= mult
-    return rows, scale
+    return out, scale
+
+
+def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+
+    Returns (rows, pivot columns, D, sign).  The first len(pivots) rows are
+    D times the reduced row echelon form, the rest are zero.  D is the last
+    pivot: for a square matrix of full rank it is sign * det(a), where sign
+    is that of the row permutation.  Every division is exact because each
+    entry stays a minor of the input.
+    """
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0])):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pr, pv = a[r], a[r][c]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], pr)]
+        pivots.append(c)
+        prev = pv
+    return a, pivots, prev, sign
 
 
 def determinant(M: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    a, scale = _integer_rows(M)
-    n = M.rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
-
-def determinant_cofactor(M: RationalMatrix) -> Fraction:
-    """Cofactor expansion along the first row; independent cross-check."""
-    if M.rows != M.cols:
-        raise ValueError("determinant requires a square matrix")
-    if M.rows == 1:
-        return M[0, 0]
-    total = Fraction(0)
-    rest = RationalMatrix(M.to_lists()[1:]) if M.rows > 1 else None
-    for j in range(M.cols):
-        if M[0, j] == 0:
-            continue
-        total += (-1) ** j * M[0, j] * determinant_cofactor(rest.delete_column(j))
-    return total
+    a, scale = _integer_rows(M.to_lists())
+    _, pivots, D, sign = _eliminate(a)
+    if len(pivots) < M.rows:
+        return Fraction(0)
+    return Fraction(sign * D, scale)
 
 
 def rank(M: RationalMatrix) -> int:
-    a = M.to_lists()
-    nrows, ncols = M.rows, M.cols
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_eliminate(_integer_rows(M.to_lists())[0])[1])
 
 
 def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -204,19 +182,12 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     if M.rows != M.cols:
         raise ValueError("solve requires a square matrix")
     n = M.rows
-    a = [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            raise RankDeficiencyError("singular matrix in solve")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
+    a, _ = _integer_rows(
+        [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
+    a, pivots, D, _ = _eliminate(a)
+    if pivots[:n] != list(range(n)):
+        raise RankDeficiencyError("singular matrix in solve")
+    return tuple(Fraction(a[i][n], D) for i in range(n))
 
 
 # -- oriented-matrix operations -------------------------------------------
@@ -229,17 +200,29 @@ def maximal_minors(M: RationalMatrix) -> tuple[Fraction, ...]:
     return tuple(determinant(M.delete_column(j)) for j in range(M.cols))
 
 
+def _kernel_line(M: RationalMatrix) -> list[int] | None:
+    """Integer vector spanning the kernel of a d x (d+1) matrix of rank d.
+
+    It is proportional to the signed maximal minors (-1)^i * minor(M, i).
+    None when the rank is below d.
+    """
+    if M.cols != M.rows + 1:
+        raise ValueError("expected shape d x (d+1)")
+    a, pivots, D, _ = _eliminate(_integer_rows(M.to_lists())[0])
+    if len(pivots) < M.rows:
+        return None
+    free = next(c for c in range(M.cols) if c not in pivots)
+    v = [0] * M.cols
+    v[free] = D
+    for row, pc in zip(a, pivots):
+        v[pc] = -row[free]
+    return v
+
+
 def is_oriented(M: RationalMatrix) -> bool:
     """True iff all signed minors (-1)^i * minor(M, i) are nonzero of one sign."""
-    minors = maximal_minors(M)
-    signs = set()
-    for i, m in enumerate(minors, start=1):
-        if m == 0:
-            return False
-        signs.add(1 if (-1) ** i * m > 0 else -1)
-        if len(signs) > 1:
-            return False
-    return True
+    v = _kernel_line(M)
+    return v is not None and all(x * v[0] > 0 for x in v)
 
 
 def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
@@ -249,20 +232,12 @@ def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
     None when M is full rank but not oriented.  Rank-deficient input raises
     RankDeficiencyError so callers can tell the two failure modes apart.
     """
-    if M.cols != M.rows + 1:
-        raise ValueError("expected shape d x (d+1)")
-    minors = maximal_minors(M)
-    if all(m == 0 for m in minors):
+    v = _kernel_line(M)
+    if v is None:
         raise RankDeficiencyError("matrix has rank < d; kernel is not a line")
-    if rank(M) < M.rows:
-        raise RankDeficiencyError("matrix has rank < d; kernel is not a line")
-    v = [(-1) ** (i + 1) * m for i, m in enumerate(minors, start=1)]
-    ref = next(x for x in v if x != 0)
-    if ref < 0:
-        v = [-x for x in v]
-    if any(x <= 0 for x in v):
+    if any(x * v[0] <= 0 for x in v):
         return None
-    return tuple(x / v[0] for x in v)
+    return tuple(Fraction(x, v[0]) for x in v)
 
 
 def chirotope(C: RationalMatrix) -> dict[tuple[int, ...], int]:
@@ -286,33 +261,15 @@ def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
     Returns None when the left kernel is trivial (full row rank).
     """
     # kernel of M^T: reduce M^T, read the free-variable basis
-    a = M.transpose().to_lists()
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    a, pivots, D, _ = _eliminate(_integer_rows(M.transpose().to_lists())[0])
+    free = [c for c in range(M.rows) if c not in pivots]
     if not free:
         return None
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [Fraction(0)] * M.rows
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
+        for row, pc in zip(a, pivots):
+            vec[pc] = Fraction(-row[fc], D)
         basis.append(vec)
     return RationalMatrix(basis)

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .complexes import PointConfiguration, SimplicialComplex
-from .exactlinalg import RationalMatrix, determinant, positive_kernel_vector
+from .exactlinalg import RationalMatrix, positive_kernel_vector
 
 
 # -- cyclic polytopes ------------------------------------------------------
@@ -46,10 +46,11 @@ def cyclic_heights(n: int, d: int,
 
 
 def _gap_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Increasing k-tuples in [lo, hi] with consecutive gaps >= 2."""
-    for combo in combinations(range(lo, hi + 1), k):
-        if all(b - a >= 2 for a, b in zip(combo, combo[1:])):
-            yield combo
+    """Increasing k-tuples in [lo, hi] with consecutive gaps >= 2, in
+    lexicographic order: c -> (c_i + i) maps the k-subsets of
+    [lo, hi - k + 1] onto them."""
+    for combo in combinations(range(lo, hi - k + 2), k):
+        yield tuple(c + i for i, c in enumerate(combo))
 
 
 def cyclic_minimal_triangulation(n: int, d: int) -> SimplicialComplex:
@@ -447,14 +448,3 @@ def multilinear_tp_system(parts: Sequence[int],
     raise ArithmeticError(
         f"could not build distinct positive solutions after {max_retries} retries"
     )
-
-
-def all_minors_positive(M: RationalMatrix) -> bool:
-    """Exhaustive strict total positivity check (small matrices only)."""
-    for size in range(1, min(M.rows, M.cols) + 1):
-        for rows in combinations(range(M.rows), size):
-            for cols in combinations(range(M.cols), size):
-                sub = RationalMatrix([[M[i, j] for j in cols] for i in rows])
-                if determinant(sub) <= 0:
-                    return False
-    return True

@@ -149,3 +149,58 @@ def test_verify_reference_cases_pass(runner, case):
 def test_verify_unknown_case(runner):
     result = runner.invoke(main, ["verify-paper", "nonsense"])
     assert result.exit_code == 2
+
+
+def _write_inputs(tmp_path, broken):
+    """Valid snd(6, 3) inputs for every loader, with one file overwritten."""
+    f = catalog.snd63_fixture()
+    S = build_viro_system(f.configuration, f.coefficients, f.heights)
+    files = {
+        "complex": f.complex.to_json(),
+        "matrix": f.coefficients.to_json(),
+        "points": json.dumps(f.configuration.to_json_dict()),
+        "heights": json.dumps({"heights": [str(h) for h in f.heights]}),
+        "system": S.to_json(),
+        "poset": json.dumps({"size": 2, "relations": []}),
+    }
+    name, text = broken
+    files[name] = text
+    for key, body in files.items():
+        (tmp_path / f"{key}.json").write_text(body)
+    return {key: str(tmp_path / f"{key}.json") for key in files}
+
+
+COMMANDS = {
+    "complex": ["check", "--complex", "{complex}", "--bipartite"],
+    "matrix": ["check", "--complex", "{complex}", "--matrix", "{matrix}",
+               "--decorated"],
+    "points": ["check", "--complex", "{complex}", "--points", "{points}",
+               "--unimodular"],
+    "heights": ["viro", "--points", "{points}", "--matrix", "{matrix}",
+                "--heights", "{heights}"],
+    "system": ["count", "--system", "{system}", "--complex", "{complex}"],
+    "poset": ["family", "order", "--poset", "{poset}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name,text", [
+    ("complex", '{"dimension": 3, "facets": []}'),
+    ("complex", "not json"),
+    ("complex", "[1, 2]"),
+    ("matrix", '{"rows": 3, "cols": 6, "entries": ["1"]}'),
+    ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/0"]}'),
+    ("points", '{"dimension": 3}'),
+    ("heights", '{"heights": ["x"]}'),
+    ("system", '{"points": []}'),
+    ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
+    ("poset", "{"),
+])
+def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
+    paths = _write_inputs(tmp_path, (name, text))
+    paths["out"] = str(tmp_path / "out")
+    args = [a.format(**paths) for a in COMMANDS[name]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"error: malformed {name} file" in result.output

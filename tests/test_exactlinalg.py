@@ -11,7 +11,6 @@ from virodecor.exactlinalg import (
     RationalMatrix,
     chirotope,
     determinant,
-    determinant_cofactor,
     format_rational,
     is_oriented,
     left_kernel_basis,
@@ -25,18 +24,36 @@ from virodecor.exactlinalg import (
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7
 )
+# mostly zeros and small integers, so that rank-deficient inputs occur
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                             st.integers(-2, 2).map(Fraction), rationals)
 
 
-def matrices(rows, cols):
+def matrices(rows, cols, entries=rationals):
     return st.lists(
-        st.lists(rationals, min_size=cols, max_size=cols),
+        st.lists(entries, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     ).map(RationalMatrix)
 
 
-def square_matrices(max_n=5):
+def square_matrices(max_n=5, entries=rationals):
     return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: matrices(n, n))
+        lambda n: matrices(n, n, entries))
+
+
+def determinant_cofactor(M):
+    """Cofactor expansion along the first row; independent of elimination."""
+    if M.rows == 1:
+        return M[0, 0]
+    rest = RationalMatrix(M.to_lists()[1:])
+    return sum((-1) ** j * M[0, j] * determinant_cofactor(rest.delete_column(j))
+               for j in range(M.cols) if M[0, j] != 0)
+
+
+def matmul(A, B):
+    return RationalMatrix([[sum(a * b for a, b in zip(row, col))
+                            for col in zip(*B.to_lists())]
+                           for row in A.to_lists()])
 
 
 def test_vandermonde_determinant():
@@ -57,7 +74,7 @@ def test_determinant_fractional_entries():
     assert determinant(M) == Fraction(1, 14) - Fraction(1, 15)
 
 
-@given(square_matrices())
+@given(st.one_of(square_matrices(), square_matrices(entries=sparse_rationals)))
 @settings(max_examples=200, deadline=None)
 def test_determinant_matches_cofactor_expansion(M):
     assert determinant(M) == determinant_cofactor(M)
@@ -86,10 +103,17 @@ def test_rank_nullity(M):
     assert r + nullity == M.cols
 
 
-def test_solve_roundtrip():
-    M = RationalMatrix([[2, 1], [1, 3]])
-    x = solve(M, [5, 10])
-    assert M.matvec(x) == (Fraction(5), Fraction(10))
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(matrices(n, n, sparse_rationals),
+                        st.lists(rationals, min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None)
+def test_solve_roundtrip(Mb):
+    M, b = Mb
+    if determinant(M) != 0:
+        assert M.matvec(solve(M, b)) == tuple(b)
+    else:
+        with pytest.raises(RankDeficiencyError):
+            solve(M, b)
 
 
 def test_solve_singular_raises():
@@ -124,7 +148,8 @@ def test_positive_kernel_rank_deficient_raises():
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda d: matrices(d, d + 1)))
+    lambda d: st.one_of(matrices(d, d + 1),
+                        matrices(d, d + 1, sparse_rationals))))
 @settings(max_examples=300, deadline=None)
 def test_orientation_equivalences(M):
     """The three characterizations of an oriented matrix must agree:
@@ -135,10 +160,16 @@ def test_orientation_equivalences(M):
         through the contrapositive on the kernel line.
     """
     minors = maximal_minors(M)
-    full_rank = any(m != 0 for m in minors) and rank(M) == M.rows
-    if not full_rank:
-        return
+    signed = [(-1) ** i * m for i, m in enumerate(minors, start=1)]
     oriented = is_oriented(M)
+    assert oriented == (all(s > 0 for s in signed)
+                        or all(s < 0 for s in signed))
+    full_rank = any(m != 0 for m in minors)
+    assert full_rank == (rank(M) == M.rows)
+    if not full_rank:
+        with pytest.raises(RankDeficiencyError):
+            positive_kernel_vector(M)
+        return
     v = positive_kernel_vector(M)
     assert oriented == (v is not None)
     if v is not None:
@@ -174,7 +205,7 @@ def test_left_kernel_exactness():
     kern = left_kernel_basis(M)
     assert kern is not None and kern.rows == 2
     for i in range(kern.rows):
-        prod = RationalMatrix([kern.row(i)]).matmul(M)
+        prod = matmul(RationalMatrix([kern.row(i)]), M)
         assert all(prod[0, j] == 0 for j in range(prod.cols))
 
 

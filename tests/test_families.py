@@ -17,11 +17,11 @@ from virodecor.complexes import (
     is_unimodular,
     total_normalized_volume,
 )
-from virodecor.exactlinalg import RationalMatrix
+from virodecor.exactlinalg import RationalMatrix, determinant
 from virodecor.families import (
     Poset,
     _count_snd_direct,
-    all_minors_positive,
+    _gap_tuples,
     asymptotic_estimate,
     count_snd,
     count_snd_series,
@@ -55,6 +55,12 @@ def brute_force_cyclic_facets(n, d):
     return sorted(out)
 
 
+def brute_force_gap_tuples(lo, hi, k):
+    """Every combination of [lo, hi], filtered to consecutive gaps >= 2."""
+    return [c for c in combinations(range(lo, hi + 1), k)
+            if all(b - a >= 2 for a, b in zip(c, c[1:]))]
+
+
 def test_cyclic_63_facets():
     K = cyclic_minimal_triangulation(6, 3)
     assert list(K.facets) == [(1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6),
@@ -73,6 +79,12 @@ def test_cyclic_facets_match_brute_force(n):
     for d in range(1, n):
         K = cyclic_minimal_triangulation(n, d)
         assert list(K.facets) == brute_force_cyclic_facets(n, d)
+    # the facets' index tuples, up to hi = 15
+    for lo in (1, 2):
+        for hi in (n - 1, n + 5):
+            for k in range(7):
+                assert (list(_gap_tuples(lo, hi, k))
+                        == brute_force_gap_tuples(lo, hi, k))
 
 
 def test_cyclic_triangulation_is_regular_under_power_heights():
@@ -205,6 +217,17 @@ def test_cross_polytope_structure(d):
 
 
 # -- multilinear totally positive systems ----------------------------------
+
+
+def all_minors_positive(M):
+    """Exhaustive strict total positivity check (small matrices only)."""
+    for size in range(1, min(M.rows, M.cols) + 1):
+        for rows in combinations(range(M.rows), size):
+            for cols in combinations(range(M.cols), size):
+                sub = RationalMatrix([[M[i, j] for j in cols] for i in rows])
+                if determinant(sub) <= 0:
+                    return False
+    return True
 
 
 def multinomial(parts):
