@@ -89,6 +89,22 @@ def _load_points(path: str) -> PointConfiguration:
         json.loads(s)), "points")
 
 
+def _require_fit(K: SimplicialComplex, what: str, path: str, fits: bool,
+                 found: str):
+    """An input file that parses but does not fit the complex is a usage
+    error too."""
+    if not fits:
+        _fail_usage(f"malformed {what} file {path}: {found}; the complex has "
+                    f"dimension {K.dimension} and {K.n_vertices} vertices")
+
+
+def _require_points_fit(K: SimplicialComplex, A: PointConfiguration,
+                        what: str, path: str):
+    _require_fit(K, what, path,
+                 A.dimension == K.dimension and A.n_points >= K.n_vertices,
+                 f"{A.n_points} points of dimension {A.dimension}")
+
+
 @click.group()
 def main():
     """Exact and numerical tools for positively decorated triangulations."""
@@ -159,6 +175,24 @@ def check(complex_path, matrix_path, points_path, heights_path,
     K = _load_complex(complex_path)
     if not any([bipartite, balanced, decorated, regular, unimodular]):
         _fail_usage("no checks requested")
+    if decorated and matrix_path is None:
+        _fail_usage("--decorated requires --matrix")
+    if regular and (points_path is None or heights_path is None):
+        _fail_usage("--regular requires --points and --heights")
+    if unimodular and points_path is None:
+        _fail_usage("--unimodular requires --points")
+    if decorated:
+        C = _load_matrix(matrix_path)
+        _require_fit(K, "matrix", matrix_path,
+                     C.rows == K.dimension and C.cols >= K.n_vertices,
+                     f"{C.rows} rows and {C.cols} columns")
+    if regular or unimodular:
+        A = _load_points(points_path)
+        _require_points_fit(K, A, "points", points_path)
+    if regular:
+        heights = _load_heights(heights_path)
+        _require_fit(K, "heights", heights_path, len(heights) == A.n_points,
+                     f"{len(heights)} heights for {A.n_points} points")
     report = {}
     if bipartite:
         result = is_bipartite(dual_graph(K))
@@ -172,25 +206,18 @@ def check(complex_path, matrix_path, points_path, heights_path,
             report["balanced"]["coloring"] = coloring_to_json_dict(
                 coloring, K.n_vertices)
     if decorated:
-        if matrix_path is None:
-            _fail_usage("--decorated requires --matrix")
-        ok, failing = is_positively_decorated(K, _load_matrix(matrix_path))
+        ok, failing = is_positively_decorated(K, C)
         report["decorated"] = {"ok": ok,
                                "failing_facets": [list(f) for f in failing]}
     if regular:
-        if points_path is None or heights_path is None:
-            _fail_usage("--regular requires --points and --heights")
-        r = regularity_check(_load_points(points_path),
-                             _load_heights(heights_path), K)
+        r = regularity_check(A, heights, K)
         report["regular"] = {
             "ok": r.ok,
             "violations": [{"facet": list(f), "point": p}
                            for f, p in r.violations],
         }
     if unimodular:
-        if points_path is None:
-            _fail_usage("--unimodular requires --points")
-        report["unimodular"] = {"ok": is_unimodular(K, _load_points(points_path))}
+        report["unimodular"] = {"ok": is_unimodular(K, A)}
     if fmt == "json":
         click.echo(json.dumps(report))
     else:
@@ -270,6 +297,7 @@ def count(system_path, complex_path, t_str, expect, fmt):
         _fail_usage(f"invalid t: {t_str!r}")
     S = _load(system_path, ViroSystem.from_json, "system")
     K = _load_complex(complex_path)
+    _require_points_fit(K, S.configuration, "system", system_path)
     try:
         result = certified_positive_count(S, K, t)
     except (ValueError, ArithmeticError) as exc:

@@ -37,6 +37,11 @@ class SimplicialComplex:
 
     def __post_init__(self):
         d, n = self.dimension, self.n_vertices
+        for name, value in (("dimension", d), ("n_vertices", n)):
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}")
         seen = set()
         for f in self.facets:
             if len(f) != d + 1:

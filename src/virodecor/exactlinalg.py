@@ -182,6 +182,8 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     if M.rows != M.cols:
         raise ValueError("solve requires a square matrix")
     n = M.rows
+    if len(rhs) != n:
+        raise ValueError("shape mismatch in solve")
     a, _ = _integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
     a, pivots, D, _ = _eliminate(a)

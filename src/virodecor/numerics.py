@@ -22,17 +22,36 @@ from .viro import ViroSystem, log_fraction, mpf_fraction, predicted_solutions
 DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 
 
-def _row_terms(S: ViroSystem, lnt, u, row):
-    """Nonzero terms of one equation as (point index, coeff, exponent)."""
-    out = []
-    for j in range(S.n_points):
-        c = S.coefficients[row, j]
-        if c == 0:
-            continue
-        e = mpf_fraction(S.heights[j]) * lnt + sum(
-            mpf_fraction(a) * uk for a, uk in zip(S.configuration.points[j], u))
-        out.append((j, mpf_fraction(c), e))
-    return out
+def _compile(S: ViroSystem, t: Fraction):
+    """The system at t converted to mpf once; returns a function of u.
+
+    The function maps a log-point u to (residuals, scales, J):
+    residual_i = f_i(exp u) / exp(scale_i), where scale_i is the row's
+    largest term exponent, and J is the Jacobian in log coordinates under
+    the same row scaling (None unless asked for).  Build and call it at one
+    working precision.
+    """
+    lnt = log_fraction(Fraction(t))
+    points = [[mpf_fraction(a) for a in p] for p in S.configuration.points]
+    offsets = [mpf_fraction(h) * lnt for h in S.heights]
+    rows = [[(j, mpf_fraction(c)) for j, c in enumerate(row) if c != 0]
+            for row in S.coefficients.to_lists()]
+
+    def system(u, with_jacobian=False):
+        exps = [off + sum(a * uk for a, uk in zip(p, u))
+                for off, p in zip(offsets, points)]
+        residuals, scales, J = [], [], []
+        for row in rows:
+            m = max(exps[j] for j, _ in row)
+            w = [(j, c * mp.e ** (exps[j] - m)) for j, c in row]
+            residuals.append(sum(wj for _, wj in w))
+            scales.append(m)
+            if with_jacobian:
+                J.append([sum(wj * points[j][k] for j, wj in w)
+                          for k in range(S.dimension)])
+        return residuals, scales, mp.matrix(J) if with_jacobian else None
+
+    return system
 
 
 def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
@@ -42,45 +61,17 @@ def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
     Returns (residuals, scales): residual_i = f_i(exp u) / exp(scale_i)
     where scale_i is the row's maximal term exponent.
     """
-    t = Fraction(t)
-    if t <= 0:
+    if Fraction(t) <= 0:
         raise ValueError("t must be positive")
     with mp.workprec(prec or default_precision()):
-        lnt = log_fraction(t)
-        residuals, scales = [], []
-        for i in range(S.dimension):
-            terms = _row_terms(S, lnt, u, i)
-            m = max(e for _, _, e in terms)
-            residuals.append(sum(c * mp.e ** (e - m) for _, c, e in terms))
-            scales.append(m)
-        return residuals, scales
+        return _compile(S, t)(u)[:2]
 
 
 def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
              prec: int | None = None):
     """Jacobian in log coordinates, with the same row scaling as evaluate."""
-    t = Fraction(t)
     with mp.workprec(prec or default_precision()):
-        lnt = log_fraction(t)
-        d = S.dimension
-        J = mp.zeros(d)
-        for i in range(d):
-            terms = _row_terms(S, lnt, u, i)
-            m = max(e for _, _, e in terms)
-            for j, c, e in terms:
-                w = c * mp.e ** (e - m)
-                for k in range(d):
-                    J[i, k] += w * mpf_fraction(S.configuration.points[j][k])
-        return J
-
-
-def _scaled_residual_norm(S, lnt, u):
-    worst = mp.mpf(0)
-    for i in range(S.dimension):
-        terms = _row_terms(S, lnt, u, i)
-        m = max(e for _, _, e in terms)
-        worst = max(worst, abs(sum(c * mp.e ** (e - m) for _, c, e in terms)))
-    return worst
+        return _compile(S, t)(u, with_jacobian=True)[2]
 
 
 @dataclass
@@ -92,25 +83,29 @@ class NewtonResult:
 
 
 def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
-                  max_iter: int = 100, tol: float = 1e-30,
+                  max_iter: int = 100,
                   prec: int | None = None) -> NewtonResult:
     """Damped Newton in log coordinates.
 
     The step is halved (at most 30 times) while the scaled residual norm
     does not decrease.  Success requires both the residual and the step
-    norm below tol within max_iter iterations; divergence, a singular
-    Jacobian and iteration exhaustion are reported distinctly.
+    norm below 2^-(prec // 2), about the square root of the unit roundoff
+    at the working precision, within max_iter iterations; divergence, a
+    singular Jacobian and iteration exhaustion are reported distinctly.
     """
-    t = Fraction(t)
-    with mp.workprec(prec or default_precision()):
-        lnt = log_fraction(t)
-        tol = mp.mpf(tol)
+    bits = prec or default_precision()
+    with mp.workprec(bits):
+        tol = mp.ldexp(1, -(bits // 2))
+        system = _compile(S, t)
+
+        def residual_norm(u):
+            return mp.norm(mp.matrix(system(list(u))[0]), "inf")
+
         u = mp.matrix([mp.mpf(x) for x in u0])
         for it in range(1, max_iter + 1):
-            res, _ = evaluate(S, t, list(u), prec=prec)
+            res, _, J = system(list(u), with_jacobian=True)
             r = mp.matrix(res)
             rnorm = mp.norm(r, "inf")
-            J = jacobian(S, t, list(u), prec=prec)
             try:
                 step = mp.lu_solve(J, -r)
             except (ZeroDivisionError, TypeError):
@@ -118,8 +113,7 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
                 return NewtonResult("singular", None, rnorm, it)
             lam = mp.mpf(1)
             for _ in range(30):
-                trial = u + lam * step
-                if _scaled_residual_norm(S, lnt, list(trial)) < rnorm or rnorm < tol:
+                if rnorm < tol or residual_norm(u + lam * step) < rnorm:
                     break
                 lam /= 2
             else:
@@ -128,9 +122,8 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
             if not all(mp.isfinite(x) for x in u):
                 return NewtonResult("diverged", None, rnorm, it)
             if rnorm < tol and mp.norm(lam * step, "inf") < tol:
-                final, _ = evaluate(S, t, list(u), prec=prec)
-                return NewtonResult("converged", tuple(u),
-                                    mp.norm(mp.matrix(final), "inf"), it)
+                return NewtonResult("converged", tuple(u), residual_norm(u),
+                                    it)
         return NewtonResult("max_iter", None, rnorm, max_iter)
 
 
@@ -183,8 +176,7 @@ class CertifiedCount:
 
 
 def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
-                             t: Fraction, max_iter: int = 100,
-                             tol: float = 1e-30,
+                             t: Fraction,
                              prec: int | None = None) -> CertifiedCount:
     """Refine every facet's predicted start; count the distinct survivors.
 
@@ -196,8 +188,7 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
         witnesses: list[Witness] = []
         failures: list[tuple[tuple[int, ...], str]] = []
         for start in predicted_solutions(S, K, t, prec=prec):
-            result = newton_refine(S, t, start.log_point, max_iter=max_iter,
-                                   tol=tol, prec=prec)
+            result = newton_refine(S, t, start.log_point, prec=prec)
             if result.status != "converged":
                 failures.append((start.facet, result.status))
                 continue

@@ -3,7 +3,9 @@
 All log-space numerics run under mpmath at an extended precision (default
 256-bit significand).  The default can be overridden through the
 ``VIRODECOR_PRECISION_BITS`` environment variable or per call via the
-``prec`` keyword arguments.
+``prec`` keyword arguments.  Any precision of at least 53 bits is
+supported: Newton refinement stops when both the residual and the step
+fall below 2^-(prec // 2), so its tolerance follows the precision.
 """
 
 from __future__ import annotations

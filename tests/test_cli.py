@@ -171,22 +171,57 @@ def _write_inputs(tmp_path, broken):
 
 
 COMMANDS = {
-    "complex": ["check", "--complex", "{complex}", "--bipartite"],
-    "matrix": ["check", "--complex", "{complex}", "--matrix", "{matrix}",
-               "--decorated"],
-    "points": ["check", "--complex", "{complex}", "--points", "{points}",
-               "--unimodular"],
-    "heights": ["viro", "--points", "{points}", "--matrix", "{matrix}",
-                "--heights", "{heights}"],
-    "system": ["count", "--system", "{system}", "--complex", "{complex}"],
-    "poset": ["family", "order", "--poset", "{poset}", "--out", "{out}"],
+    "complex": ("complex", ["check", "--complex", "{complex}",
+                            "--bipartite"]),
+    "matrix": ("matrix", ["check", "--complex", "{complex}", "--matrix",
+                          "{matrix}", "--decorated"]),
+    "points": ("points", ["check", "--complex", "{complex}", "--points",
+                          "{points}", "--unimodular"]),
+    "heights": ("heights", ["viro", "--points", "{points}", "--matrix",
+                            "{matrix}", "--heights", "{heights}"]),
+    "system": ("system", ["count", "--system", "{system}", "--complex",
+                          "{complex}"]),
+    "poset": ("poset", ["family", "order", "--poset", "{poset}", "--out",
+                        "{out}"]),
+    # the heights file read by a check instead of by viro
+    "regular": ("heights", ["check", "--complex", "{complex}", "--points",
+                            "{points}", "--heights", "{heights}",
+                            "--regular"]),
 }
+
+
+def _matrix(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": ["1"] * (rows * cols)}
+
+
+def _points(d, n):
+    return {"dimension": d,
+            "points": [[str(int(i == k)) for k in range(d)] for i in range(n)]}
+
+
+# inputs that parse but do not fit the snd(6, 3) complex (d = 3, 6 vertices)
+MISFITS = [
+    ("matrix", json.dumps(_matrix(3, 5))),
+    ("matrix", json.dumps(_matrix(2, 6))),
+    ("points", json.dumps(_points(3, 5))),
+    ("points", json.dumps(_points(2, 6))),
+    ("regular", json.dumps({"heights": ["0"] * 5})),
+    ("system", json.dumps({"points": _points(3, 5)["points"],
+                           "coefficients": _matrix(3, 5),
+                           "heights": ["0"] * 5})),
+    ("system", json.dumps({"points": _points(2, 6)["points"],
+                           "coefficients": _matrix(2, 6),
+                           "heights": ["0"] * 6})),
+]
 
 
 @pytest.mark.parametrize("name,text", [
     ("complex", '{"dimension": 3, "facets": []}'),
     ("complex", "not json"),
     ("complex", "[1, 2]"),
+    ("complex", '{"dimension": "x", "n_vertices": 6, "facets": []}'),
+    ("complex", '{"dimension": 3, "n_vertices": "y", "facets": []}'),
+    ("complex", '{"dimension": -1, "n_vertices": 6, "facets": []}'),
     ("matrix", '{"rows": 3, "cols": 6, "entries": ["1"]}'),
     ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/0"]}'),
     ("points", '{"dimension": 3}'),
@@ -194,13 +229,21 @@ COMMANDS = {
     ("system", '{"points": []}'),
     ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
     ("poset", "{"),
-])
+] + MISFITS)
 def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
-    paths = _write_inputs(tmp_path, (name, text))
+    file, command = COMMANDS[name]
+    paths = _write_inputs(tmp_path, (file, text))
     paths["out"] = str(tmp_path / "out")
-    args = [a.format(**paths) for a in COMMANDS[name]]
+    args = [a.format(**paths) for a in command]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert f"error: malformed {name} file" in result.output
+    assert f"error: malformed {file} file" in result.output
+
+
+def test_verify_paper_at_double_precision(runner, monkeypatch):
+    monkeypatch.setenv("VIRODECOR_PRECISION_BITS", "53")
+    result = runner.invoke(main, ["verify-paper", "ex5.8"])
+    assert result.exit_code == 0, result.output
+    assert "5 distinct positive roots" in result.output

@@ -121,6 +121,13 @@ def test_solve_singular_raises():
         solve(RationalMatrix([[1, 2], [2, 4]]), [1, 1])
 
 
+@pytest.mark.parametrize("rhs", [[1, 2, 3], [1]])
+def test_solve_rejects_rhs_of_wrong_length(rhs):
+    with pytest.raises(ValueError, match="shape mismatch in solve") as info:
+        solve(RationalMatrix([[1, 0], [0, 1]]), rhs)
+    assert not isinstance(info.value, RankDeficiencyError)
+
+
 # -- orientation -----------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 from virodecor import catalog
 from virodecor.complexes import (
@@ -57,8 +58,9 @@ def random_system(rnd, d):
 
 
 def test_jacobian_matches_finite_differences():
-    """Central differences of the unscaled residual against the analytic
-    Jacobian, over 100 random systems of dimension up to 4."""
+    """Over 100 random systems of dimension up to 4: each row's residual
+    against a direct evaluation from the Fractions, and central
+    differences of the unscaled residual against the analytic Jacobian."""
     rnd = random.Random(20240817)
     checked = 0
     with mp.workprec(PREC):
@@ -71,6 +73,18 @@ def test_jacobian_matches_finite_differences():
             J = jacobian(S, t, u, prec=PREC)
             res0, sc0 = evaluate(S, t, u, prec=PREC)
             ok_system = True
+            for i in range(d):
+                # unscaled row sum computed directly from the Fractions
+                terms = [mp.mpf(c.numerator) / c.denominator
+                         * mp.power(mp.mpf(t.numerator) / t.denominator, h)
+                         * mp.exp(mp.fsum(a * uk for a, uk in zip(p, u)))
+                         for c, h, p in zip(S.coefficients.to_lists()[i],
+                                            S.heights, S.configuration.points)
+                         if c != 0]
+                scale = max(abs(x) for x in terms)
+                if abs(res0[i] * mp.e ** sc0[i] - mp.fsum(terms)) \
+                        >= mp.mpf("1e-60") * scale:
+                    ok_system = False
             for k in range(d):
                 up = list(u)
                 um = list(u)
@@ -127,6 +141,18 @@ def test_count_planar_fixture():
         assert mp.isfinite(w.jacobian_condition)
     assert result.min_separation is None or \
         result.min_separation > DEDUP_LOG_DISTANCE
+
+
+@pytest.mark.parametrize("prec", [53, 64, 113])
+def test_count_at_low_precision(prec):
+    """The stopping tolerance follows the working precision, so every
+    precision the policy accepts finds all the roots."""
+    for make, t, expected in ((planar_system, Fraction(1, 1000), 6),
+                              (snd63_system, Fraction(1, 10), 5)):
+        f, S = make()
+        result = certified_positive_count(S, f.complex, t, prec=prec)
+        assert result.count == expected
+        assert result.failures == []
 
 
 def test_count_monotone_in_t():
