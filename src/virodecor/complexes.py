@@ -15,7 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Mapping, Sequence
 
 from .exactlinalg import (
@@ -42,6 +42,10 @@ class SimplicialComplex:
                     or value < 0:
                 raise ValueError(
                     f"{name} must be a non-negative integer, got {value!r}")
+        # one pass over every vertex; bool, a subclass of int, is refused
+        if not set(map(type, chain.from_iterable(self.facets))) <= {int}:
+            bad = next(v for f in self.facets for v in f if type(v) is not int)
+            raise ValueError(f"facet vertex {bad!r} is not an integer")
         seen = set()
         for f in self.facets:
             if len(f) != d + 1:
@@ -156,15 +160,15 @@ class BipartitenessCheck:
 
 
 def dual_graph(K: SimplicialComplex) -> DualGraph:
-    """Adjacency graph of facets; edge iff the facets share exactly d vertices."""
-    d = K.dimension
+    """Adjacency graph of facets; edge iff they share a ridge (d vertices)."""
+    star: dict[tuple[int, ...], list[int]] = {}  # ridge -> facets through it
+    for i, f in enumerate(K.facets):
+        for k in range(len(f)):
+            star.setdefault(f[:k] + f[k + 1:], []).append(i)
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(K.facets))}
-    sets = [frozenset(f) for f in K.facets]
-    for i, j in combinations(range(len(sets)), 2):
-        if len(sets[i] & sets[j]) == d:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    return DualGraph(len(sets), adjacency)
+    for i, j in chain.from_iterable(permutations(b, 2) for b in star.values()):
+        adjacency[i].add(j)
+    return DualGraph(len(K.facets), adjacency)
 
 
 def is_bipartite(G: DualGraph) -> BipartitenessCheck:

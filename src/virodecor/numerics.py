@@ -185,14 +185,16 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
     """
     t = Fraction(t)
     with mp.workprec(prec or default_precision()):
+        starts = predicted_solutions(S, K, t, prec=prec)
+        system = _compile(S, t)
         witnesses: list[Witness] = []
         failures: list[tuple[tuple[int, ...], str]] = []
-        for start in predicted_solutions(S, K, t, prec=prec):
+        for start in starts:
             result = newton_refine(S, t, start.log_point, prec=prec)
             if result.status != "converged":
                 failures.append((start.facet, result.status))
                 continue
-            J = jacobian(S, t, list(result.log_point), prec=prec)
+            J = system(list(result.log_point), with_jacobian=True)[2]
             cond = condition_estimate(J)
             if not mp.isfinite(cond):
                 failures.append((start.facet, "singular jacobian at root"))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virodecor import catalog
 from virodecor.cli import main
@@ -187,6 +189,10 @@ COMMANDS = {
     "regular": ("heights", ["check", "--complex", "{complex}", "--points",
                             "{points}", "--heights", "{heights}",
                             "--regular"]),
+    # the complex file read by the coloring check and by decorate
+    "balanced": ("complex", ["check", "--complex", "{complex}",
+                             "--bipartite", "--balanced"]),
+    "decorate": ("complex", ["decorate", "--complex", "{complex}"]),
 }
 
 
@@ -198,6 +204,9 @@ def _points(d, n):
     return {"dimension": d,
             "points": [[str(int(i == k)) for k in range(d)] for i in range(n)]}
 
+
+FLOAT_VERTEX = ('{"dimension": 2, "n_vertices": 4, '
+                '"facets": [[1, 2, 3.5], [2, 3, 4]]}')
 
 # inputs that parse but do not fit the snd(6, 3) complex (d = 3, 6 vertices)
 MISFITS = [
@@ -222,6 +231,10 @@ MISFITS = [
     ("complex", '{"dimension": "x", "n_vertices": 6, "facets": []}'),
     ("complex", '{"dimension": 3, "n_vertices": "y", "facets": []}'),
     ("complex", '{"dimension": -1, "n_vertices": 6, "facets": []}'),
+    ("balanced", FLOAT_VERTEX),
+    ("decorate", FLOAT_VERTEX),
+    ("balanced", '{"dimension": 2, "n_vertices": 4, '
+                 '"facets": [[true, 2, 3], [2, 3, 4]]}'),
     ("matrix", '{"rows": 3, "cols": 6, "entries": ["1"]}'),
     ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/0"]}'),
     ("points", '{"dimension": 3}'),
@@ -247,3 +260,67 @@ def test_verify_paper_at_double_precision(runner, monkeypatch):
     result = runner.invoke(main, ["verify-paper", "ex5.8"])
     assert result.exit_code == 0, result.output
     assert "5 distinct positive roots" in result.output
+
+
+SCALARS = st.one_of(st.integers(-2, 9), st.floats(), st.booleans(),
+                    st.text(max_size=2), st.none())
+JSON_VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4),
+                           max_leaves=12)
+
+
+def _small_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and 0 <= value <= 8
+
+
+@st.composite
+def fuzzed_complex_and_matrix(draw):
+    """Complex JSON with each field drawn from every JSON type, plus a matrix
+    that fits it whenever its dimension (at least 1, since a matrix has a
+    row) and vertex count are small counts.
+
+    Each field is well formed three times in four: the dimension and the
+    vertex count small ints, the facets distinct vertex lists of the right
+    size, half of them with one vertex swapped for another JSON value (often
+    a float in the vertex range).  So the checks behind the loader run
+    too."""
+    def well_formed():
+        return draw(st.integers(0, 3)) > 0
+
+    d = draw(st.integers(0, 4)) if well_formed() else draw(JSON_VALUES)
+    n = draw(st.integers(0, 8)) if well_formed() else draw(JSON_VALUES)
+    k = d + 1 if _small_count(d) else draw(st.integers(1, 5))
+    top = max(n, k) if _small_count(n) else 8
+    if well_formed():
+        facets = draw(st.lists(
+            st.lists(st.integers(1, top), min_size=k, max_size=k, unique=True),
+            max_size=8, unique_by=tuple))
+        if facets and draw(st.booleans()):
+            i = draw(st.integers(0, len(facets) - 1))
+            facets[i][draw(st.integers(0, k - 1))] = draw(
+                st.one_of(st.floats(1, top), SCALARS))
+    else:
+        facets = draw(JSON_VALUES)
+    fits = _small_count(d) and d >= 1 and _small_count(n)
+    rows, cols = (d, n) if fits else (1, 1)
+    entries = draw(st.lists(st.integers(-3, 3).map(str),
+                            min_size=rows * cols, max_size=rows * cols))
+    return ({"dimension": d, "n_vertices": n, "facets": facets},
+            {"rows": rows, "cols": cols, "entries": entries})
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_complex_and_matrix())
+def test_complex_loader_fuzz_never_crashes(tmp_path_factory, inputs):
+    body, matrix = inputs
+    folder = tmp_path_factory.mktemp("fuzz")
+    kp, cp = folder / "K.json", folder / "C.json"
+    kp.write_text(json.dumps(body))
+    cp.write_text(json.dumps(matrix))
+    result = CliRunner().invoke(main, [
+        "check", "--complex", str(kp), "--bipartite", "--balanced",
+        "--decorated", "--matrix", str(cp)])
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code in (0, 1, 2)

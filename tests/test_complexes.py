@@ -1,11 +1,15 @@
 """Complexes: dual graphs, bipartiteness, colorings, decorations, signs."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from virodecor import catalog
+from virodecor import catalog, complexes
 from virodecor.complexes import (
+    DualGraph,
     SimplicialComplex,
     balanced_coloring,
     coloring_from_json_dict,
@@ -31,6 +35,36 @@ O63_FACETS = [(1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6),
               (2, 3, 4, 5), (2, 3, 5, 6), (3, 4, 5, 6)]
 
 
+def dual_graph_pairwise(K):
+    """Intersect every pair of facets; independent of the ridge index."""
+    d = K.dimension
+    adjacency = {i: set() for i in range(len(K.facets))}
+    sets = [frozenset(f) for f in K.facets]
+    for i, j in combinations(range(len(sets)), 2):
+        if len(sets[i] & sets[j]) == d:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return DualGraph(len(sets), adjacency)
+
+
+@st.composite
+def complexes_up_to_dim_4(draw):
+    """Random facet subsets of all (d+1)-subsets of a few vertices, so some
+    ridges lie in three or more facets."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(d + 1, d + 4))
+    candidates = list(combinations(range(1, n + 1), d + 1))
+    facets = draw(st.lists(st.sampled_from(candidates), unique=True,
+                           max_size=25))
+    return SimplicialComplex.from_facets(d, n, facets)
+
+
+# a ridge in three facets; d = 0 (every pair joined); the empty complex
+RIDGE_IN_THREE = SimplicialComplex.from_facets(1, 4, [(1, 2), (1, 3), (1, 4)])
+POINTS = SimplicialComplex.from_facets(0, 3, [(1,), (2,), (3,)])
+EMPTY = SimplicialComplex.from_facets(2, 5, [])
+
+
 def test_complex_validation():
     with pytest.raises(ValueError):
         SimplicialComplex(1, 3, ((1, 2), (2, 1)))
@@ -38,6 +72,9 @@ def test_complex_validation():
         SimplicialComplex(1, 2, ((1, 3),))
     with pytest.raises(ValueError):
         SimplicialComplex(1, 3, ((1, 2), (1, 2)))
+    for vertex in (3.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            SimplicialComplex(2, 4, ((1, 2, vertex),))
 
 
 def test_complex_json_roundtrip():
@@ -53,6 +90,46 @@ def test_dual_graph_of_minimal_cyclic_triangulation():
     assert G.edges == sorted([
         (a, b), (a, d), (b, c), (b, d), (c, e), (d, e), (d, f), (e, f),
     ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_up_to_dim_4())
+@example(RIDGE_IN_THREE)
+@example(POINTS)
+@example(EMPTY)
+def test_dual_graph_matches_pairwise_oracle(K):
+    G, oracle = dual_graph(K), dual_graph_pairwise(K)
+    assert G.n_nodes == oracle.n_nodes == len(K.facets)
+    assert G.adjacency == oracle.adjacency
+
+
+def test_dual_graph_joins_every_facet_through_a_ridge():
+    assert dual_graph(RIDGE_IN_THREE).edges == [(0, 1), (0, 2), (1, 2)]
+    assert dual_graph(POINTS).edges == [(0, 1), (0, 2), (1, 2)]
+    assert dual_graph(EMPTY).adjacency == {}
+
+
+@pytest.mark.parametrize("K", [snd_subcomplex(13, 5),
+                               cyclic_minimal_triangulation(12, 5)],
+                         ids=["snd-13-5", "cyclic-12-5"])
+def test_dual_graph_matches_pairwise_oracle_on_families(K):
+    assert dual_graph(K).adjacency == dual_graph_pairwise(K).adjacency
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_up_to_dim_4())
+@example(snd_subcomplex(13, 5))
+@example(cyclic_minimal_triangulation(12, 5))
+@example(RIDGE_IN_THREE)
+def test_colorings_match_those_on_the_oracle_graph(K):
+    check = is_bipartite(dual_graph(K))
+    expected = is_bipartite(dual_graph_pairwise(K))
+    assert check.colors == expected.colors
+    assert check.odd_cycle == expected.odd_cycle
+    coloring = balanced_coloring(K)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "dual_graph", dual_graph_pairwise)
+        assert balanced_coloring(K) == coloring
 
 
 def test_minimal_cyclic_triangulation_not_bipartite():
