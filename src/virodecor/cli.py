@@ -66,7 +66,7 @@ def _load(path: str, parse, what: str):
     """Parse an input file; malformed content is a usage error."""
     try:
         return parse(Path(path).read_text())
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         _fail_usage(f"malformed {what} file {path}: {detail}")
 
@@ -182,6 +182,8 @@ def check(complex_path, matrix_path, points_path, heights_path,
     if unimodular and points_path is None:
         _fail_usage("--unimodular requires --points")
     if decorated:
+        _require_fit(K, "complex", complex_path, K.dimension > 0,
+                     "--decorated needs a matrix with one row per dimension")
         C = _load_matrix(matrix_path)
         _require_fit(K, "matrix", matrix_path,
                      C.rows == K.dimension and C.cols >= K.n_vertices,
@@ -300,7 +302,10 @@ def count(system_path, complex_path, t_str, expect, fmt):
     _require_points_fit(K, S.configuration, "system", system_path)
     try:
         result = certified_positive_count(S, K, t)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
+        # an undecorated or degenerate facet: the system does not fit K
+        _fail_usage(f"malformed system file {system_path}: {exc}")
+    except ArithmeticError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     if fmt == "json":

@@ -209,9 +209,14 @@ class Poset:
     @classmethod
     def from_relations(cls, size: int,
                        relations: Sequence[tuple[int, int]]) -> "Poset":
+        # bool, a subclass of int, is refused
+        if type(size) is not int or size < 0:
+            raise ValueError(
+                f"size must be a non-negative integer, got {size!r}")
         rels = set()
         for a, b in relations:
-            if not (1 <= a <= size and 1 <= b <= size) or a == b:
+            if type(a) is not int or type(b) is not int \
+                    or not (1 <= a <= size and 1 <= b <= size) or a == b:
                 raise ValueError(f"bad relation ({a}, {b})")
             rels.add((a, b))
         closed = cls._transitive_closure(size, rels)

@@ -9,6 +9,7 @@ separation), not interval-arithmetic proofs, and are flagged as such.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,20 +23,24 @@ from .viro import ViroSystem, log_fraction, mpf_fraction, predicted_solutions
 DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 
 
-def _compile(S: ViroSystem, t: Fraction):
+@functools.lru_cache(maxsize=1)
+def _compile(S: ViroSystem, t: Fraction, bits: int):
     """The system at t converted to mpf once; returns a function of u.
 
     The function maps a log-point u to (residuals, scales, J):
     residual_i = f_i(exp u) / exp(scale_i), where scale_i is the row's
     largest term exponent, and J is the Jacobian in log coordinates under
-    the same row scaling (None unless asked for).  Build and call it at one
-    working precision.
+    the same row scaling (None unless asked for).  The mpf values are
+    rounded to `bits`, so call the function at that working precision.
+    The last build is kept: a count refines every facet of one system.
     """
-    lnt = log_fraction(Fraction(t))
-    points = [[mpf_fraction(a) for a in p] for p in S.configuration.points]
-    offsets = [mpf_fraction(h) * lnt for h in S.heights]
-    rows = [[(j, mpf_fraction(c)) for j, c in enumerate(row) if c != 0]
-            for row in S.coefficients.to_lists()]
+    with mp.workprec(bits):
+        lnt = log_fraction(t)
+        points = [[mpf_fraction(a) for a in p]
+                  for p in S.configuration.points]
+        offsets = [mpf_fraction(h) * lnt for h in S.heights]
+        rows = [[(j, mpf_fraction(c)) for j, c in enumerate(row) if c != 0]
+                for row in S.coefficients.to_lists()]
 
     def system(u, with_jacobian=False):
         exps = [off + sum(a * uk for a, uk in zip(p, u))
@@ -63,15 +68,17 @@ def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
     """
     if Fraction(t) <= 0:
         raise ValueError("t must be positive")
-    with mp.workprec(prec or default_precision()):
-        return _compile(S, t)(u)[:2]
+    bits = prec or default_precision()
+    with mp.workprec(bits):
+        return _compile(S, Fraction(t), bits)(u)[:2]
 
 
 def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
              prec: int | None = None):
     """Jacobian in log coordinates, with the same row scaling as evaluate."""
-    with mp.workprec(prec or default_precision()):
-        return _compile(S, t)(u, with_jacobian=True)[2]
+    bits = prec or default_precision()
+    with mp.workprec(bits):
+        return _compile(S, Fraction(t), bits)(u, with_jacobian=True)[2]
 
 
 @dataclass
@@ -80,6 +87,7 @@ class NewtonResult:
     log_point: tuple | None
     residual: object | None
     iterations: int
+    jacobian: object | None = None   # at the root; None unless converged
 
 
 def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
@@ -96,7 +104,7 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     bits = prec or default_precision()
     with mp.workprec(bits):
         tol = mp.ldexp(1, -(bits // 2))
-        system = _compile(S, t)
+        system = _compile(S, Fraction(t), bits)
 
         def residual_norm(u):
             return mp.norm(mp.matrix(system(list(u))[0]), "inf")
@@ -122,8 +130,9 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
             if not all(mp.isfinite(x) for x in u):
                 return NewtonResult("diverged", None, rnorm, it)
             if rnorm < tol and mp.norm(lam * step, "inf") < tol:
-                return NewtonResult("converged", tuple(u), residual_norm(u),
-                                    it)
+                res, _, J = system(list(u), with_jacobian=True)
+                return NewtonResult("converged", tuple(u),
+                                    mp.norm(mp.matrix(res), "inf"), it, J)
         return NewtonResult("max_iter", None, rnorm, max_iter)
 
 
@@ -186,16 +195,18 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
     t = Fraction(t)
     with mp.workprec(prec or default_precision()):
         starts = predicted_solutions(S, K, t, prec=prec)
-        system = _compile(S, t)
         witnesses: list[Witness] = []
         failures: list[tuple[tuple[int, ...], str]] = []
         for start in starts:
             result = newton_refine(S, t, start.log_point, prec=prec)
             if result.status != "converged":
-                failures.append((start.facet, result.status))
+                residual = mp.nstr(result.residual, 2, min_fixed=0,
+                                   max_fixed=0)
+                failures.append((start.facet,
+                                 f"{result.status} after {result.iterations} "
+                                 f"iterations (residual {residual})"))
                 continue
-            J = system(list(result.log_point), with_jacobian=True)[2]
-            cond = condition_estimate(J)
+            cond = condition_estimate(result.jacobian)
             if not mp.isfinite(cond):
                 failures.append((start.facet, "singular jacobian at root"))
                 continue
@@ -207,8 +218,8 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
         for w in witnesses:
             dup = False
             for kept in distinct:
-                sep = mp.norm(mp.matrix(w.log_point) -
-                              mp.matrix(kept.log_point), "inf")
+                sep = max(abs(a - b)
+                          for a, b in zip(w.log_point, kept.log_point))
                 if min_sep is None or sep < min_sep:
                     min_sep = sep
                 if sep < DEDUP_LOG_DISTANCE:

@@ -183,7 +183,6 @@ class TruncatedSolution:
 
     facet: tuple[int, ...]
     log_point: tuple[mp.mpf, ...]
-    residual: mp.mpf
 
 
 @dataclass
@@ -234,27 +233,7 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
             raise RankDeficiencyError(
                 f"degenerate facet {facet}: lifted matrix singular") from exc
         u = tuple(sol[i] for i in range(1, len(facet)))
-        residual = _truncated_residual(A, C, facet, u)
-        return TruncatedSolution(facet, u, residual)
-
-
-def _truncated_residual(A, C, facet, u):
-    d = A.dimension
-    worst = mp.mpf(0)
-    for i in range(d):
-        total = mp.mpf(0)
-        scale = mp.mpf(0)
-        for vtx in facet:
-            c = C[i, vtx - 1]
-            if c == 0:
-                continue
-            term = mpf_fraction(c) * mp.e ** sum(
-                mpf_fraction(a) * uk for a, uk in zip(A.points[vtx - 1], u))
-            total += term
-            scale = max(scale, abs(term))
-        if scale > 0:
-            worst = max(worst, abs(total) / scale)
-    return worst
+        return TruncatedSolution(facet, u)
 
 
 def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,

@@ -153,11 +153,11 @@ def test_verify_unknown_case(runner):
     assert result.exit_code == 2
 
 
-def _write_inputs(tmp_path, broken):
-    """Valid snd(6, 3) inputs for every loader, with one file overwritten."""
+def _valid_inputs():
+    """Valid snd(6, 3) inputs for every loader, and a poset file."""
     f = catalog.snd63_fixture()
     S = build_viro_system(f.configuration, f.coefficients, f.heights)
-    files = {
+    return {
         "complex": f.complex.to_json(),
         "matrix": f.coefficients.to_json(),
         "points": json.dumps(f.configuration.to_json_dict()),
@@ -165,6 +165,11 @@ def _write_inputs(tmp_path, broken):
         "system": S.to_json(),
         "poset": json.dumps({"size": 2, "relations": []}),
     }
+
+
+def _write_inputs(tmp_path, broken):
+    """The valid inputs with one file overwritten."""
+    files = _valid_inputs()
     name, text = broken
     files[name] = text
     for key, body in files.items():
@@ -193,6 +198,9 @@ COMMANDS = {
     "balanced": ("complex", ["check", "--complex", "{complex}",
                              "--bipartite", "--balanced"]),
     "decorate": ("complex", ["decorate", "--complex", "{complex}"]),
+    # the complex file read by the decoration check
+    "decorated": ("complex", ["check", "--complex", "{complex}", "--matrix",
+                              "{matrix}", "--decorated"]),
 }
 
 
@@ -221,6 +229,10 @@ MISFITS = [
     ("system", json.dumps({"points": _points(2, 6)["points"],
                            "coefficients": _matrix(2, 6),
                            "heights": ["0"] * 6})),
+    # an all-ones matrix decorates no facet
+    ("system", json.dumps({"points": _points(3, 6)["points"],
+                           "coefficients": _matrix(3, 6),
+                           "heights": ["0"] * 6})),
 ]
 
 
@@ -235,12 +247,17 @@ MISFITS = [
     ("decorate", FLOAT_VERTEX),
     ("balanced", '{"dimension": 2, "n_vertices": 4, '
                  '"facets": [[true, 2, 3], [2, 3, 4]]}'),
+    # no matrix has the d = 0 rows a decoration of this complex needs
+    ("decorated", '{"dimension": 0, "n_vertices": 6, "facets": [[1], [2]]}'),
     ("matrix", '{"rows": 3, "cols": 6, "entries": ["1"]}'),
     ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/0"]}'),
     ("points", '{"dimension": 3}'),
     ("heights", '{"heights": ["x"]}'),
+    ("heights", '{"heights": ["0", Infinity]}'),
     ("system", '{"points": []}'),
     ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
+    ("poset", '{"size": true, "relations": []}'),
+    ("poset", '{"size": 3, "relations": [[1.5, 2]]}'),
     ("poset", "{"),
 ] + MISFITS)
 def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
@@ -324,3 +341,50 @@ def test_complex_loader_fuzz_never_crashes(tmp_path_factory, inputs):
         or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert result.exit_code in (0, 1, 2)
+
+
+NUMBERS = st.sampled_from(["0", "-1", "2/3", "1/0", "x", "", "1e3", "-7/2",
+                           1.5, float("inf"), float("nan"), True])
+
+
+def _edit(draw, node):
+    """node with one value replaced by any JSON value or a number written
+    in some form, or, inside a list or an object, one entry dropped."""
+    if isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        copy = dict(node) if isinstance(node, dict) else list(node)
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict)
+                                   else range(len(copy))))
+        if draw(st.integers(0, 4)) == 0:
+            del copy[key]
+        else:
+            copy[key] = _edit(draw, copy[key])
+        return copy
+    return draw(st.one_of(JSON_VALUES, NUMBERS))
+
+
+# The order polytope of a poset on n elements has up to n! facets, so the
+# fuzzed poset file keeps at most 5 elements.
+FUZZED_LOADERS = ["matrix", "points", "heights", "system", "poset"]
+
+
+@pytest.mark.parametrize("name", FUZZED_LOADERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_loader_fuzz_never_crashes(tmp_path_factory, name, data):
+    """One to three random edits of a valid input file end in a message and
+    an exit code, never in a traceback."""
+    file, command = COMMANDS[name]
+    doc = json.loads(_valid_inputs()[file])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _edit(data.draw, doc)
+    if file == "poset" and isinstance(doc, dict) \
+            and isinstance(doc.get("size"), int) and doc["size"] > 5:
+        doc["size"] = 5
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = _write_inputs(folder, (file, json.dumps(doc)))
+    paths["out"] = str(folder / "out")
+    result = CliRunner().invoke(main, [a.format(**paths) for a in command])
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code in (0, 1, 2), result.output

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from virodecor import catalog
+from virodecor import catalog, numerics
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
@@ -20,7 +20,7 @@ from virodecor.numerics import (
     jacobian,
     newton_refine,
 )
-from virodecor.viro import build_viro_system
+from virodecor.viro import build_viro_system, log_fraction, predicted_solutions
 
 PREC = 256
 
@@ -119,6 +119,48 @@ def test_newton_reports_failure_not_crash():
                            [mp.mpf(500), mp.mpf(-500)], max_iter=20)
     assert result.status in ("diverged", "singular", "max_iter")
     assert result.log_point is None
+    assert result.jacobian is None
+    # the count says why each facet failed: status word, then iterations
+    t = Fraction(1, 10)
+    count = certified_positive_count(S, f.complex, t)
+    starts = {s.facet: s.log_point
+              for s in predicted_solutions(S, f.complex, t)}
+    newton_failures = [(facet, reason) for facet, reason in count.failures
+                       if reason != "duplicate root"]
+    assert newton_failures
+    for facet, reason in newton_failures:
+        again = newton_refine(S, t, starts[facet])
+        assert reason.startswith(
+            f"{again.status} after {again.iterations} iterations (residual ")
+
+
+def test_newton_returns_the_jacobian_at_the_root():
+    f, S = snd63_system()
+    t = Fraction(1, 10)
+    for start in predicted_solutions(S, f.complex, t):
+        result = newton_refine(S, t, start.log_point)
+        assert result.status == "converged"
+        J = jacobian(S, t, result.log_point)
+        assert (result.jacobian.rows, result.jacobian.cols) == (J.rows, J.cols)
+        assert all(result.jacobian[i, k] == J[i, k]
+                   for i in range(J.rows) for k in range(J.cols))
+
+
+def test_count_compiles_the_system_once(monkeypatch):
+    """One conversion of the system to mpf per count, not one per facet:
+    each build takes log t once."""
+    f, S = snd63_system()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return log_fraction(x)
+
+    monkeypatch.setattr(numerics, "log_fraction", counted)
+    # a t no other test uses, so no earlier build is kept for it
+    result = certified_positive_count(S, f.complex, Fraction(1, 97))
+    assert result.count == 5
+    assert calls == [Fraction(1, 97)]
 
 
 def test_count_single_decorated_simplex():
