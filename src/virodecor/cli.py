@@ -27,7 +27,12 @@ from .complexes import (
     is_unimodular,
 )
 from .completion import decorate as decorate_complex
-from .exactlinalg import RationalMatrix, format_rational, parse_rational
+from .exactlinalg import (
+    RankDeficiencyError,
+    RationalMatrix,
+    format_rational,
+    parse_rational,
+)
 from .families import (
     Poset,
     count_snd,
@@ -212,7 +217,10 @@ def check(complex_path, matrix_path, points_path, heights_path,
         report["decorated"] = {"ok": ok,
                                "failing_facets": [list(f) for f in failing]}
     if regular:
-        r = regularity_check(A, heights, K)
+        try:
+            r = regularity_check(A, heights, K)
+        except RankDeficiencyError as exc:
+            _fail_usage(f"malformed points file {points_path}: {exc}")
         report["regular"] = {
             "ok": r.ok,
             "violations": [{"facet": list(f), "point": p}

@@ -16,13 +16,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlinalg import (
     RationalMatrix,
-    determinant,
+    common_integer_rows,
+    determinant_of_rows,
     format_rational,
-    is_oriented,
+    integer_rows,
+    is_oriented_rows,
     parse_rational,
 )
 
@@ -349,17 +351,36 @@ def is_positively_decorated(
 
     Returns (verdict, failing facets); the report lists all failures, not
     just the first one.
+
+    Each column of C is scaled to integers once, by its own lcm.  A facet
+    slice C_tau with columns scaled by a positive diagonal L has the kernel
+    L^-1 v for each kernel vector v of C_tau, so its orientation is kept.
     """
     if C.cols < K.n_vertices:
         raise ValueError("coefficient matrix has fewer columns than vertices")
     if C.rows != K.dimension:
         raise ValueError("coefficient matrix row count must equal dimension")
+    columns, _ = integer_rows(zip(*C.to_lists()))
     failing = []
     for facet in K.facets:
-        sub = C.submatrix_columns([v - 1 for v in facet])
-        if not is_oriented(sub):
+        if not is_oriented_rows(list(zip(*(columns[v - 1] for v in facet)))):
             failing.append(facet)
     return (not failing, failing)
+
+
+def _lifted_determinants(
+    A: PointConfiguration, facets: Iterable[Sequence[int]]
+) -> tuple[int, Iterator[int]]:
+    """P^d and, lazily, P^d times the lifted determinant of each facet.
+
+    The points are scaled to integers by one common denominator P, which
+    multiplies every lifted determinant by P^d > 0: its sign is kept and
+    dividing by P^d restores it exactly.
+    """
+    points, P = common_integer_rows(A.points)
+    lifted = [(1, *p) for p in points]    # the transposed lifted matrix
+    return P ** A.dimension, (determinant_of_rows([lifted[v - 1] for v in f])
+                              for f in facets)
 
 
 def simplex_signs(
@@ -370,16 +391,14 @@ def simplex_signs(
     For a positively decorated complex, adjacent facets receive opposite
     signs.
     """
+    _, dets_a = _lifted_determinants(A, K.facets)
+    # the lifted columns (1, c_v), each scaled by its own positive lcm
+    lifted_c, _ = integer_rows((1, *col) for col in zip(*C.to_lists()))
     signs = {}
-    for facet in K.facets:
-        det_a = determinant(A.lifted_matrix(facet))
+    for facet, det_a in zip(K.facets, dets_a):
         if det_a == 0:
             raise ValueError(f"degenerate facet {facet}: lifted matrix singular")
-        c_sub = C.submatrix_columns([v - 1 for v in facet])
-        c_lift = RationalMatrix(
-            [[Fraction(1)] * c_sub.cols] + c_sub.to_lists()
-        )
-        det_c = determinant(c_lift)
+        det_c = determinant_of_rows([lifted_c[v - 1] for v in facet])
         if det_c == 0:
             raise ValueError(f"facet {facet} is not decorated (singular lift)")
         signs[facet] = 1 if (det_a > 0) == (det_c > 0) else -1
@@ -388,16 +407,19 @@ def simplex_signs(
 
 def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
     """|det| of the lifted facet matrix: Euclidean volume times d!."""
-    return abs(determinant(A.lifted_matrix(tuple(facet))))
+    scale, dets = _lifted_determinants(A, [facet])
+    return Fraction(abs(next(dets)), scale)
 
 
 def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:
-    return all(normalized_volume(A, f) == 1 for f in K.facets)
+    scale, dets = _lifted_determinants(A, K.facets)
+    return all(abs(det) == scale for det in dets)
 
 
 def total_normalized_volume(K: SimplicialComplex,
                             A: PointConfiguration) -> Fraction:
-    return sum((normalized_volume(A, f) for f in K.facets), Fraction(0))
+    scale, dets = _lifted_determinants(A, K.facets)
+    return Fraction(sum(map(abs, dets)), scale)
 
 
 def coloring_to_json_dict(coloring: Mapping[int, int], n: int) -> dict:

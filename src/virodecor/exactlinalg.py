@@ -1,7 +1,8 @@
 """Exact rational linear algebra: determinants, minors, kernels, chirotopes.
 
-Everything in this module is computed over ``fractions.Fraction``; there is
-no floating point anywhere.  Sign decisions made here (orientation of
+Everything in this module is exact: rationals are ``fractions.Fraction``,
+scaled to integer rows for one fraction-free elimination, and there is no
+floating point anywhere.  Sign decisions made here (orientation of
 coefficient submatrices) are the trust anchor for every decoration claim in
 the rest of the package.
 """
@@ -118,10 +119,15 @@ def parse_rational(s: str) -> Fraction:
 
 
 # -- core elimination ------------------------------------------------------
+#
+# Callers that test many facets scale their rational input to integers once
+# per call, by positive factors that leave the sign of every minor unchanged,
+# and run one elimination per facet on integer slices.
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; return rows and the product of scalings."""
+def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each row to integers by its own positive lcm; return the rows
+    and the product of the scalings."""
     out = []
     scale = 1
     for row in rows:
@@ -131,14 +137,28 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], 
     return out, scale
 
 
-def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+def common_integer_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Scale all rows to integers by one common denominator P; return them
+    and P."""
+    P = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (P // x.denominator) for x in row]
+            for row in rows], P
+
+
+def eliminate(
+    a: list[Sequence[int]],
+) -> tuple[list[Sequence[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
 
     Returns (rows, pivot columns, D, sign).  The first len(pivots) rows are
     D times the reduced row echelon form, the rest are zero.  D is the last
     pivot: for a square matrix of full rank it is sign * det(a), where sign
     is that of the row permutation.  Every division is exact because each
-    entry stays a minor of the input.
+    entry stays a minor of the input.  The list a is reordered and its rows
+    replaced in place, but no row is mutated, so callers may pass rows
+    (tuples included) that they share between calls.
     """
     pivots: list[int] = []
     prev, sign = 1, 1
@@ -154,27 +174,34 @@ def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
             sign = -sign
         pr, pv = a[r], a[r][c]
         for i in range(len(a)):
-            if i != r:
-                f = a[i][c]
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
                 a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], pr)]
+            elif pv != prev:
+                a[i] = [pv * x // prev for x in a[i]]
         pivots.append(c)
         prev = pv
     return a, pivots, prev, sign
 
 
+def determinant_of_rows(a: list[Sequence[int]]) -> int:
+    """Determinant of a square matrix of integer rows."""
+    if len(a[0]) != len(a):
+        raise ValueError("determinant requires a square matrix")
+    _, pivots, D, sign = eliminate(a)
+    return sign * D if len(pivots) == len(a) else 0
+
+
 def determinant(M: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant requires a square matrix")
-    a, scale = _integer_rows(M.to_lists())
-    _, pivots, D, sign = _eliminate(a)
-    if len(pivots) < M.rows:
-        return Fraction(0)
-    return Fraction(sign * D, scale)
+    a, scale = integer_rows(M.to_lists())
+    return Fraction(determinant_of_rows(a), scale)
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(_eliminate(_integer_rows(M.to_lists())[0])[1])
+    return len(eliminate(integer_rows(M.to_lists())[0])[1])
 
 
 def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -184,9 +211,9 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     n = M.rows
     if len(rhs) != n:
         raise ValueError("shape mismatch in solve")
-    a, _ = _integer_rows(
+    a, _ = integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
-    a, pivots, D, _ = _eliminate(a)
+    a, pivots, D, _ = eliminate(a)
     if pivots[:n] != list(range(n)):
         raise RankDeficiencyError("singular matrix in solve")
     return tuple(Fraction(a[i][n], D) for i in range(n))
@@ -202,29 +229,45 @@ def maximal_minors(M: RationalMatrix) -> tuple[Fraction, ...]:
     return tuple(determinant(M.delete_column(j)) for j in range(M.cols))
 
 
-def _kernel_line(M: RationalMatrix) -> list[int] | None:
-    """Integer vector spanning the kernel of a d x (d+1) matrix of rank d.
+def _kernel_line(a: list[Sequence[int]]) -> list[int] | None:
+    """Integer vector spanning the kernel of d integer rows of length d+1.
 
-    It is proportional to the signed maximal minors (-1)^i * minor(M, i).
+    It is proportional to the signed maximal minors (-1)^i * minor(a, i).
     None when the rank is below d.
     """
-    if M.cols != M.rows + 1:
+    d = len(a)
+    if len(a[0]) != d + 1:
         raise ValueError("expected shape d x (d+1)")
-    a, pivots, D, _ = _eliminate(_integer_rows(M.to_lists())[0])
-    if len(pivots) < M.rows:
+    a, pivots, D, _ = eliminate(a)
+    if len(pivots) < d:
         return None
-    free = next(c for c in range(M.cols) if c not in pivots)
-    v = [0] * M.cols
+    free = next(c for c in range(d + 1) if c not in pivots)
+    v = [0] * (d + 1)
     v[free] = D
     for row, pc in zip(a, pivots):
         v[pc] = -row[free]
     return v
 
 
+def _one_signed(v: list[int]) -> bool:
+    return all(x * v[0] > 0 for x in v)
+
+
+def is_oriented_rows(a: list[Sequence[int]]) -> bool:
+    """is_oriented for d integer rows of length d+1.
+
+    Scaling a row or a column by a positive number keeps the answer: a row
+    scale multiplies every maximal minor by it, and a column scale divides
+    one coordinate of the kernel line by it.  So a rational matrix scaled
+    to integers either way may be passed here.
+    """
+    v = _kernel_line(a)
+    return v is not None and _one_signed(v)
+
+
 def is_oriented(M: RationalMatrix) -> bool:
     """True iff all signed minors (-1)^i * minor(M, i) are nonzero of one sign."""
-    v = _kernel_line(M)
-    return v is not None and all(x * v[0] > 0 for x in v)
+    return is_oriented_rows(integer_rows(M.to_lists())[0])
 
 
 def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
@@ -234,10 +277,10 @@ def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
     None when M is full rank but not oriented.  Rank-deficient input raises
     RankDeficiencyError so callers can tell the two failure modes apart.
     """
-    v = _kernel_line(M)
+    v = _kernel_line(integer_rows(M.to_lists())[0])
     if v is None:
         raise RankDeficiencyError("matrix has rank < d; kernel is not a line")
-    if any(x * v[0] <= 0 for x in v):
+    if not _one_signed(v):
         return None
     return tuple(Fraction(x, v[0]) for x in v)
 
@@ -263,7 +306,7 @@ def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
     Returns None when the left kernel is trivial (full row rank).
     """
     # kernel of M^T: reduce M^T, read the free-variable basis
-    a, pivots, D, _ = _eliminate(_integer_rows(M.transpose().to_lists())[0])
+    a, pivots, D, _ = eliminate(integer_rows(M.transpose().to_lists())[0])
     free = [c for c in range(M.rows) if c not in pivots]
     if not free:
         return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
@@ -20,10 +21,11 @@ from .complexes import PointConfiguration, SimplicialComplex
 from .exactlinalg import (
     RationalMatrix,
     RankDeficiencyError,
+    eliminate,
     format_rational,
+    integer_rows,
     parse_rational,
     positive_kernel_vector,
-    solve,
 )
 from .precision import default_precision
 
@@ -126,12 +128,41 @@ class RegularityReport:
     violations: list[tuple[tuple[int, ...], int]]  # (facet, 1-based point)
 
 
+def _lifted_integer_rows(A: PointConfiguration, heights: Sequence[Fraction],
+                        vertices: Sequence[int]) -> list[list[int]]:
+    """Rows (1, a_v, h_v) for the given 1-based vertices, in integers.
+
+    Each row is scaled by its own positive lcm L_v.  Scaling an equation
+    of the support's system leaves its solution unchanged, and multiplies
+    the hull gap read off row v by L_v > 0.
+    """
+    return integer_rows((1, *A.points[v - 1], Fraction(heights[v - 1]))
+                        for v in vertices)[0]
+
+
+def _affine_support(rows: list[list[int]],
+                    facet: Sequence[int]) -> tuple[list[int], int]:
+    """Numerators and denominator D > 0 of the support through a facet.
+
+    rows holds the facet's lifted integer rows; the support
+    x -> (coef_0 + sum_k coef_k x_k) / D matches h on the facet.
+    """
+    n = len(rows)
+    if len(rows[0]) != n + 1:
+        raise ValueError(f"facet {tuple(facet)} does not have "
+                         f"{len(rows[0]) - 1} vertices")
+    a, pivots, D, _ = eliminate(rows)
+    if pivots != list(range(n)):
+        raise RankDeficiencyError(f"facet {tuple(facet)} is affinely degenerate")
+    coef = [row[n] for row in a]
+    return (coef, D) if D > 0 else ([-c for c in coef], -D)
+
+
 def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
                          facet: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact affine function (offset, gradient) matching the lift on a facet."""
-    lifted = A.lifted_matrix(facet)
-    sol = solve(lifted.transpose(), [Fraction(heights[v - 1]) for v in facet])
-    return sol[0], sol[1:]
+    coef, D = _affine_support(_lifted_integer_rows(A, heights, facet), facet)
+    return Fraction(coef[0], D), tuple(Fraction(c, D) for c in coef[1:])
 
 
 def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
@@ -145,18 +176,22 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     certified either way, and the report records which sense applies.
     Ties and mixed senses are reported as violations: they mean the height
     induces a coarser or a different subdivision than the given complex.
+
+    The rows (1, a_p, h_p) are scaled to integers once per call, each by
+    its own lcm L_p.  With the support's numerators coef and denominator
+    D, the gap at p times L_p * D > 0 is the dot product of p's integer
+    row with (-coef, D), so every sign is decided in integers.
     """
-    heights = [Fraction(h) for h in heights]
+    rows = _lifted_integer_rows(A, heights, range(1, A.n_points + 1))
     above, below, ties = [], [], []
     for facet in K.facets:
-        offset, grad = facet_affine_support(A, heights, facet)
+        coef, D = _affine_support([rows[v - 1] for v in facet], facet)
+        weights = [-c for c in coef] + [D]
         members = set(facet)
         for p in range(1, A.n_points + 1):
             if p in members:
                 continue
-            value = offset + sum(g * x for g, x in
-                                 zip(grad, A.points[p - 1]))
-            gap = heights[p - 1] - value
+            gap = sum(map(mul, rows[p - 1], weights))
             if gap > 0:
                 above.append((facet, p))
             elif gap < 0:

@@ -198,6 +198,10 @@ COMMANDS = {
     "balanced": ("complex", ["check", "--complex", "{complex}",
                              "--bipartite", "--balanced"]),
     "decorate": ("complex", ["decorate", "--complex", "{complex}"]),
+    # the points file read by the regularity check
+    "degenerate": ("points", ["check", "--complex", "{complex}", "--points",
+                              "{points}", "--heights", "{heights}",
+                              "--regular"]),
     # the complex file read by the decoration check
     "decorated": ("complex", ["check", "--complex", "{complex}", "--matrix",
                               "{matrix}", "--decorated"]),
@@ -212,6 +216,12 @@ def _points(d, n):
     return {"dimension": d,
             "points": [[str(int(i == k)) for k in range(d)] for i in range(n)]}
 
+
+# snd(6, 3) points whose first four lie in the plane z = 0, so the facet
+# (1, 2, 3, 4) has no affine support
+FLAT_FACET = json.dumps({"dimension": 3, "points": [
+    ["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/3", "0"],
+    ["0", "0", "1"], ["1", "1", "1"]]})
 
 FLOAT_VERTEX = ('{"dimension": 2, "n_vertices": 4, '
                 '"facets": [[1, 2, 3.5], [2, 3, 4]]}')
@@ -254,6 +264,7 @@ MISFITS = [
     ("points", '{"dimension": 3}'),
     ("heights", '{"heights": ["x"]}'),
     ("heights", '{"heights": ["0", Infinity]}'),
+    ("degenerate", FLAT_FACET),
     ("system", '{"points": []}'),
     ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
     ("poset", '{"size": true, "relations": []}'),
@@ -270,6 +281,28 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"error: malformed {file} file" in result.output
+
+
+def test_regular_check_names_an_affinely_degenerate_facet(runner, tmp_path):
+    (tmp_path / "complex.json").write_text(json.dumps(
+        {"dimension": 2, "n_vertices": 4, "facets": [[1, 2, 3], [2, 3, 4]]}))
+    (tmp_path / "points.json").write_text(json.dumps(
+        {"dimension": 2, "points": [["0", "0"], ["1", "0"], ["2", "0"],
+                                    ["0", "1"]]}))
+    (tmp_path / "heights.json").write_text('{"heights": ["0", "1", "4", "1"]}')
+    base = ["check", "--complex", str(tmp_path / "complex.json"),
+            "--points", str(tmp_path / "points.json")]
+    result = runner.invoke(main, base + ["--heights",
+                                         str(tmp_path / "heights.json"),
+                                         "--regular"])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == (
+        f"error: malformed points file {tmp_path / 'points.json'}: "
+        "facet (1, 2, 3) is affinely degenerate")
+    # a flat facet has volume 0: a failed check, not malformed input
+    result = runner.invoke(main, base + ["--unimodular"])
+    assert result.exit_code == 1
+    assert result.output == "unimodular: FAIL\n"
 
 
 def test_verify_paper_at_double_precision(runner, monkeypatch):

@@ -2,19 +2,34 @@
 
 from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virodecor import catalog
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
     decoration_from_coloring,
+    is_positively_decorated,
+    is_unimodular,
+    normalized_volume,
+    simplex_signs,
+    total_normalized_volume,
 )
-from virodecor.exactlinalg import RationalMatrix
+from virodecor.exactlinalg import (
+    RankDeficiencyError,
+    RationalMatrix,
+    determinant,
+    maximal_minors,
+    solve,
+)
 from virodecor.families import Poset, order_polytope_triangulation
 from virodecor.viro import (
+    RegularityReport,
     ViroSystem,
     build_viro_system,
     facet_affine_support,
@@ -90,6 +105,15 @@ def test_regularity_monotone_under_subcomplex():
     assert full.ok
 
 
+def test_affine_support_needs_d_plus_one_vertices():
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        facet_affine_support(A, [0, 1, 1], (1, 2))
+    with pytest.raises(ValueError):
+        regularity_check(A, [0, 1, 1],
+                         SimplicialComplex.from_facets(1, 3, [(1, 2)]))
+
+
 def test_affine_support_interpolates_exactly():
     f = catalog.snd63_fixture()
     for facet in f.complex.facets:
@@ -98,6 +122,144 @@ def test_affine_support_interpolates_exactly():
             point = f.configuration.points[v - 1]
             assert f.heights[v - 1] == b + sum(
                 g * x for g, x in zip(a, point))
+
+
+# -- the integer path against per-facet Fraction oracles -------------------
+
+
+def facet_affine_support_by_solve(A, heights, facet):
+    """Solve the transposed lifted system of one facet over Fractions."""
+    sol = solve(A.lifted_matrix(facet).transpose(),
+                [Fraction(heights[v - 1]) for v in facet])
+    return sol[0], sol[1:]
+
+
+def regularity_by_fraction_gaps(A, heights, K):
+    """The hull test with every gap h_p - (offset + grad . a_p) a Fraction."""
+    heights = [Fraction(h) for h in heights]
+    above, below, ties = [], [], []
+    for facet in K.facets:
+        offset, grad = facet_affine_support_by_solve(A, heights, facet)
+        for p in range(1, A.n_points + 1):
+            if p in facet:
+                continue
+            gap = heights[p - 1] - offset - sum(
+                g * x for g, x in zip(grad, A.points[p - 1]))
+            (above if gap > 0 else below if gap < 0 else ties).append(
+                (facet, p))
+    if ties:
+        return RegularityReport(False, None, ties)
+    if above and below:
+        return RegularityReport(False, None,
+                                below if len(below) <= len(above) else above)
+    return RegularityReport(True, "concave" if below else "convex", [])
+
+
+def volume_by_determinant(A, facet):
+    return abs(determinant(A.lifted_matrix(facet)))
+
+
+def oriented_by_minors(M):
+    """Every signed maximal minor (-1)^i * minor(M, i) nonzero, of one sign."""
+    signed = [(-1) ** i * m for i, m in enumerate(maximal_minors(M))]
+    return all(x > 0 for x in signed) or all(x < 0 for x in signed)
+
+
+def simplex_signs_by_determinant(K, A, C):
+    signs = {}
+    for facet in K.facets:
+        det_a = determinant(A.lifted_matrix(facet))
+        if det_a == 0:
+            raise ValueError(f"degenerate facet {facet}: lifted matrix singular")
+        sub = C.submatrix_columns([v - 1 for v in facet]).to_lists()
+        det_c = determinant(RationalMatrix([[1] * len(facet)] + sub))
+        if det_c == 0:
+            raise ValueError(f"facet {facet} is not decorated (singular lift)")
+        signs[facet] = 1 if (det_a > 0) == (det_c > 0) else -1
+    return signs
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# mixed, non-unit denominators and negative entries; small integers make
+# repeated, collinear and coplanar points, so degenerate facets and ties
+coords = st.one_of(st.integers(-2, 2).map(Fraction),
+                   st.fractions(-3, 3, max_denominator=12))
+zero_heavy = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                       st.integers(-2, 2).map(Fraction),
+                       st.fractions(-5, 5, max_denominator=9))
+
+
+@st.composite
+def lifted_complexes(draw):
+    """(A, heights, K, C): random facets over a few rational points, heights
+    that are random, two-valued (ties) or a convex or concave quadratic plus
+    an affine function (often one sense), and a zero-heavy or a scaled
+    coloring C."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 4))
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "two-valued", "quadratic"]))
+    if kind == "random":
+        heights = draw(st.lists(coords, min_size=n, max_size=n))
+    elif kind == "two-valued":
+        heights = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 3)]),
+                                min_size=n, max_size=n))
+    else:
+        a = draw(st.sampled_from([Fraction(-2, 3), Fraction(5, 7)]))
+        b = draw(st.lists(coords, min_size=d + 1, max_size=d + 1))
+        heights = [a * sum(x * x for x in p) + b[0]
+                   + sum(bk * x for bk, x in zip(b[1:], p)) for p in points]
+    facets = draw(st.lists(st.sampled_from(
+        list(combinations(range(1, n + 1), d + 1))), min_size=1, max_size=6,
+        unique=True))
+    if draw(st.booleans()):
+        C = RationalMatrix(draw(st.lists(st.lists(
+            zero_heavy, min_size=n, max_size=n), min_size=d, max_size=d)))
+    else:
+        # a coloring decoration with positive column scales: exactly the
+        # facets whose vertices have distinct colours are decorated
+        colors = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+        scales = draw(st.lists(st.fractions(Fraction(1, 9), 5), min_size=n,
+                               max_size=n).filter(lambda xs: all(xs)))
+        C = RationalMatrix([[s * (-1 if c == d else int(c == i))
+                             for c, s in zip(colors, scales)]
+                            for i in range(d)])
+    return (PointConfiguration.from_rows(points), heights,
+            SimplicialComplex.from_facets(d, n, facets), C)
+
+
+@given(lifted_complexes())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_fraction_oracles(inputs):
+    A, heights, K, C = inputs
+    ours, oracle = (outcome(regularity_check, A, heights, K),
+                    outcome(regularity_by_fraction_gaps, A, heights, K))
+    if isinstance(oracle, tuple):
+        # the oracle's solve cannot name the facet; the type must agree
+        assert ours[0] is oracle[0] is RankDeficiencyError
+    else:
+        assert ours == oracle
+    for facet in K.facets:
+        ours = outcome(facet_affine_support, A, heights, facet)
+        oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
+        assert ours == oracle or ours[0] is oracle[0] is RankDeficiencyError
+        assert normalized_volume(A, facet) == volume_by_determinant(A, facet)
+    volumes = [volume_by_determinant(A, f) for f in K.facets]
+    assert is_unimodular(K, A) == all(v == 1 for v in volumes)
+    assert total_normalized_volume(K, A) == sum(volumes)
+    failing = [f for f in K.facets
+               if not oriented_by_minors(C.submatrix_columns(
+                   [v - 1 for v in f]))]
+    assert is_positively_decorated(K, C) == (not failing, failing)
+    assert outcome(simplex_signs, K, A, C) == outcome(
+        simplex_signs_by_determinant, K, A, C)
 
 
 # -- truncated solutions ---------------------------------------------------
