@@ -319,8 +319,8 @@ def count(system_path, complex_path, t_str, expect, fmt):
     if fmt == "json":
         click.echo(json.dumps(result.to_json_dict(t)))
     else:
-        click.echo(f"count: {result.count} (heuristic floating-point "
-                   f"certificate)")
+        click.echo(f"count: {result.count} at {result.precision} bits "
+                   f"(heuristic floating-point certificate)")
         for f, reason in result.failures:
             click.echo(f"  facet {f}: {reason}")
     if expect is not None and result.count < expect:

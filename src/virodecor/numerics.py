@@ -2,9 +2,12 @@
 
 Points live as u = log X, so positivity is structural.  Every row is
 evaluated with its largest exponent factored out, which keeps residuals
-representable even when heights reach 10^6.  Counts produced here are
-floating-point certificates (residual + nonsingular Jacobian + pairwise
-separation), not interval-arithmetic proofs, and are flagged as such.
+representable even when heights reach 10^6; an evaluation takes one exp
+per monomial and one per row.  Newton's steps and the condition numbers
+are solved with the LU of `viro`, on Python lists.  Counts produced here
+are floating-point certificates (residual + nonsingular Jacobian +
+pairwise separation), not interval-arithmetic proofs, and are flagged as
+such; each reports the working precision it ran at.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import mpmath as mp
 
 from .complexes import SimplicialComplex
 from .precision import default_precision
-from .viro import ViroSystem, log_fraction, mpf_fraction, predicted_solutions
+from .viro import (
+    ViroSystem,
+    _lu_factor,
+    _lu_solve,
+    log_fraction,
+    mpf_fraction,
+    predicted_solutions,
+)
 
 DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 
@@ -30,9 +40,13 @@ def _compile(S: ViroSystem, t: Fraction, bits: int):
     The function maps a log-point u to (residuals, scales, J):
     residual_i = f_i(exp u) / exp(scale_i), where scale_i is the row's
     largest term exponent, and J is the Jacobian in log coordinates under
-    the same row scaling (None unless asked for).  The mpf values are
-    rounded to `bits`, so call the function at that working precision.
-    The last build is kept: a count refines every facet of one system.
+    the same row scaling, as a list of rows (None unless asked for).
+    Each call takes one exp per monomial and one per row: term j of row i
+    is weighted c_ij * exp(e_j) * exp(-scale_i).  mpf exponents are
+    unbounded, so exp(e_j) cannot overflow however large the heights.
+    The mpf values are rounded to `bits`, so call the function at that
+    working precision.  The last build is kept: a count refines every
+    facet of one system.
     """
     with mp.workprec(bits):
         lnt = log_fraction(t)
@@ -45,16 +59,18 @@ def _compile(S: ViroSystem, t: Fraction, bits: int):
     def system(u, with_jacobian=False):
         exps = [off + sum(a * uk for a, uk in zip(p, u))
                 for off, p in zip(offsets, points)]
+        powers = [mp.exp(e) for e in exps]
         residuals, scales, J = [], [], []
         for row in rows:
             m = max(exps[j] for j, _ in row)
-            w = [(j, c * mp.e ** (exps[j] - m)) for j, c in row]
+            s = mp.exp(-m)
+            w = [(j, c * powers[j] * s) for j, c in row]
             residuals.append(sum(wj for _, wj in w))
             scales.append(m)
             if with_jacobian:
                 J.append([sum(wj * points[j][k] for j, wj in w)
                           for k in range(S.dimension)])
-        return residuals, scales, mp.matrix(J) if with_jacobian else None
+        return residuals, scales, J if with_jacobian else None
 
     return system
 
@@ -78,7 +94,8 @@ def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
     """Jacobian in log coordinates, with the same row scaling as evaluate."""
     bits = prec or default_precision()
     with mp.workprec(bits):
-        return _compile(S, Fraction(t), bits)(u, with_jacobian=True)[2]
+        J = _compile(S, Fraction(t), bits)(u, with_jacobian=True)[2]
+        return mp.matrix(J)
 
 
 @dataclass
@@ -90,59 +107,70 @@ class NewtonResult:
     jacobian: object | None = None   # at the root; None unless converged
 
 
+def _max_abs(xs):
+    return max(abs(x) for x in xs)
+
+
 def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
                   max_iter: int = 100,
                   prec: int | None = None) -> NewtonResult:
     """Damped Newton in log coordinates.
 
     The step is halved (at most 30 times) while the scaled residual norm
-    does not decrease.  Success requires both the residual and the step
-    norm below 2^-(prec // 2), about the square root of the unit roundoff
-    at the working precision, within max_iter iterations; divergence, a
-    singular Jacobian and iteration exhaustion are reported distinctly.
+    does not decrease.  Success requires, within max_iter iterations, the
+    residual below tol = 2^-(prec // 2), about the square root of the unit
+    roundoff at the working precision, and the step below
+    tol * max(1, |u|): the step is measured relative to the point, whose
+    coordinates reach 10^5 and more at small t.  Divergence, a singular
+    Jacobian and iteration exhaustion are reported distinctly.
     """
     bits = prec or default_precision()
     with mp.workprec(bits):
         tol = mp.ldexp(1, -(bits // 2))
         system = _compile(S, Fraction(t), bits)
-
-        def residual_norm(u):
-            return mp.norm(mp.matrix(system(list(u))[0]), "inf")
-
-        u = mp.matrix([mp.mpf(x) for x in u0])
+        u = [mp.mpf(x) for x in u0]
         for it in range(1, max_iter + 1):
-            res, _, J = system(list(u), with_jacobian=True)
-            r = mp.matrix(res)
-            rnorm = mp.norm(r, "inf")
+            res, _, J = system(u, with_jacobian=True)
+            rnorm = _max_abs(res)
             try:
-                step = mp.lu_solve(J, -r)
-            except (ZeroDivisionError, TypeError):
-                # mpmath signals a singular matrix inconsistently
+                step = _lu_solve(_lu_factor(J), [-r for r in res])
+            except ZeroDivisionError:
                 return NewtonResult("singular", None, rnorm, it)
             lam = mp.mpf(1)
             for _ in range(30):
-                if rnorm < tol or residual_norm(u + lam * step) < rnorm:
+                trial = [x + lam * dx for x, dx in zip(u, step)]
+                if rnorm < tol or _max_abs(system(trial)[0]) < rnorm:
                     break
                 lam /= 2
             else:
                 return NewtonResult("diverged", None, rnorm, it)
-            u = u + lam * step
+            u = trial
             if not all(mp.isfinite(x) for x in u):
                 return NewtonResult("diverged", None, rnorm, it)
-            if rnorm < tol and mp.norm(lam * step, "inf") < tol:
-                res, _, J = system(list(u), with_jacobian=True)
-                return NewtonResult("converged", tuple(u),
-                                    mp.norm(mp.matrix(res), "inf"), it, J)
+            size = max(1, _max_abs(u))
+            if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
+                res, _, J = system(u, with_jacobian=True)
+                return NewtonResult("converged", tuple(u), _max_abs(res), it,
+                                    mp.matrix(J))
         return NewtonResult("max_iter", None, rnorm, max_iter)
 
 
 def condition_estimate(J) -> object:
-    """1-norm condition estimate of a small mpmath matrix."""
+    """1-norm condition number of a small square mpmath matrix.
+
+    ||J||_1 times the largest column 1-norm of J^-1, whose columns are
+    solved from one LU factorization; inf when J is singular.
+    """
+    rows = J.tolist()
     try:
-        Jinv = J ** -1
-    except (ZeroDivisionError, TypeError):
+        factors = _lu_factor(rows)
+    except ZeroDivisionError:
         return mp.inf
-    return mp.mnorm(J, 1) * mp.mnorm(Jinv, 1)
+    n = len(rows)
+    inverse_norm = max(mp.fsum(abs(x) for x in _lu_solve(factors, e))
+                       for e in ([int(i == k) for i in range(n)]
+                                 for k in range(n)))
+    return mp.mnorm(J, 1) * inverse_norm
 
 
 @dataclass
@@ -161,6 +189,7 @@ class CertifiedCount:
     witnesses: list[Witness]
     min_separation: object | None
     failures: list[tuple[tuple[int, ...], str]]
+    precision: int                   # working bits the count ran at
     heuristic: bool = True           # not an interval-arithmetic certificate
 
     def to_json_dict(self, t: Fraction) -> dict:
@@ -169,6 +198,7 @@ class CertifiedCount:
             "t": format_rational(Fraction(t)),
             "count": self.count,
             "heuristic": self.heuristic,
+            "precision": self.precision,
             "witnesses": [
                 {
                     "log_x": [mp.nstr(x, 25) for x in w.log_point],
@@ -193,12 +223,13 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
     separated by more than the deduplication threshold in log distance.
     """
     t = Fraction(t)
-    with mp.workprec(prec or default_precision()):
-        starts = predicted_solutions(S, K, t, prec=prec)
+    bits = prec or default_precision()
+    with mp.workprec(bits):
+        starts = predicted_solutions(S, K, t, prec=bits)
         witnesses: list[Witness] = []
         failures: list[tuple[tuple[int, ...], str]] = []
         for start in starts:
-            result = newton_refine(S, t, start.log_point, prec=prec)
+            result = newton_refine(S, t, start.log_point, prec=bits)
             if result.status != "converged":
                 residual = mp.nstr(result.residual, 2, min_fixed=0,
                                    max_fixed=0)
@@ -228,4 +259,5 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
                 failures.append((w.facet, "duplicate root"))
             else:
                 distinct.append(w)
-        return CertifiedCount(len(distinct), distinct, min_sep, failures)
+        return CertifiedCount(len(distinct), distinct, min_sep, failures,
+                              bits)

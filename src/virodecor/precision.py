@@ -4,8 +4,11 @@ All log-space numerics run under mpmath at an extended precision (default
 256-bit significand).  The default can be overridden through the
 ``VIRODECOR_PRECISION_BITS`` environment variable or per call via the
 ``prec`` keyword arguments.  Any precision of at least 53 bits is
-supported: Newton refinement stops when both the residual and the step
-fall below 2^-(prec // 2), so its tolerance follows the precision.
+supported: Newton refinement stops when the residual falls below
+tol = 2^-(prec // 2) and the step below tol * max(1, |u|), so its
+tolerance follows the precision, and the step test scales with roots
+far from the origin in log coordinates.  A count reports the precision
+it ran at.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ positive solutions that seed the numerical solver.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,6 +242,49 @@ def mpf_fraction(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
+# The one dense solver of the floating-point side: Newton's step, the
+# condition estimate and the lifted solve below all factor with it.
+
+
+def _lu_factor(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """LU factors of a small square matrix given as a list of rows.
+
+    Partial pivoting; returns (lu, perm), where lu holds U on and above
+    the diagonal and L's multipliers below it, and row i of L*U is row
+    perm[i] of the input.  As in mpmath, a pivot p with
+    |p| <= ||A||_1 * eps counts as singular: ZeroDivisionError.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    tol = max(sum(abs(row[k]) for row in a) for k in range(n)) * mp.eps
+    perm = list(range(n))
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if abs(a[p][j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        a[j], a[p] = a[p], a[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        pivot_row = a[j]
+        for row in a[j + 1:]:
+            f = row[j] = row[j] / pivot_row[j]
+            for k in range(j + 1, n):
+                row[k] -= f * pivot_row[k]
+    return a, perm
+
+
+def _lu_solve(factors: tuple[list[list], list[int]],
+              b: Sequence) -> list:
+    """Solve A x = b from _lu_factor(A)."""
+    a, perm = factors
+    n = len(a)
+    x = [b[p] for p in perm]
+    for i in range(1, n):
+        x[i] -= sum(a[i][k] * x[k] for k in range(i))
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return x
+
+
 def truncated_solution(A: PointConfiguration, C: RationalMatrix,
                        facet: Sequence[int],
                        prec: int | None = None) -> TruncatedSolution:
@@ -258,17 +302,32 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
         raise ValueError(f"facet {facet} is not positively decorated")
     with mp.workprec(prec or default_precision()):
         lifted = A.lifted_matrix(facet)
-        mat = mp.matrix([[mpf_fraction(lifted[i, j])
-                          for i in range(lifted.rows)]
-                         for j in range(lifted.cols)])
-        rhs = mp.matrix([log_fraction(x) for x in v])
+        mat = [[mpf_fraction(lifted[i, j]) for i in range(lifted.rows)]
+               for j in range(lifted.cols)]
         try:
-            sol = mp.lu_solve(mat, rhs)
+            sol = _lu_solve(_lu_factor(mat), [log_fraction(x) for x in v])
         except ZeroDivisionError as exc:
             raise RankDeficiencyError(
                 f"degenerate facet {facet}: lifted matrix singular") from exc
-        u = tuple(sol[i] for i in range(1, len(facet)))
-        return TruncatedSolution(facet, u)
+        return TruncatedSolution(facet, tuple(sol[1:]))
+
+
+@functools.lru_cache(maxsize=1)
+def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
+                     bits: int) -> tuple[tuple, ...]:
+    """(facet, truncated log-solution, gradient, offset, mpf gradient) per
+    facet of K.  None of it depends on t, so the last build is kept: counts
+    of one system at many t solve each facet once."""
+    out = []
+    with mp.workprec(bits):
+        for facet in K.facets:
+            trunc = truncated_solution(S.configuration, S.coefficients, facet,
+                                       prec=bits)
+            offset, grad = facet_affine_support(S.configuration, S.heights,
+                                                facet)
+            out.append((facet, trunc.log_point, grad, offset,
+                        tuple(mpf_fraction(g) for g in grad)))
+    return tuple(out)
 
 
 def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
@@ -277,15 +336,11 @@ def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    starts = []
-    with mp.workprec(prec or default_precision()):
+    bits = prec or default_precision()
+    with mp.workprec(bits):
         lnt = log_fraction(t)
-        for facet in K.facets:
-            trunc = truncated_solution(S.configuration, S.coefficients, facet,
-                                       prec=prec)
-            offset, grad = facet_affine_support(S.configuration, S.heights,
-                                                facet)
-            point = tuple(u - lnt * mpf_fraction(g)
-                          for u, g in zip(trunc.log_point, grad))
-            starts.append(PredictedStart(facet, point, grad, offset))
-    return starts
+        return [PredictedStart(facet, tuple(x - lnt * g
+                                            for x, g in zip(u, grad_mpf)),
+                               grad, offset)
+                for facet, u, grad, offset, grad_mpf
+                in _facet_solutions(S, K, bits)]

@@ -98,6 +98,24 @@ def test_count_json_parity_with_library(runner, tmp_path):
         expected.to_json_dict(Fraction(1, 100)))
 
 
+def test_count_reports_its_precision(runner, tmp_path):
+    f = catalog.snd63_fixture()
+    S = build_viro_system(f.configuration, f.coefficients, f.heights)
+    sp = tmp_path / "S.json"
+    kp = tmp_path / "K.json"
+    sp.write_text(S.to_json())
+    kp.write_text(f.complex.to_json())
+    args = ["count", "--system", str(sp), "--complex", str(kp), "--t", "1/100"]
+    env = {"VIRODECOR_PRECISION_BITS": "53"}
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 0
+    body = json.loads(result.output)
+    assert (body["precision"], body["count"]) == (53, 5)
+    result = runner.invoke(main, args + ["--format", "text"], env=env)
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0].startswith("count: 5 at 53 bits ")
+
+
 def test_count_expect_failure_exit_code(runner, tmp_path):
     f = catalog.snd63_fixture()
     S = build_viro_system(f.configuration, f.coefficients, f.heights)
@@ -340,7 +358,7 @@ def fuzzed_complex_and_matrix(draw):
     d = draw(st.integers(0, 4)) if well_formed() else draw(JSON_VALUES)
     n = draw(st.integers(0, 8)) if well_formed() else draw(JSON_VALUES)
     k = d + 1 if _small_count(d) else draw(st.integers(1, 5))
-    top = max(n, k) if _small_count(n) else 8
+    top = max(n, k) if _small_count(n) else max(8, k)
     if well_formed():
         facets = draw(st.lists(
             st.lists(st.integers(1, top), min_size=k, max_size=k, unique=True),

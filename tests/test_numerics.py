@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virodecor import catalog, numerics
+from virodecor import catalog, numerics, viro
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
@@ -16,13 +18,26 @@ from virodecor.exactlinalg import RationalMatrix
 from virodecor.numerics import (
     DEDUP_LOG_DISTANCE,
     certified_positive_count,
+    condition_estimate,
     evaluate,
     jacobian,
     newton_refine,
 )
-from virodecor.viro import build_viro_system, log_fraction, predicted_solutions
+from virodecor.viro import (
+    _lu_factor,
+    _lu_solve,
+    build_viro_system,
+    log_fraction,
+    mpf_fraction,
+    predicted_solutions,
+)
 
 PREC = 256
+
+
+def snd115_system():
+    f = catalog.snd115_fixture()
+    return f, build_viro_system(f.configuration, f.coefficients, f.heights)
 
 
 def planar_system():
@@ -55,6 +70,116 @@ def random_system(rnd, d):
          for _ in range(d)])
     heights = [Fraction(rnd.randint(0, 6)) for _ in range(m)]
     return build_viro_system(A, C, heights)
+
+
+def row_loop_oracle(S, t, u, bits):
+    """The evaluation as one exp of (e_j - scale_i) per term of every row:
+    residuals, scales and the Jacobian, computed at `bits`."""
+    with mp.workprec(bits):
+        lnt = log_fraction(t)
+        points = [[mpf_fraction(a) for a in p]
+                  for p in S.configuration.points]
+        exps = [mpf_fraction(h) * lnt + sum(a * uk for a, uk in zip(p, u))
+                for h, p in zip(S.heights, points)]
+        residuals, scales, J = [], [], []
+        for row in S.coefficients.to_lists():
+            terms = [(j, mpf_fraction(c)) for j, c in enumerate(row) if c != 0]
+            m = max(exps[j] for j, _ in terms)
+            w = [(j, c * mp.e ** (exps[j] - m)) for j, c in terms]
+            residuals.append(sum(wj for _, wj in w))
+            scales.append(m)
+            J.append([sum(wj * points[j][k] for j, wj in w)
+                      for k in range(S.dimension)])
+        return residuals, scales, J
+
+
+@st.composite
+def large_systems(draw):
+    """A random system of dimension up to 5 with heights up to 10^6, a
+    log-point with coordinates up to 10^5, a t and a precision."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(d + 1, d + 3))
+    A = PointConfiguration.from_rows(
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                      min_size=m, max_size=m)))
+    C = RationalMatrix(draw(st.lists(
+        st.lists(st.fractions(-5, 5, max_denominator=7), min_size=m,
+                 max_size=m).filter(any),
+        min_size=d, max_size=d)))
+    heights = draw(st.lists(st.integers(0, 10 ** 6), min_size=m, max_size=m))
+    u = draw(st.lists(st.floats(-1e5, 1e5), min_size=d, max_size=d))
+    t = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 10),
+                              Fraction(1, 1000)]))
+    bits = draw(st.sampled_from([53, 64, 113, 256]))
+    return build_viro_system(A, C, heights), t, u, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_systems())
+def test_evaluation_matches_the_row_loop(case):
+    """One exp per monomial and one per row agree with one exp per term:
+    each residual within 2^(8 - prec) * sum_j |C_ij|, each Jacobian entry
+    within 2^(8 - prec) * sum_j |C_ij| * |a_jk|, the scales exactly."""
+    S, t, u, bits = case
+    with mp.workprec(bits):
+        u = [mp.mpf(x) for x in u]
+    res, scales = evaluate(S, t, u, prec=bits)
+    J = jacobian(S, t, u, prec=bits)
+    want_res, want_scales, want_J = row_loop_oracle(S, t, u, bits)
+    assert scales == want_scales
+    unit = mp.ldexp(1, 8 - bits)
+    points = S.configuration.points
+    for i, row in enumerate(S.coefficients.to_lists()):
+        assert abs(res[i] - want_res[i]) <= unit * sum(map(abs, row))
+        for k in range(S.dimension):
+            bound = unit * sum(abs(c * p[k]) for c, p in zip(row, points))
+            assert abs(J[i, k] - want_J[i][k]) <= bound
+
+
+def well_conditioned(rnd, n):
+    """A random n x n matrix made diagonally dominant."""
+    rows = [[mp.mpf(rnd.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] += n * (1 if rows[i][i] >= 0 else -1)
+    return rows
+
+
+@pytest.mark.parametrize("bits", [53, 64, 113, 256])
+def test_lu_matches_mpmath(bits):
+    """Solves agree with mp.lu_solve, and the condition estimate with
+    ||J||_1 * ||J^-1||_1, to 2^(20 - prec) relative."""
+    rnd = random.Random(bits)
+    with mp.workprec(bits):
+        tol = mp.ldexp(1, 20 - bits)
+        for n in range(1, 7):
+            for _ in range(5):
+                rows = well_conditioned(rnd, n)
+                b = [mp.mpf(rnd.uniform(-10, 10)) for _ in range(n)]
+                x = _lu_solve(_lu_factor(rows), b)
+                want = mp.lu_solve(mp.matrix(rows), mp.matrix(b))
+                err = max(abs(x[i] - want[i]) for i in range(n))
+                assert err <= tol * max(abs(w) for w in want)
+                J = mp.matrix(rows)
+                want = mp.mnorm(J, 1) * mp.mnorm(J ** -1, 1)
+                assert abs(condition_estimate(J) - want) <= tol * want
+
+
+def test_lu_refuses_a_singular_matrix():
+    rows = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]]
+    with pytest.raises(ZeroDivisionError):
+        _lu_factor(rows)
+    assert condition_estimate(mp.matrix(rows)) == mp.inf
+
+
+def test_newton_reports_a_singular_jacobian():
+    """Two equal rows give an exactly singular Jacobian at every point."""
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
+    S = build_viro_system(A, RationalMatrix([[2, -1, -1], [2, -1, -1]]),
+                          [0, 1, 1])
+    result = newton_refine(S, Fraction(1, 10), [mp.mpf(0), mp.mpf(1)])
+    assert result.status == "singular"
+    assert result.iterations == 1
+    assert result.log_point is None
 
 
 def test_jacobian_matches_finite_differences():
@@ -163,6 +288,29 @@ def test_count_compiles_the_system_once(monkeypatch):
     assert calls == [Fraction(1, 97)]
 
 
+def test_count_solves_each_facet_once_per_system(monkeypatch):
+    """The truncated solutions do not depend on t: two counts of one
+    system solve each facet once, and a count of another system solves
+    them again."""
+    calls = []
+    solve = viro.truncated_solution
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(viro, "truncated_solution", counted)
+    planar, P = planar_system()
+    snd63, S = snd63_system()
+    certified_positive_count(P, planar.complex, Fraction(1, 1000))
+    calls.clear()
+    for t in (Fraction(1, 10), Fraction(1, 100)):
+        assert certified_positive_count(S, snd63.complex, t).count == 5
+    assert len(calls) == 5
+    certified_positive_count(P, planar.complex, Fraction(1, 1000))
+    assert len(calls) == 5 + len(planar.complex.facets)
+
+
 def test_count_single_decorated_simplex():
     A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
     C = RationalMatrix([[2, -1, -1], [1, 1, -3]])
@@ -188,13 +336,19 @@ def test_count_planar_fixture():
 @pytest.mark.parametrize("prec", [53, 64, 113])
 def test_count_at_low_precision(prec):
     """The stopping tolerance follows the working precision, so every
-    precision the policy accepts finds all the roots."""
-    for make, t, expected in ((planar_system, Fraction(1, 1000), 6),
-                              (snd63_system, Fraction(1, 10), 5)):
+    precision the policy accepts finds all the roots.  On snd-11-5 the
+    roots reach |u| ~ 5e5 with condition ~ 3e10; the t values are those at
+    which a step test absolute in u lost a root at 53 bits."""
+    snd115 = [(snd115_system, t, 38) for t in (
+        Fraction(1, 1000), Fraction(11, 9186), Fraction(432, 9001),
+        Fraction(6, 2969), Fraction(179, 6099))]
+    for make, t, expected in [(planar_system, Fraction(1, 1000), 6),
+                              (snd63_system, Fraction(1, 10), 5)] + snd115:
         f, S = make()
         result = certified_positive_count(S, f.complex, t, prec=prec)
-        assert result.count == expected
+        assert result.count == expected, t
         assert result.failures == []
+        assert result.precision == prec
 
 
 def test_count_monotone_in_t():
@@ -234,5 +388,6 @@ def test_report_json_shape():
     assert report["t"] == "1/1000"
     assert report["count"] == 6
     assert report["heuristic"] is True
+    assert report["precision"] == PREC
     for w in report["witnesses"]:
         assert set(w) == {"log_x", "residual", "jac_cond", "facet"}
