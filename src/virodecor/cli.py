@@ -360,8 +360,8 @@ def _verify_count(fixture, C, t: Fraction, minimum: int) -> list[str]:
     result = certified_positive_count(S, fixture.complex, t)
     ok = result.count >= minimum
     lines.append(f"{'pass' if ok else 'FAIL'} {fixture.name}: "
-                 f"{result.count} distinct positive roots at t={t} "
-                 f"(need >= {minimum})")
+                 f"{result.count} distinct positive roots at t={t}, "
+                 f"{result.precision} bits (need >= {minimum})")
     return lines
 
 
@@ -390,7 +390,8 @@ def _verify_prism() -> list[str]:
     result = certified_positive_count(S, fam.complex, Fraction(100))
     ok = result.count >= 3
     lines.append(f"{'pass' if ok else 'FAIL'} prism: {result.count} distinct "
-                 f"positive roots at t=100 (need >= 3)")
+                 f"positive roots at t=100, {result.precision} bits "
+                 f"(need >= 3)")
     return lines
 
 

@@ -11,6 +11,7 @@ and decoration checks.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -107,6 +108,15 @@ class PointConfiguration:
         for p in self.points:
             if len(p) != self.dimension:
                 raise ValueError("point dimension mismatch")
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dimension, self.points))
+
+    def __hash__(self):
+        # kept after the first call: caches keyed on a configuration
+        # would otherwise rehash every Fraction on each lookup
+        return self._hash
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "PointConfiguration":

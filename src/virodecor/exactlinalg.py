@@ -29,7 +29,7 @@ def _frac(x) -> Fraction:
 class RationalMatrix:
     """Dense matrix of exact rationals, row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_hash")
 
     def __init__(self, entries: Sequence[Sequence]):
         data = tuple(tuple(_frac(x) for x in row) for row in entries)
@@ -77,7 +77,13 @@ class RationalMatrix:
         )
 
     def __hash__(self):
-        return hash(self._data)
+        # kept after the first call: caches keyed on a matrix would
+        # otherwise rehash every entry on each lookup
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._data)
+            return self._hash
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self._data]})"

@@ -3,11 +3,15 @@
 Points live as u = log X, so positivity is structural.  Every row is
 evaluated with its largest exponent factored out, which keeps residuals
 representable even when heights reach 10^6; an evaluation takes one exp
-per monomial and one per row.  Newton's steps and the condition numbers
-are solved with the LU of `viro`, on Python lists.  Counts produced here
-are floating-point certificates (residual + nonsingular Jacobian +
-pairwise separation), not interval-arithmetic proofs, and are flagged as
-such; each reports the working precision it ran at.
+per monomial and one per row, and accumulates each residual and each
+Jacobian entry exactly (fsum, fdot) before rounding it once.  Newton
+evaluates each iterate once, and forms the Jacobian from the weights of
+that evaluation only for the iterates it accepts.  Newton's steps and
+the condition numbers are solved with the LU of `viro`, on Python lists.
+Counts produced here are floating-point certificates (residual +
+nonsingular Jacobian + pairwise separation), not interval-arithmetic
+proofs, and are flagged as such; each reports the working precision it
+ran at.
 """
 
 from __future__ import annotations
@@ -37,40 +41,51 @@ DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 def _compile(S: ViroSystem, t: Fraction, bits: int):
     """The system at t converted to mpf once; returns a function of u.
 
-    The function maps a log-point u to (residuals, scales, J):
+    The function maps a log-point u to (residuals, scales, jacobian):
     residual_i = f_i(exp u) / exp(scale_i), where scale_i is the row's
-    largest term exponent, and J is the Jacobian in log coordinates under
-    the same row scaling, as a list of rows (None unless asked for).
-    Each call takes one exp per monomial and one per row: term j of row i
-    is weighted c_ij * exp(e_j) * exp(-scale_i).  mpf exponents are
-    unbounded, so exp(e_j) cannot overflow however large the heights.
-    The mpf values are rounded to `bits`, so call the function at that
-    working precision.  The last build is kept: a count refines every
-    facet of one system.
+    largest term exponent, and jacobian() forms the Jacobian in log
+    coordinates under the same row scaling, as a list of rows, from the
+    weights of this evaluation; a point whose Jacobian is never asked
+    for costs none.  Each call takes one exp per monomial and one per
+    row: term j of row i weighs w_ij = c_ij * exp(e_j), the residual is
+    fsum(w_i) * exp(-scale_i) and Jacobian entry (i, k) is
+    fdot(w_i, a_.k) * exp(-scale_i), so every sum is accumulated exactly
+    and rounded once.  mpf exponents are unbounded, so exp(e_j) cannot
+    overflow however large the heights.  The mpf values are rounded to
+    `bits`, so call both functions at that working precision.  Only the
+    context's + - * /, exp, fsum and fdot are used.  The last build is
+    kept: a count refines every facet of one system.
     """
     with mp.workprec(bits):
         lnt = log_fraction(t)
         points = [[mpf_fraction(a) for a in p]
                   for p in S.configuration.points]
         offsets = [mpf_fraction(h) * lnt for h in S.heights]
-        rows = [[(j, mpf_fraction(c)) for j, c in enumerate(row) if c != 0]
-                for row in S.coefficients.to_lists()]
+        rows = []
+        for row in S.coefficients.to_lists():
+            support = [j for j, c in enumerate(row) if c != 0]
+            rows.append((support, [mpf_fraction(row[j]) for j in support],
+                         [[points[j][k] for j in support]
+                          for k in range(S.dimension)]))
 
-    def system(u, with_jacobian=False):
+    def system(u):
         exps = [off + sum(a * uk for a, uk in zip(p, u))
                 for off, p in zip(offsets, points)]
         powers = [mp.exp(e) for e in exps]
-        residuals, scales, J = [], [], []
-        for row in rows:
-            m = max(exps[j] for j, _ in row)
+        residuals, scales, weights = [], [], []
+        for support, coefficients, _ in rows:
+            m = max(exps[j] for j in support)
             s = mp.exp(-m)
-            w = [(j, c * powers[j] * s) for j, c in row]
-            residuals.append(sum(wj for _, wj in w))
+            w = [c * powers[j] for j, c in zip(support, coefficients)]
+            residuals.append(mp.fsum(w) * s)
             scales.append(m)
-            if with_jacobian:
-                J.append([sum(wj * points[j][k] for j, wj in w)
-                          for k in range(S.dimension)])
-        return residuals, scales, J if with_jacobian else None
+            weights.append((w, s))
+
+        def jacobian():
+            return [[mp.fdot(w, column) * s for column in columns]
+                    for (w, s), (_, _, columns) in zip(weights, rows)]
+
+        return residuals, scales, jacobian
 
     return system
 
@@ -94,8 +109,7 @@ def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
     """Jacobian in log coordinates, with the same row scaling as evaluate."""
     bits = prec or default_precision()
     with mp.workprec(bits):
-        J = _compile(S, Fraction(t), bits)(u, with_jacobian=True)[2]
-        return mp.matrix(J)
+        return mp.matrix(_compile(S, Fraction(t), bits)(u)[2]())
 
 
 @dataclass
@@ -122,24 +136,31 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     roundoff at the working precision, and the step below
     tol * max(1, |u|): the step is measured relative to the point, whose
     coordinates reach 10^5 and more at small t.  Divergence, a singular
-    Jacobian and iteration exhaustion are reported distinctly.
+    Jacobian and iteration exhaustion are reported distinctly.  Each
+    iterate is evaluated once: the accepted line-search trial's
+    evaluation supplies the next residual and, from its weights, the next
+    Jacobian; a rejected trial forms no Jacobian.
     """
     bits = prec or default_precision()
     with mp.workprec(bits):
         tol = mp.ldexp(1, -(bits // 2))
         system = _compile(S, Fraction(t), bits)
         u = [mp.mpf(x) for x in u0]
+        res, _, jacobian = system(u)
         for it in range(1, max_iter + 1):
-            res, _, J = system(u, with_jacobian=True)
             rnorm = _max_abs(res)
             try:
-                step = _lu_solve(_lu_factor(J), [-r for r in res])
+                step = _lu_solve(_lu_factor(jacobian()), [-r for r in res])
             except ZeroDivisionError:
                 return NewtonResult("singular", None, rnorm, it)
             lam = mp.mpf(1)
             for _ in range(30):
                 trial = [x + lam * dx for x, dx in zip(u, step)]
-                if rnorm < tol or _max_abs(system(trial)[0]) < rnorm:
+                if rnorm < tol:
+                    evaluation = None    # a full step, taken untested
+                    break
+                evaluation = system(trial)
+                if _max_abs(evaluation[0]) < rnorm:
                     break
                 lam /= 2
             else:
@@ -147,11 +168,11 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
             u = trial
             if not all(mp.isfinite(x) for x in u):
                 return NewtonResult("diverged", None, rnorm, it)
+            res, _, jacobian = evaluation or system(u)
             size = max(1, _max_abs(u))
             if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
-                res, _, J = system(u, with_jacobian=True)
                 return NewtonResult("converged", tuple(u), _max_abs(res), it,
-                                    mp.matrix(J))
+                                    mp.matrix(jacobian()))
         return NewtonResult("max_iter", None, rnorm, max_iter)
 
 

@@ -43,6 +43,15 @@ class ViroSystem:
     coefficients: RationalMatrix
     heights: tuple[Fraction, ...]
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.configuration, self.coefficients, self.heights))
+
+    def __hash__(self):
+        # kept after the first call: the numerics caches are keyed on
+        # the system and would otherwise rehash every Fraction per lookup
+        return self._hash
+
     @property
     def dimension(self) -> int:
         return self.configuration.dimension

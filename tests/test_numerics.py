@@ -15,6 +15,7 @@ from virodecor.complexes import (
     decoration_from_coloring,
 )
 from virodecor.exactlinalg import RationalMatrix
+from virodecor.families import cross_polytope_triangulation
 from virodecor.numerics import (
     DEDUP_LOG_DISTANCE,
     certified_positive_count,
@@ -309,6 +310,116 @@ def test_count_solves_each_facet_once_per_system(monkeypatch):
     assert len(calls) == 5
     certified_positive_count(P, planar.complex, Fraction(1, 1000))
     assert len(calls) == 5 + len(planar.complex.facets)
+
+
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    """No point is evaluated twice in one Newton run, and a Jacobian is
+    formed once per iteration plus once at the root, never for a
+    rejected line-search trial."""
+    f, S = snd63_system()
+    t = Fraction(1, 10)
+    compiled = numerics._compile
+    points, jacobians = [], []
+
+    def counting(*args):
+        system = compiled(*args)
+
+        def evaluate_once(u):
+            points.append(tuple(u))
+            res, scales, jacobian = system(u)
+
+            def counted_jacobian():
+                jacobians.append(tuple(u))
+                return jacobian()
+
+            return res, scales, counted_jacobian
+
+        return evaluate_once
+
+    monkeypatch.setattr(numerics, "_compile", counting)
+    for start in predicted_solutions(S, f.complex, t):
+        points.clear()
+        jacobians.clear()
+        result = newton_refine(S, t, start.log_point)
+        assert result.status == "converged"
+        assert len(set(points)) == len(points)
+        assert len(jacobians) == result.iterations + 1
+        assert jacobians[-1] == result.log_point
+
+
+def test_equal_systems_share_one_build(monkeypatch):
+    """Two equal systems built separately hash equal, and a count of the
+    second reuses the first's conversion and truncated solutions."""
+    f, S = snd63_system()
+    twin = build_viro_system(
+        PointConfiguration.from_rows(
+            [list(p) for p in f.configuration.points]),
+        RationalMatrix(f.coefficients.to_lists()), list(f.heights))
+    assert twin is not S and twin == S
+    assert hash(twin) == hash(S)
+    assert hash(twin.configuration) == hash(S.configuration)
+    assert hash(twin.coefficients) == hash(S.coefficients)
+    # a t no other test uses, so no earlier build is kept for it
+    t = Fraction(1, 89)
+    first = certified_positive_count(S, f.complex, t)
+    logs, solves = [], []
+    monkeypatch.setattr(numerics, "log_fraction",
+                        lambda x: logs.append(x) or log_fraction(x))
+    solve = viro.truncated_solution
+    monkeypatch.setattr(viro, "truncated_solution",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    second = certified_positive_count(twin, f.complex, t)
+    assert (logs, solves) == ([], [])
+    assert second.count == first.count == 5
+    assert [w.log_point for w in second.witnesses] == \
+        [w.log_point for w in first.witnesses]
+
+
+def cross_system(d):
+    fam = cross_polytope_triangulation(d)
+    C = decoration_from_coloring(fam.coloring, fam.complex.n_vertices, d)
+    return build_viro_system(fam.configuration, C, fam.heights), fam.complex
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("bits", [256, 53])
+def test_cross_roots_match_the_closed_form(d, bits):
+    """Under the coloring decoration each row of cross(d) reads
+    -1 + t (x_i + 1/x_i) = 0, whose roots are
+    x = (1 +- sqrt(1 - 4t^2)) / (2t): 2^d positive roots for t < 1/2, one
+    per sign pattern.  Every witness coordinate lies within
+    2^(8 - prec) * max(1, |u|) of the log of one of the two."""
+    S, K = cross_system(d)
+    for t in (Fraction(1, 1000), Fraction(1, 10), Fraction(49, 100)):
+        result = certified_positive_count(S, K, t, prec=bits)
+        assert result.count == 2 ** d, t
+        with mp.workprec(bits + 64):
+            tt = mpf_fraction(t)
+            root = mp.sqrt(1 - 4 * tt ** 2)
+            logs = [mp.log((1 + root) / (2 * tt)),
+                    mp.log((1 - root) / (2 * tt))]
+            unit = mp.ldexp(1, 8 - bits)
+            patterns = set()
+            for w in result.witnesses:
+                pattern = []
+                for x in w.log_point:
+                    errors = [abs(x - y) for y in logs]
+                    assert min(errors) <= unit * max(1, abs(x)), (t, x)
+                    pattern.append(errors.index(min(errors)))
+                patterns.add(tuple(pattern))
+        assert len(patterns) == 2 ** d
+
+
+@pytest.mark.parametrize("bits", [256, 113, 64, 53])
+def test_cross_double_root_is_never_counted_twice(bits):
+    """At t = 1/2 the two roots of each cross(3) row merge into x = 1, a
+    double root with a singular Jacobian: every facet's start leads to
+    it, and the count is at most 1 (0 at 256 bits)."""
+    S, K = cross_system(3)
+    result = certified_positive_count(S, K, Fraction(1, 2), prec=bits)
+    assert result.count <= 1
+    if bits == 256:
+        assert result.count == 0
 
 
 def test_count_single_decorated_simplex():
