@@ -39,6 +39,9 @@ class SimplicialComplex:
     facets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # tuples throughout: the complex is hashed, compared with others and
+        # carries its dual graph, so it must not change underneath them
+        object.__setattr__(self, "facets", tuple(map(tuple, self.facets)))
         d, n = self.dimension, self.n_vertices
         for name, value in (("dimension", d), ("n_vertices", n)):
             if not isinstance(value, int) or isinstance(value, bool) \
@@ -66,6 +69,11 @@ class SimplicialComplex:
                     facets: Sequence[Sequence[int]]) -> "SimplicialComplex":
         return cls(dimension, n_vertices,
                    tuple(sorted(tuple(sorted(f)) for f in facets)))
+
+    @functools.cached_property
+    def _dual_graph(self) -> DualGraph:
+        # built on first use and kept as long as the complex
+        return _ridge_graph(self)
 
     @property
     def used_vertices(self) -> frozenset[int]:
@@ -105,6 +113,8 @@ class PointConfiguration:
     points: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        # tuples, so that the configuration hashes and compares by value
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         for p in self.points:
             if len(p) != self.dimension:
                 raise ValueError("point dimension mismatch")
@@ -148,12 +158,16 @@ class PointConfiguration:
                    tuple(tuple(parse_rational(x) for x in p) for p in d["points"]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualGraph:
-    """Facet-adjacency graph: nodes are facet indices into the complex."""
+    """Facet-adjacency graph: nodes are facet indices into the complex.
+
+    Shared: a complex builds its graph once and hands the same one to every
+    caller, so the graph is frozen and its neighbour sets are frozensets.
+    """
 
     n_nodes: int
-    adjacency: dict[int, set[int]]
+    adjacency: Mapping[int, frozenset[int]]
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -172,15 +186,32 @@ class BipartitenessCheck:
 
 
 def dual_graph(K: SimplicialComplex) -> DualGraph:
-    """Adjacency graph of facets; edge iff they share a ridge (d vertices)."""
+    """Adjacency graph of facets; edge iff they share a ridge (d vertices).
+
+    Built on the first call and kept by the complex; later calls return the
+    same graph.
+    """
+    return K._dual_graph
+
+
+def _ridge_graph(K: SimplicialComplex) -> DualGraph:
+    """Join the facets through each ridge that lies in more than one facet."""
+    d = K.dimension
     star: dict[tuple[int, ...], list[int]] = {}  # ridge -> facets through it
     for i, f in enumerate(K.facets):
-        for k in range(len(f)):
-            star.setdefault(f[:k] + f[k + 1:], []).append(i)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(K.facets))}
-    for i, j in chain.from_iterable(permutations(b, 2) for b in star.values()):
-        adjacency[i].add(j)
-    return DualGraph(len(K.facets), adjacency)
+        for ridge in combinations(f, d):
+            star.setdefault(ridge, []).append(i)
+    # two facets share at most one ridge, so no neighbour is listed twice
+    neighbours: list[list[int]] = [[] for _ in K.facets]
+    for through in star.values():
+        if len(through) == 2:
+            i, j = through
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        elif len(through) > 2:
+            for i, j in permutations(through, 2):
+                neighbours[i].append(j)
+    return DualGraph(len(K.facets), dict(enumerate(map(frozenset, neighbours))))
 
 
 def is_bipartite(G: DualGraph) -> BipartitenessCheck:
@@ -221,21 +252,24 @@ def _odd_cycle(parent: Mapping[int, int | None], v: int, w: int) -> list[int]:
     return path_v[:k + 1] + list(reversed(path_w[:-1]))
 
 
-def _component_coloring(K: SimplicialComplex, G: DualGraph,
-                        component: list[int]) -> dict[int, int] | None:
-    """Propagate a seed facet coloring across one dual-graph component.
+def _component_coloring(K: SimplicialComplex, G: DualGraph, start: int,
+                        visited: set[int]) -> dict[int, int] | None:
+    """Propagate the coloring of facet ``start`` across its dual-graph
+    component, adding the component's facets to ``visited``.
 
     Every facet is a clique, so a proper (d+1)-coloring is rainbow on each
-    facet and adjacency forces the new vertex's color.  Within a component
-    the coloring is unique up to a global color permutation.
+    facet and adjacency forces the new vertex's color.  A facet is reached
+    through a ridge whose d vertices are colored, and it is rainbow when
+    reached or the propagation fails; colors are never changed afterwards,
+    so the result is rainbow on every facet of the component.  Within a
+    component the coloring is unique up to a global color permutation.
     """
     d = K.dimension
-    start = min(component)
     coloring: dict[int, int] = {
         v: c for c, v in enumerate(K.facets[start])
     }
     queue = deque([start])
-    visited = {start}
+    visited.add(start)
     while queue:
         i = queue.popleft()
         for j in sorted(G.adjacency[i]):
@@ -254,47 +288,34 @@ def _component_coloring(K: SimplicialComplex, G: DualGraph,
                     coloring[v] = missing.pop()
             visited.add(j)
             queue.append(j)
-    # facets may close up inconsistently; verify rainbow-ness
-    for i in component:
-        if len({coloring[v] for v in K.facets[i]}) != d + 1:
-            return None
     return coloring
 
 
 def balanced_coloring(K: SimplicialComplex) -> dict[int, int] | None:
     """Proper (d+1)-coloring of the 1-skeleton, or None if none exists.
 
-    Each dual-graph component has an essentially unique candidate coloring;
-    components are then reconciled by backtracking over color permutations,
-    followed by a full verification pass on the 1-skeleton.
+    Each dual-graph component has an essentially unique candidate coloring,
+    rainbow on each of its facets, so a connected complex's coloring is
+    proper on the 1-skeleton as it stands.  Several components are
+    reconciled by backtracking over color permutations, pruned on the
+    skeleton edges; the merged coloring agrees on shared vertices, and every
+    skeleton edge lies in a facet, so it is proper on every edge.
     """
     if not K.facets:
         return {}
     d = K.dimension
     G = dual_graph(K)
-    components: list[list[int]] = []
-    seen: set[int] = set()
-    for i in range(G.n_nodes):
-        if i in seen:
-            continue
-        comp = []
-        queue = deque([i])
-        seen.add(i)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in G.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-
     partials = []
-    for comp in components:
-        coloring = _component_coloring(K, G, comp)
+    visited: set[int] = set()
+    for start in range(G.n_nodes):   # the least facet of each component
+        if start in visited:
+            continue
+        coloring = _component_coloring(K, G, start, visited)
         if coloring is None:
             return None
         partials.append(coloring)
+    if len(partials) == 1:
+        return partials[0]
 
     edges = K.skeleton_edges()
 
@@ -323,14 +344,7 @@ def balanced_coloring(K: SimplicialComplex) -> dict[int, int] | None:
                 return result
         return None
 
-    result = backtrack(0, {})
-    if result is None:
-        return None
-    # final verification on the full 1-skeleton
-    for a, b in edges:
-        if result[a] == result[b]:
-            return None
-    return result
+    return backtrack(0, {})
 
 
 def decoration_from_coloring(coloring: Mapping[int, int], n: int,

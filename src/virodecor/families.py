@@ -53,6 +53,15 @@ def _gap_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(c + i for i, c in enumerate(combo))
 
 
+def _pairs(starts: tuple[int, ...]) -> tuple[int, ...]:
+    """(i_1, i_1 + 1, i_2, i_2 + 1, ...): increasing, since the gaps are >= 2.
+
+    The map keeps lexicographic order, so starts taken in the order that
+    _gap_tuples yields them give the facets already sorted, as
+    SimplicialComplex.from_facets would sort them."""
+    return tuple(v for i in starts for v in (i, i + 1))
+
+
 def cyclic_minimal_triangulation(n: int, d: int) -> SimplicialComplex:
     """Lower-hull triangulation of the cyclic polytope under the a^(d+1) lift.
 
@@ -61,18 +70,11 @@ def cyclic_minimal_triangulation(n: int, d: int) -> SimplicialComplex:
     """
     if n < d + 1:
         raise ValueError("need n >= d+1")
-    facets = []
     if d % 2 == 1:
-        k = (d + 1) // 2
-        for starts in _gap_tuples(1, n - 1, k):
-            facets.append(tuple(sorted(
-                v for i in starts for v in (i, i + 1))))
+        facets = map(_pairs, _gap_tuples(1, n - 1, (d + 1) // 2))
     else:
-        k = d // 2
-        for starts in _gap_tuples(2, n - 1, k):
-            facets.append(tuple(sorted(
-                [1] + [v for i in starts for v in (i, i + 1)])))
-    return SimplicialComplex.from_facets(d, n, facets)
+        facets = ((1, *_pairs(s)) for s in _gap_tuples(2, n - 1, d // 2))
+    return SimplicialComplex(d, n, tuple(facets))
 
 
 def cyclic_facet_count(n: int, d: int) -> int:
@@ -102,9 +104,7 @@ def snd_subcomplex(n: int, d: int) -> SimplicialComplex:
         raise ValueError("the bipartite subcomplex is defined for odd d only")
     if n < d + 1:
         raise ValueError("need n >= d+1")
-    facets = [tuple(sorted(v for i in s for v in (i, i + 1)))
-              for s in _snd_starts(n, d)]
-    return SimplicialComplex.from_facets(d, n, facets)
+    return SimplicialComplex(d, n, tuple(map(_pairs, _snd_starts(n, d))))
 
 
 def _count_snd_direct(n: int, d: int) -> int:

@@ -1,13 +1,18 @@
 """Complexes: dual graphs, bipartiteness, colorings, decorations, signs."""
 
+import dataclasses
+import pickle
+from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virodecor import catalog, complexes
+from virodecor import catalog, completion, complexes
+from virodecor.cli import main
 from virodecor.complexes import (
     DualGraph,
     SimplicialComplex,
@@ -47,6 +52,96 @@ def dual_graph_pairwise(K):
     return DualGraph(len(sets), adjacency)
 
 
+def _component_coloring_with_recheck(K, G, component):
+    d = K.dimension
+    start = min(component)
+    coloring = {v: c for c, v in enumerate(K.facets[start])}
+    queue = deque([start])
+    visited = {start}
+    while queue:
+        i = queue.popleft()
+        for j in sorted(G.adjacency[i]):
+            if j in visited:
+                continue
+            facet = K.facets[j]
+            known = {v: coloring[v] for v in facet if v in coloring}
+            used = list(known.values())
+            if len(set(used)) != len(used):
+                return None
+            missing = set(range(d + 1)) - set(used)
+            for v in facet:
+                if v not in known:
+                    if len(missing) != 1:
+                        return None
+                    coloring[v] = missing.pop()
+            visited.add(j)
+            queue.append(j)
+    for i in component:
+        if len({coloring[v] for v in K.facets[i]}) != d + 1:
+            return None
+    return coloring
+
+
+def balanced_coloring_with_skeleton_pass(K):
+    """Reference coloring on the pairwise graph: components found apart,
+    each component's coloring re-checked rainbow, the components reconciled,
+    then a final check of the whole 1-skeleton."""
+    if not K.facets:
+        return {}
+    d = K.dimension
+    G = dual_graph_pairwise(K)
+    components, seen = [], set()
+    for i in range(G.n_nodes):
+        if i in seen:
+            continue
+        comp, queue = [], deque([i])
+        seen.add(i)
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in G.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        components.append(sorted(comp))
+    partials = []
+    for comp in components:
+        coloring = _component_coloring_with_recheck(K, G, comp)
+        if coloring is None:
+            return None
+        partials.append(coloring)
+    edges = K.skeleton_edges()
+
+    def consistent(assigned):
+        return not any(assigned.get(a) is not None
+                       and assigned.get(a) == assigned.get(b)
+                       for a, b in edges)
+
+    def backtrack(idx, assigned):
+        if idx == len(partials):
+            return dict(assigned)
+        for perm in permutations(range(d + 1)):
+            candidate = {v: perm[c] for v, c in partials[idx].items()}
+            if any(v in assigned and assigned[v] != c
+                   for v, c in candidate.items()):
+                continue
+            merged = {**assigned, **candidate}
+            if not consistent(merged):
+                continue
+            result = backtrack(idx + 1, merged)
+            if result is not None:
+                return result
+        return None
+
+    result = backtrack(0, {})
+    if result is None:
+        return None
+    for a, b in edges:
+        if result[a] == result[b]:
+            return None
+    return result
+
+
 @st.composite
 def complexes_up_to_dim_4(draw):
     """Random facet subsets of all (d+1)-subsets of a few vertices, so some
@@ -63,6 +158,12 @@ def complexes_up_to_dim_4(draw):
 RIDGE_IN_THREE = SimplicialComplex.from_facets(1, 4, [(1, 2), (1, 3), (1, 4)])
 POINTS = SimplicialComplex.from_facets(0, 3, [(1,), (2,), (3,)])
 EMPTY = SimplicialComplex.from_facets(2, 5, [])
+# isolated triangles: six whose skeleton holds K4 on 1..4, which no three
+# colors can color; three that reconcile to one coloring
+K4_IN_SIX = SimplicialComplex.from_facets(2, 10, [
+    (1, 2, 5), (1, 3, 6), (1, 4, 7), (2, 3, 8), (2, 4, 9), (3, 4, 10)])
+THREE_TRIANGLES = SimplicialComplex.from_facets(2, 6, [
+    (1, 2, 4), (2, 3, 5), (1, 3, 6)])
 
 
 def test_complex_validation():
@@ -130,6 +231,59 @@ def test_colorings_match_those_on_the_oracle_graph(K):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(complexes, "dual_graph", dual_graph_pairwise)
         assert balanced_coloring(K) == coloring
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_up_to_dim_4())
+@example(K4_IN_SIX)
+@example(THREE_TRIANGLES)
+@example(RIDGE_IN_THREE)
+@example(POINTS)
+@example(EMPTY)
+def test_balanced_coloring_matches_the_skeleton_pass_algorithm(K):
+    coloring = balanced_coloring(K)
+    expected = balanced_coloring_with_skeleton_pass(K)
+    assert coloring == expected
+    if coloring is not None:
+        assert list(coloring.items()) == list(expected.items())
+
+
+def test_balanced_coloring_reconciles_isolated_facets():
+    for K in (K4_IN_SIX, THREE_TRIANGLES):
+        assert not any(dual_graph(K).adjacency.values())
+    assert balanced_coloring(K4_IN_SIX) is None
+    assert balanced_coloring(THREE_TRIANGLES) == {
+        1: 0, 2: 1, 4: 2, 3: 2, 6: 1, 5: 0}
+
+
+def test_dual_graph_is_built_once_and_read_only(monkeypatch, tmp_path):
+    builds = []
+
+    def counted(K):
+        builds.append(K)
+        return ridge_graph(K)
+
+    ridge_graph = complexes._ridge_graph
+    monkeypatch.setattr(complexes, "_ridge_graph", counted)
+    path = tmp_path / "K.json"
+    path.write_text(snd_subcomplex(13, 5).to_json())
+    result = CliRunner().invoke(main, ["check", "--complex", str(path),
+                                       "--bipartite", "--balanced"])
+    assert result.exit_code == 1 and "balanced: FAIL" in result.output
+    assert len(builds) == 1
+
+    K = snd_subcomplex(13, 5)
+    outcome = completion.decorate(K, restarts=1)
+    assert outcome.method == "none"
+    assert len(builds) == 2 and builds[1] is K
+
+    G = dual_graph(K)
+    assert G is dual_graph(K) and len(builds) == 2
+    with pytest.raises(AttributeError):
+        G.adjacency[0].add(G.n_nodes - 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.adjacency = {}
+    assert pickle.loads(pickle.dumps(K)) == K
 
 
 def test_minimal_cyclic_triangulation_not_bipartite():

@@ -10,6 +10,7 @@ import pytest
 
 from virodecor.catalog import DIAGONAL_COUNTS
 from virodecor.complexes import (
+    SimplicialComplex,
     decoration_from_coloring,
     dual_graph,
     is_bipartite,
@@ -103,6 +104,18 @@ def test_cyclic_triangulation_not_bipartite():
 def test_snd_subcomplex_is_bipartite():
     for n, d in [(6, 3), (8, 3), (9, 5), (11, 5)]:
         assert is_bipartite(dual_graph(snd_subcomplex(n, d)))
+
+
+def test_family_complexes_equal_their_sorted_builds():
+    # the constructors skip from_facets: their facets come out sorted
+    for n, d in [(4, 3), (6, 3), (9, 4), (11, 5), (13, 6), (14, 7), (20, 9)]:
+        complexes = [cyclic_minimal_triangulation(n, d)]
+        if d % 2:
+            complexes.append(snd_subcomplex(n, d))
+        for K in complexes:
+            shuffled = [tuple(random.Random(n).sample(f, len(f)))
+                        for f in reversed(K.facets)]
+            assert K == SimplicialComplex.from_facets(d, n, shuffled)
 
 
 def test_snd_facet_counts():

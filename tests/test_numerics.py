@@ -239,6 +239,20 @@ def test_newton_converges_from_exact_root():
     assert again.iterations <= 3
 
 
+def test_list_built_inputs_count_like_the_canonical_ones():
+    f = catalog.snd63_fixture()
+    K = SimplicialComplex(3, 6, [list(facet) for facet in f.complex.facets])
+    A = PointConfiguration(3, [list(p) for p in f.configuration.points])
+    assert K == f.complex and hash(K) == hash(f.complex)
+    assert A == f.configuration and hash(A) == hash(f.configuration)
+    t = Fraction(1, 10)
+    S = build_viro_system(A, f.coefficients, f.heights)
+    assert certified_positive_count(S, K, t).count == 5
+    canonical = build_viro_system(f.configuration, f.coefficients, f.heights)
+    assert canonical == S
+    assert certified_positive_count(canonical, f.complex, t).count == 5
+
+
 def test_newton_reports_failure_not_crash():
     f, S = planar_system()
     result = newton_refine(S, Fraction(1, 1000),
