@@ -45,13 +45,6 @@ def planar_hexagon_fixture() -> Fixture:
     return Fixture("planar-hexagon", points, K, heights, None, coloring)
 
 
-# Expected per-facet sign pattern of the planar fixture, up to a global flip.
-PLANAR_HEXAGON_SIGNS = {
-    (1, 2, 3): 1, (1, 3, 4): -1, (3, 4, 5): 1,
-    (4, 5, 6): -1, (1, 2, 7): -1, (1, 4, 7): 1,
-}
-
-
 # A 3 x 6 integer matrix decorating the bipartite subcomplex for (n, d) = (6, 3),
 # over moment-curve nodes 0..5 with the degree-4 lift.
 def snd63_fixture() -> Fixture:

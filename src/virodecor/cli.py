@@ -46,6 +46,7 @@ from .families import (
     snd_subcomplex,
 )
 from .numerics import certified_positive_count
+from .precision import default_precision
 from .viro import ViroSystem, build_viro_system, regularity_check, render_system
 
 EXIT_CHECK_FAILED = 1
@@ -61,6 +62,15 @@ def _fail_usage(msg: str):
 def _write(path: Path, text: str):
     path.write_text(text if text.endswith("\n") else text + "\n")
     click.echo(f"wrote {path}")
+
+
+def _precision() -> int:
+    """The working precision, read once before any work: a bad
+    VIRODECOR_PRECISION_BITS is a usage error, not a fault of an input file."""
+    try:
+        return default_precision()
+    except ValueError as exc:
+        _fail_usage(str(exc))
 
 
 def _heights_json(heights) -> str:
@@ -299,6 +309,7 @@ def viro(points_path, matrix_path, heights_path, out_path, render):
               default="json", show_default=True)
 def count(system_path, complex_path, t_str, expect, fmt):
     """Count distinct positive roots reachable from the per-facet starts."""
+    bits = _precision()
     try:
         t = parse_rational(t_str)
         if t <= 0:
@@ -309,7 +320,7 @@ def count(system_path, complex_path, t_str, expect, fmt):
     K = _load_complex(complex_path)
     _require_points_fit(K, S.configuration, "system", system_path)
     try:
-        result = certified_positive_count(S, K, t)
+        result = certified_positive_count(S, K, t, prec=bits)
     except ValueError as exc:
         # an undecorated or degenerate facet: the system does not fit K
         _fail_usage(f"malformed system file {system_path}: {exc}")
@@ -351,13 +362,14 @@ def _verify_decoration(fixture) -> list[str]:
             f"facets exactly decorated"]
 
 
-def _verify_count(fixture, C, t: Fraction, minimum: int) -> list[str]:
+def _verify_count(fixture, C, t: Fraction, minimum: int,
+                  bits: int) -> list[str]:
     S = build_viro_system(fixture.configuration, C, fixture.heights)
     reg = regularity_check(fixture.configuration, fixture.heights,
                            fixture.complex)
     lines = [f"{'pass' if reg.ok else 'FAIL'} {fixture.name}: heights induce "
              f"the triangulation"]
-    result = certified_positive_count(S, fixture.complex, t)
+    result = certified_positive_count(S, fixture.complex, t, prec=bits)
     ok = result.count >= minimum
     lines.append(f"{'pass' if ok else 'FAIL'} {fixture.name}: "
                  f"{result.count} distinct positive roots at t={t}, "
@@ -365,7 +377,7 @@ def _verify_count(fixture, C, t: Fraction, minimum: int) -> list[str]:
     return lines
 
 
-def _verify_prism() -> list[str]:
+def _verify_prism(bits: int) -> list[str]:
     P = Poset.from_relations(3, [(1, 2)])
     fam = order_polytope_triangulation(P)
     lines = []
@@ -387,7 +399,8 @@ def _verify_prism() -> list[str]:
                  f"decorates the triangulation")
     S = build_viro_system(fam.configuration, C, fam.heights)
     # concave lift: the asymptotic regime is large t
-    result = certified_positive_count(S, fam.complex, Fraction(100))
+    result = certified_positive_count(S, fam.complex, Fraction(100),
+                                      prec=bits)
     ok = result.count >= 3
     lines.append(f"{'pass' if ok else 'FAIL'} prism: {result.count} distinct "
                  f"positive roots at t=100, {result.precision} bits "
@@ -400,6 +413,7 @@ def _verify_prism() -> list[str]:
     ["ex3.6", "ex5.8", "appendixA", "table1", "prism"]))
 def verify_paper(case):
     """Reproduce one of the built-in reference computations."""
+    bits = _precision()
     if case == "table1":
         lines = _verify_table1()
     elif case == "ex3.6":
@@ -408,15 +422,16 @@ def verify_paper(case):
         ok, _ = is_positively_decorated(f.complex, C)
         lines = [f"{'pass' if ok else 'FAIL'} {f.name}: coloring decoration "
                  f"exactly verified"]
-        lines += _verify_count(f, C, Fraction(1, 1000), 6)
+        lines += _verify_count(f, C, Fraction(1, 1000), 6, bits)
     elif case == "ex5.8":
         f = catalog.snd63_fixture()
         lines = _verify_decoration(f)
-        lines += _verify_count(f, f.coefficients, Fraction(1, 100), 5)
+        lines += _verify_count(f, f.coefficients, Fraction(1, 100), 5,
+                                bits)
     elif case == "appendixA":
         lines = _verify_decoration(catalog.snd115_fixture())
     else:
-        lines = _verify_prism()
+        lines = _verify_prism(bits)
     for line in lines:
         click.echo(line)
     sys.exit(0 if all(line.startswith("pass") for line in lines)

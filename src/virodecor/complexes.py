@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlinalg import (
@@ -52,17 +53,19 @@ class SimplicialComplex:
         if not set(map(type, chain.from_iterable(self.facets))) <= {int}:
             bad = next(v for f in self.facets for v in f if type(v) is not int)
             raise ValueError(f"facet vertex {bad!r} is not an integer")
-        seen = set()
         for f in self.facets:
             if len(f) != d + 1:
                 raise ValueError(f"facet {f} does not have {d + 1} vertices")
-            if list(f) != sorted(set(f)):
+            if not all(map(lt, f, f[1:])):
                 raise ValueError(f"facet {f} is not strictly increasing")
             if f[0] < 1 or f[-1] > n:
                 raise ValueError(f"facet {f} out of vertex range 1..{n}")
-            if f in seen:
-                raise ValueError(f"duplicate facet {f}")
-            seen.add(f)
+        if len(set(self.facets)) != len(self.facets):
+            seen = set()
+            for f in self.facets:
+                if f in seen:
+                    raise ValueError(f"duplicate facet {f}")
+                seen.add(f)
 
     @classmethod
     def from_facets(cls, dimension: int, n_vertices: int,
@@ -74,10 +77,6 @@ class SimplicialComplex:
     def _dual_graph(self) -> DualGraph:
         # built on first use and kept as long as the complex
         return _ridge_graph(self)
-
-    @property
-    def used_vertices(self) -> frozenset[int]:
-        return frozenset(v for f in self.facets for v in f)
 
     def skeleton_edges(self) -> set[tuple[int, int]]:
         """Edges of the 1-skeleton (unordered pairs, stored sorted)."""
@@ -449,6 +448,3 @@ def total_normalized_volume(K: SimplicialComplex,
 def coloring_to_json_dict(coloring: Mapping[int, int], n: int) -> dict:
     return {"colors": [coloring.get(v, 0) for v in range(1, n + 1)]}
 
-
-def coloring_from_json_dict(d: dict) -> dict[int, int]:
-    return {v + 1: c for v, c in enumerate(d["colors"])}

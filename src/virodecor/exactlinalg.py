@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: determinants, minors, kernels, chirotopes.
+"""Exact rational linear algebra: determinants, minors, kernels, orientation.
 
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 scaled to integer rows for one fraction-free elimination, and there is no
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -289,21 +288,6 @@ def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
     if not _one_signed(v):
         return None
     return tuple(Fraction(x, v[0]) for x in v)
-
-
-def chirotope(C: RationalMatrix) -> dict[tuple[int, ...], int]:
-    """Signs of all maximal (d x d) minors, keyed by 1-based column subsets.
-
-    Subsets are produced in lexicographic order.
-    """
-    d, n = C.rows, C.cols
-    if n < d:
-        raise ValueError("need at least d columns")
-    out: dict[tuple[int, ...], int] = {}
-    for cols in combinations(range(n), d):
-        det = determinant(C.submatrix_columns(cols))
-        out[tuple(c + 1 for c in cols)] = 0 if det == 0 else (1 if det > 0 else -1)
-    return out
 
 
 def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:

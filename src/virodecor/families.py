@@ -45,21 +45,28 @@ def cyclic_heights(n: int, d: int,
     return tuple(Fraction(a) ** (d + 1) for a in nodes)
 
 
-def _gap_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Increasing k-tuples in [lo, hi] with consecutive gaps >= 2, in
-    lexicographic order: c -> (c_i + i) maps the k-subsets of
-    [lo, hi - k + 1] onto them."""
-    for combo in combinations(range(lo, hi - k + 2), k):
-        yield tuple(c + i for i, c in enumerate(combo))
+def _pair_facets(lo: int, hi: int, k: int, snd: bool = False,
+                 head: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Facets (*head, i_1, i_1 + 1, ..., i_k, i_k + 1), lo <= i_1 < ... < i_k
+    <= hi, in lexicographic order.
 
-
-def _pairs(starts: tuple[int, ...]) -> tuple[int, ...]:
-    """(i_1, i_1 + 1, i_2, i_2 + 1, ...): increasing, since the gaps are >= 2.
-
-    The map keeps lexicographic order, so starts taken in the order that
-    _gap_tuples yields them give the facets already sorted, as
-    SimplicialComplex.from_facets would sort them."""
-    return tuple(v for i in starts for v in (i, i + 1))
+    Each pair start is picked from the one before: the next start is at
+    least s + 2, so the pairs are disjoint and the tuple increases, and a
+    start leaves room for the pairs after it.  With ``snd``, the next
+    start after an even s is at least s + 3 (the bipartite subcomplex's
+    survival rule).  Starts are tried in increasing order, so the facets
+    come out in the order SimplicialComplex.from_facets would sort them.
+    """
+    if k == 0:
+        yield head
+    elif k == 1:
+        # the last pair in place: no generator frame per facet
+        for s in range(lo, hi + 1):
+            yield head + (s, s + 1)
+    else:
+        for s in range(lo, hi - 2 * k + 3):
+            yield from _pair_facets(s + 3 if snd and s % 2 == 0 else s + 2,
+                                    hi, k - 1, snd, head + (s, s + 1))
 
 
 def cyclic_minimal_triangulation(n: int, d: int) -> SimplicialComplex:
@@ -71,9 +78,9 @@ def cyclic_minimal_triangulation(n: int, d: int) -> SimplicialComplex:
     if n < d + 1:
         raise ValueError("need n >= d+1")
     if d % 2 == 1:
-        facets = map(_pairs, _gap_tuples(1, n - 1, (d + 1) // 2))
+        facets = _pair_facets(1, n - 1, (d + 1) // 2)
     else:
-        facets = ((1, *_pairs(s)) for s in _gap_tuples(2, n - 1, d // 2))
+        facets = _pair_facets(2, n - 1, d // 2, head=(1,))
     return SimplicialComplex(d, n, tuple(facets))
 
 
@@ -84,27 +91,19 @@ def cyclic_facet_count(n: int, d: int) -> int:
     return math.comb(n - 1 - d // 2, d // 2)
 
 
-def _snd_starts(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the bipartite subcomplex facets.
-
-    A facet with pair starts i_1 < ... < i_k survives when every consecutive
-    pair satisfies: i_j odd, or i_{j+1} - i_j > 2.  The last start is
-    unconstrained.
-    """
-    k = (d + 1) // 2
-    for starts in _gap_tuples(1, n - 1, k):
-        if all(starts[j] % 2 == 1 or starts[j + 1] - starts[j] > 2
-               for j in range(k - 1)):
-            yield starts
-
-
 def snd_subcomplex(n: int, d: int) -> SimplicialComplex:
-    """Bipartite subcomplex of the minimal cyclic triangulation (d odd)."""
+    """Bipartite subcomplex of the minimal cyclic triangulation (d odd).
+
+    A facet with pair starts i_1 < ... < i_k survives when every
+    consecutive pair satisfies: i_j odd, or i_{j+1} - i_j > 2.  The last
+    start is unconstrained.
+    """
     if d % 2 == 0:
         raise ValueError("the bipartite subcomplex is defined for odd d only")
     if n < d + 1:
         raise ValueError("need n >= d+1")
-    return SimplicialComplex(d, n, tuple(map(_pairs, _snd_starts(n, d))))
+    return SimplicialComplex(
+        d, n, tuple(_pair_facets(1, n - 1, (d + 1) // 2, snd=True)))
 
 
 def _count_snd_direct(n: int, d: int) -> int:
@@ -112,7 +111,7 @@ def _count_snd_direct(n: int, d: int) -> int:
         raise ValueError("odd d only")
     if n < d + 1:
         return 0
-    return sum(1 for _ in _snd_starts(n, d))
+    return sum(1 for _ in _pair_facets(1, n - 1, (d + 1) // 2, snd=True))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,11 @@ def default_precision() -> int:
     raw = os.environ.get("VIRODECOR_PRECISION_BITS")
     if raw is None:
         return _DEFAULT_BITS
-    bits = int(raw)
-    if bits < 53:
-        raise ValueError("precision must be at least 53 bits")
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = None
+    if bits is None or bits < 53:
+        raise ValueError(f"VIRODECOR_PRECISION_BITS must be a whole number "
+                         f"of bits, at least 53; got {raw!r}")
     return bits

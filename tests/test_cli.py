@@ -116,6 +116,29 @@ def test_count_reports_its_precision(runner, tmp_path):
     assert result.output.splitlines()[0].startswith("count: 5 at 53 bits ")
 
 
+@pytest.mark.parametrize("bits", ["abc", "", "10"])
+@pytest.mark.parametrize("command", ["count", "verify-paper"])
+def test_bad_precision_is_a_usage_error(runner, tmp_path, command, bits):
+    """Read before any work; the message names the variable, not a file."""
+    if command == "count":
+        f = catalog.snd63_fixture()
+        S = build_viro_system(f.configuration, f.coefficients, f.heights)
+        (tmp_path / "S.json").write_text(S.to_json())
+        (tmp_path / "K.json").write_text(f.complex.to_json())
+        args = ["count", "--system", str(tmp_path / "S.json"),
+                "--complex", str(tmp_path / "K.json"), "--t", "1/100"]
+    else:
+        args = ["verify-paper", "ex3.6"]
+    result = runner.invoke(main, args,
+                           env={"VIRODECOR_PRECISION_BITS": bits})
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: VIRODECOR_PRECISION_BITS must be a whole number of bits, "
+        f"at least 53; got {bits!r}\n")
+
+
 def test_count_expect_failure_exit_code(runner, tmp_path):
     f = catalog.snd63_fixture()
     S = build_viro_system(f.configuration, f.coefficients, f.heights)

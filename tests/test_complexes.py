@@ -17,7 +17,6 @@ from virodecor.complexes import (
     DualGraph,
     SimplicialComplex,
     balanced_coloring,
-    coloring_from_json_dict,
     coloring_to_json_dict,
     decoration_from_coloring,
     dual_graph,
@@ -176,6 +175,21 @@ def test_complex_validation():
     for vertex in (3.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="not an integer"):
             SimplicialComplex(2, 4, ((1, 2, vertex),))
+
+
+@pytest.mark.parametrize("facets, message", [
+    (((1, 2),), "facet (1, 2) does not have 3 vertices"),
+    (((1, 1, 2),), "facet (1, 1, 2) is not strictly increasing"),
+    (((1, 3, 2),), "facet (1, 3, 2) is not strictly increasing"),
+    (((0, 1, 2),), "facet (0, 1, 2) out of vertex range 1..4"),
+    (((1, 2, 5),), "facet (1, 2, 5) out of vertex range 1..4"),
+    (((1, 2, 3), (2, 3, 4), (1, 2, 3)), "duplicate facet (1, 2, 3)"),
+    (((1, 2, 3.0),), "facet vertex 3.0 is not an integer"),
+])
+def test_complex_validation_messages(facets, message):
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(2, 4, facets)
+    assert str(info.value) == message
 
 
 def test_complex_json_roundtrip():
@@ -370,11 +384,18 @@ def test_simplex_signs_alternate_on_adjacent_facets():
         assert signs[f.complex.facets[i]] == -signs[f.complex.facets[j]]
 
 
+# Expected per-facet sign pattern of the planar fixture, up to a global flip.
+PLANAR_HEXAGON_SIGNS = {
+    (1, 2, 3): 1, (1, 3, 4): -1, (3, 4, 5): 1,
+    (4, 5, 6): -1, (1, 2, 7): -1, (1, 4, 7): 1,
+}
+
+
 def test_simplex_signs_match_reference_pattern():
     f = catalog.planar_hexagon_fixture()
     C = decoration_from_coloring(f.coloring, 7, 2)
     signs = simplex_signs(f.complex, f.configuration, C)
-    flips = {signs[k] * v for k, v in catalog.PLANAR_HEXAGON_SIGNS.items()}
+    flips = {signs[k] * v for k, v in PLANAR_HEXAGON_SIGNS.items()}
     assert flips in ({1}, {-1})  # equal up to one global flip
 
 
@@ -392,6 +413,11 @@ def test_total_normalized_volume_of_cyclic_triangulation():
     total = total_normalized_volume(O63, A)
     assert total == sum(normalized_volume(A, f) for f in O63.facets)
     assert total > 0
+
+
+def coloring_from_json_dict(d):
+    """Inverse of coloring_to_json_dict on colorings of 1..n."""
+    return {v + 1: c for v, c in enumerate(d["colors"])}
 
 
 def test_coloring_json_roundtrip():

@@ -1,6 +1,7 @@
 """Exact linear algebra: determinants, kernels, orientation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from virodecor.exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
-    chirotope,
     determinant,
     format_rational,
     is_oriented,
@@ -199,12 +199,35 @@ def test_orientation_invariant_under_row_operations(M, rnd):
     assert is_oriented(RationalMatrix(rows)) == is_oriented(M)
 
 
+def chirotope(C):
+    """Signs of all maximal (d x d) minors, keyed by 1-based column subsets
+    in lexicographic order; independent of maximal_minors."""
+    d, n = C.rows, C.cols
+    out = {}
+    for cols in combinations(range(n), d):
+        det = determinant_cofactor(C.submatrix_columns(cols))
+        out[tuple(c + 1 for c in cols)] = (det > 0) - (det < 0)
+    return out
+
+
 def test_chirotope_keys_and_signs():
     C = RationalMatrix([[1, 0, 1], [0, 1, 1]])
     chi = chirotope(C)
     assert set(chi) == {(1, 2), (1, 3), (2, 3)}
     assert chi[(1, 2)] == 1
     assert chi[(2, 3)] == -1
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.one_of(matrices(d, d + 1),
+                        matrices(d, d + 1, sparse_rationals))))
+@settings(max_examples=150, deadline=None)
+def test_maximal_minor_signs_match_chirotope(M):
+    """Minor i deletes column i: its sign is the chirotope's on the rest."""
+    chi = chirotope(M)
+    for i, m in enumerate(maximal_minors(M), start=1):
+        rest = tuple(c for c in range(1, M.cols + 1) if c != i)
+        assert (m > 0) - (m < 0) == chi[rest]
 
 
 def test_left_kernel_exactness():

@@ -22,7 +22,7 @@ from virodecor.exactlinalg import RationalMatrix, determinant
 from virodecor.families import (
     Poset,
     _count_snd_direct,
-    _gap_tuples,
+    _pair_facets,
     asymptotic_estimate,
     count_snd,
     count_snd_series,
@@ -62,6 +62,23 @@ def brute_force_gap_tuples(lo, hi, k):
             if all(b - a >= 2 for a, b in zip(c, c[1:]))]
 
 
+def survives(starts):
+    """The bipartite subcomplex's rule: i_j odd or i_{j+1} - i_j > 2."""
+    return all(a % 2 == 1 or b - a > 2 for a, b in zip(starts, starts[1:]))
+
+
+def pairs(starts):
+    return tuple(v for i in starts for v in (i, i + 1))
+
+
+def brute_force_snd_facets(n, d):
+    """Gale-evenness facets whose pair starts meet the survival rule.
+
+    An odd-d facet of the minimal triangulation is a union of adjacent
+    pairs, so its pair starts are its entries at even positions."""
+    return [f for f in brute_force_cyclic_facets(n, d) if survives(f[::2])]
+
+
 def test_cyclic_63_facets():
     K = cyclic_minimal_triangulation(6, 3)
     assert list(K.facets) == [(1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6),
@@ -80,12 +97,16 @@ def test_cyclic_facets_match_brute_force(n):
     for d in range(1, n):
         K = cyclic_minimal_triangulation(n, d)
         assert list(K.facets) == brute_force_cyclic_facets(n, d)
-    # the facets' index tuples, up to hi = 15
+    # the pair-start recursion, up to hi = 15, with and without the
+    # bipartite subcomplex's survival rule
     for lo in (1, 2):
         for hi in (n - 1, n + 5):
             for k in range(7):
-                assert (list(_gap_tuples(lo, hi, k))
-                        == brute_force_gap_tuples(lo, hi, k))
+                starts = brute_force_gap_tuples(lo, hi, k)
+                assert (list(_pair_facets(lo, hi, k))
+                        == list(map(pairs, starts)))
+                assert (list(_pair_facets(lo, hi, k, snd=True))
+                        == [pairs(s) for s in starts if survives(s)])
 
 
 def test_cyclic_triangulation_is_regular_under_power_heights():
@@ -121,6 +142,20 @@ def test_family_complexes_equal_their_sorted_builds():
 def test_snd_facet_counts():
     assert len(snd_subcomplex(6, 3).facets) == 5
     assert len(snd_subcomplex(11, 5).facets) == 38
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11, 13])
+def test_snd_facets_match_brute_force(d):
+    for n in range(d + 1, 15):
+        assert list(snd_subcomplex(n, d).facets) == brute_force_snd_facets(n, d)
+
+
+@pytest.mark.parametrize("d", [7, 9, 11, 13])
+def test_table1_counts_from_built_complexes(d):
+    """Table 1 from the complexes themselves, not only the formulas."""
+    K = snd_subcomplex(2 * d + 1, d)
+    assert len(K.facets) == DIAGONAL_COUNTS[d]
+    assert is_bipartite(dual_graph(K))
 
 
 # -- counting routes -------------------------------------------------------
