@@ -159,7 +159,10 @@ def family(kind, n, d, poset_path, out_dir):
     else:
         if d is None:
             _fail_usage("cross requires --d")
-        fam = cross_polytope_triangulation(d)
+        try:
+            fam = cross_polytope_triangulation(d)
+        except ValueError as exc:
+            _fail_usage(str(exc))
         K, A, heights, coloring = (fam.complex, fam.configuration,
                                    fam.heights, fam.coloring)
     _write(out / "complex.json", K.to_json())
@@ -258,8 +261,11 @@ def check(complex_path, matrix_path, points_path, heights_path,
 def decorate(complex_path, restarts, seed, denom_bound, out_path):
     """Search for an exactly verified decoration of a complex."""
     K = _load_complex(complex_path)
-    outcome = decorate_complex(K, restarts=restarts, seed=seed,
-                               denom_bound=denom_bound)
+    try:
+        outcome = decorate_complex(K, restarts=restarts, seed=seed,
+                                   denom_bound=denom_bound)
+    except ValueError as exc:
+        _fail_usage(str(exc))
     if outcome.decoration is None:
         click.echo(json.dumps({"found": False,
                                "diagnostics": outcome.diagnostics}))

@@ -7,14 +7,19 @@ basis decorates the complex.  The numerical search alternates singular
 value truncation with pattern projection; every candidate is rationalized
 and re-verified with exact arithmetic, so no unverified matrix ever
 escapes this module.
+
+numpy is imported inside the three functions that run the search
+(`CompletionPattern.mask`, `alternating_projection`,
+`extract_decoration`), not at module scope: `decorate` reaches them
+only for a complex with no balanced coloring, so importing this module,
+the package or its CLI, and every other command, never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import (
     SimplicialComplex,
@@ -25,6 +30,9 @@ from .complexes import (
     is_positively_decorated,
 )
 from .exactlinalg import RationalMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,7 @@ class CompletionPattern:
     target_rank: int
 
     def mask(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.positive, dtype=bool)
 
 
@@ -87,6 +96,7 @@ def alternating_projection(pattern: CompletionPattern, r: int,
     """
     if r > min(pattern.n, pattern.ell):
         raise ValueError("target rank exceeds matrix dimensions")
+    import numpy as np
     mask = pattern.mask()
     rng = np.random.default_rng(seed)
     M = np.where(mask, rng.uniform(0.5, 1.5, size=mask.shape), 0.0)
@@ -116,6 +126,9 @@ def extract_decoration(K: SimplicialComplex, M: np.ndarray,
     denominator, and checked facet-by-facet with exact arithmetic.  Both
     tighter and looser denominator bounds are retried before giving up.
     """
+    if denom_bound < 1:
+        raise ValueError(f"denom_bound must be >= 1, got {denom_bound}")
+    import numpy as np
     d = K.dimension
     n = K.n_vertices
     U, _, _ = np.linalg.svd(M)
@@ -141,8 +154,15 @@ def decorate(K: SimplicialComplex, restarts: int = 100, seed: int = 0,
     Strategy: a non-bipartite dual graph is a definitive obstruction and
     short-circuits everything; a balanced coloring yields an immediate
     decoration; otherwise seeded completion restarts run until one
-    candidate passes the exact verification.
+    candidate passes the exact verification.  A negative restart count
+    or seed, or a denominator bound below 1, is a ValueError.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if denom_bound < 1:
+        raise ValueError(f"denom_bound must be >= 1, got {denom_bound}")
     check = is_bipartite(dual_graph(K))
     if not check:
         return DecorationOutcome(None, "none", {

@@ -119,6 +119,7 @@ class NewtonResult:
     residual: object | None
     iterations: int
     jacobian: object | None = None   # at the root; None unless converged
+    halvings: int = 0                # step halvings, summed over the run
 
 
 def _max_abs(xs):
@@ -136,7 +137,8 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     roundoff at the working precision, and the step below
     tol * max(1, |u|): the step is measured relative to the point, whose
     coordinates reach 10^5 and more at small t.  Divergence, a singular
-    Jacobian and iteration exhaustion are reported distinctly.  Each
+    Jacobian and iteration exhaustion are reported distinctly, each with
+    the number of step halvings taken over the run.  Each
     iterate is evaluated once: the accepted line-search trial's
     evaluation supplies the next residual and, from its weights, the next
     Jacobian; a rejected trial forms no Jacobian.
@@ -147,12 +149,14 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
         system = _compile(S, Fraction(t), bits)
         u = [mp.mpf(x) for x in u0]
         res, _, jacobian = system(u)
+        halvings = 0
         for it in range(1, max_iter + 1):
             rnorm = _max_abs(res)
             try:
                 step = _lu_solve(_lu_factor(jacobian()), [-r for r in res])
             except ZeroDivisionError:
-                return NewtonResult("singular", None, rnorm, it)
+                return NewtonResult("singular", None, rnorm, it,
+                                    halvings=halvings)
             lam = mp.mpf(1)
             for _ in range(30):
                 trial = [x + lam * dx for x, dx in zip(u, step)]
@@ -163,17 +167,21 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
                 if _max_abs(evaluation[0]) < rnorm:
                     break
                 lam /= 2
+                halvings += 1
             else:
-                return NewtonResult("diverged", None, rnorm, it)
+                return NewtonResult("diverged", None, rnorm, it,
+                                    halvings=halvings)
             u = trial
             if not all(mp.isfinite(x) for x in u):
-                return NewtonResult("diverged", None, rnorm, it)
+                return NewtonResult("diverged", None, rnorm, it,
+                                    halvings=halvings)
             res, _, jacobian = evaluation or system(u)
             size = max(1, _max_abs(u))
             if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
                 return NewtonResult("converged", tuple(u), _max_abs(res), it,
-                                    mp.matrix(jacobian()))
-        return NewtonResult("max_iter", None, rnorm, max_iter)
+                                    mp.matrix(jacobian()), halvings=halvings)
+        return NewtonResult("max_iter", None, rnorm, max_iter,
+                            halvings=halvings)
 
 
 def condition_estimate(J) -> object:
@@ -256,7 +264,8 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
                                    max_fixed=0)
                 failures.append((start.facet,
                                  f"{result.status} after {result.iterations} "
-                                 f"iterations (residual {residual})"))
+                                 f"iterations (residual {residual}, "
+                                 f"{result.halvings} halvings)"))
                 continue
             cond = condition_estimate(result.jacobian)
             if not mp.isfinite(cond):

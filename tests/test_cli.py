@@ -38,6 +38,14 @@ def test_family_cyclic_missing_params(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_family_cross_bad_dimension_is_a_usage_error(runner, tmp_path, d):
+    result = runner.invoke(main, ["family", "cross", "--d", d,
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == "error: d >= 1 required\n"
+
+
 def test_check_exit_code_on_failed_check(runner, tmp_path):
     p = tmp_path / "K.json"
     p.write_text(snd_subcomplex(6, 3).to_json())
@@ -80,6 +88,22 @@ def test_decorate_non_bipartite_reports_obstruction(runner, tmp_path):
     body = json.loads(result.output)
     assert body["found"] is False
     assert body["diagnostics"]["odd_cycle"]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--denom-bound", "0"), ("--denom-bound", "-3"), ("--seed", "-1"),
+    ("--restarts", "-1")])
+def test_decorate_bad_search_setting_is_a_usage_error(runner, tmp_path,
+                                                      option, value):
+    # snd(6, 3) has no balanced coloring, so these settings would reach
+    # the completion search
+    p = tmp_path / "K.json"
+    p.write_text(snd_subcomplex(6, 3).to_json())
+    result = runner.invoke(main, ["decorate", "--complex", str(p),
+                                  option, value])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    assert "Traceback" not in result.output
 
 
 def test_count_json_parity_with_library(runner, tmp_path):

@@ -107,3 +107,19 @@ def test_decorate_deterministic_per_seed():
     second = decorate(S63, restarts=50, seed=11)
     assert first.decoration == second.decoration
     assert first.diagnostics == second.diagnostics
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"seed": -1},
+                                    {"denom_bound": 0}, {"denom_bound": -5}])
+def test_decorate_rejects_bad_search_settings(kwargs, monkeypatch):
+    # rejected before any work: no dual graph is built
+    monkeypatch.setattr("virodecor.completion.dual_graph", None)
+    with pytest.raises(ValueError):
+        decorate(S63, **kwargs)
+
+
+def test_extract_decoration_rejects_a_bound_below_one():
+    M = np.array([[float(x) for x in row]
+                  for row in SND63_COMPLETED.to_lists()])
+    with pytest.raises(ValueError, match="denom_bound"):
+        extract_decoration(S63, M, denom_bound=0)

@@ -274,6 +274,22 @@ def test_newton_reports_failure_not_crash():
             f"{again.status} after {again.iterations} iterations (residual ")
 
 
+def test_newton_failure_reports_its_step_halvings():
+    f, S = planar_system()
+    t = Fraction(1, 10)
+    count = certified_positive_count(S, f.complex, t)
+    starts = {s.facet: s.log_point
+              for s in predicted_solutions(S, f.complex, t)}
+    diverged = [(facet, reason) for facet, reason in count.failures
+                if reason.startswith("diverged")]
+    assert diverged
+    for facet, reason in diverged:
+        again = newton_refine(S, t, starts[facet])
+        # the last iteration alone halved its step 30 times
+        assert again.status == "diverged" and again.halvings >= 30
+        assert reason.endswith(f", {again.halvings} halvings)")
+
+
 def test_newton_returns_the_jacobian_at_the_root():
     f, S = snd63_system()
     t = Fraction(1, 10)
