@@ -1,7 +1,7 @@
 """Built-in reference fixtures used by the verification suite and the CLI.
 
 Each fixture bundles a point configuration, triangulation, lift, and a
-decorating coefficient matrix (or completion data) whose expected behavior
+decorating coefficient matrix or balanced coloring whose expected behavior
 is frozen in the test suite.  Data is stored exactly, as rationals.
 """
 
@@ -91,19 +91,6 @@ def snd115_fixture() -> Fixture:
     points = cyclic_points(11, 5, nodes)
     heights = cyclic_heights(11, 5, nodes)
     return Fixture("snd-11-5", points, snd_subcomplex(11, 5), heights, C, None)
-
-
-# Completed nonnegative 6 x 5 vertex-facet matrix (rows = vertices 1..6,
-# columns = the five facets of the bipartite (6, 3) subcomplex) of rank 3;
-# its exact left kernel decorates that subcomplex.
-SND63_COMPLETED = RationalMatrix([
-    [1, 4, 1, 0, 0],
-    [1, 8, 3, 2, 0],
-    [3, 0, 0, 3, 6],
-    [4, 4, 0, 0, 4],
-    [0, 3, 3, 6, 3],
-    [0, 0, 1, 3, 2],
-])
 
 
 # Facet counts of the maximal bipartite subcomplexes, indexed by odd d,

@@ -255,15 +255,13 @@ def check(complex_path, matrix_path, points_path, heights_path,
               type=click.Path(exists=True))
 @click.option("--restarts", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--denom-bound", type=int, default=10 ** 6, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="write the decoration matrix JSON here")
-def decorate(complex_path, restarts, seed, denom_bound, out_path):
+def decorate(complex_path, restarts, seed, out_path):
     """Search for an exactly verified decoration of a complex."""
     K = _load_complex(complex_path)
     try:
-        outcome = decorate_complex(K, restarts=restarts, seed=seed,
-                                   denom_bound=denom_bound)
+        outcome = decorate_complex(K, restarts=restarts, seed=seed)
     except ValueError as exc:
         _fail_usage(str(exc))
     if outcome.decoration is None:

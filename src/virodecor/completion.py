@@ -1,25 +1,26 @@
-"""Decoration search via low-rank completion of the vertex-facet pattern.
+"""Decoration search by ridge signs.
 
-A complex on n vertices with ell facets induces an n x ell sign pattern
-(Positive where the vertex lies on the facet, Zero elsewhere).  Any
-nonnegative completion of rank n - d has a d-dimensional left kernel whose
-basis decorates the complex.  The numerical search alternates singular
-value truncation with pattern projection; every candidate is rationalized
-and re-verified with exact arithmetic, so no unverified matrix ever
-escapes this module.
+C decorates the facet s_0 < ... < s_d exactly when sign det C_{sigma - s_i}
+= eps_sigma * (-1)^i for one sign eps_sigma, so two facets through a ridge
+fix each other's sign.  `ridge_signs` walks the dual graph breadth-first
+and gives every ridge tau one target sign chi_tau, up to one sign per
+component, or finds a conflict that proves no decoration exists.  The
+margin search then minimises sum_tau softplus(-k (chi_tau det C_tau - mu))
+over C with unit-norm columns by L-BFGS (Nocedal 1980) for each (k, mu) of
+a sharpening schedule.  After each stage C is rounded over one denominator,
+10^3 then 10^6, and only a matrix that the exact `is_positively_decorated`
+accepts is returned.
 
-numpy is imported inside the three functions that run the search
-(`CompletionPattern.mask`, `alternating_projection`,
-`extract_decoration`), not at module scope: `decorate` reaches them
-only for a complex with no balanced coloring, so importing this module,
-the package or its CLI, and every other command, never loads numpy.
+numpy is imported only by the margin search, which `decorate` reaches for
+a complex with no balanced coloring and no ridge-sign conflict: importing
+this module, the package or its CLI never loads it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .complexes import (
     SimplicialComplex,
@@ -31,138 +32,148 @@ from .complexes import (
 )
 from .exactlinalg import RationalMatrix
 
-if TYPE_CHECKING:
-    import numpy as np
-
-
-@dataclass(frozen=True)
-class CompletionPattern:
-    """Vertex-facet sign pattern with its target completion rank."""
-
-    n: int
-    ell: int
-    positive: tuple[tuple[bool, ...], ...]   # True = Positive, False = Zero
-    target_rank: int
-
-    def mask(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.positive, dtype=bool)
-
-
-@dataclass
-class ProjectionResult:
-    matrix: np.ndarray | None
-    iterations: int
-    spectral_gap: float
-
-    @property
-    def converged(self) -> bool:
-        return self.matrix is not None
-
-
-@dataclass
-class CompletionResult:
-    matrix: np.ndarray
-    decoration: RationalMatrix | None
-    iterations: int
-    verified: bool
+# (sharpness k, margin mu) per stage, and the L-BFGS iterations of each.
+# The nearly linear first stage picks the basin: started at k = 10, 7 to 10
+# of 30 restarts each on snd(8, 3), (11, 5) and (13, 5) ended with wrong
+# signs, against none from k = 1.  snd(15, 7) needs the last stage.
+_STAGES = ((1.0, 0.01), (10.0, 0.01), (1000.0, 0.001), (10000.0, 0.0001))
+_ITERATIONS = 200
+_MEMORY = 10
+_DENOMINATORS = (10 ** 3, 10 ** 6)
 
 
 @dataclass
 class DecorationOutcome:
     decoration: RationalMatrix | None
-    method: str            # "coloring" | "completion" | "none"
+    method: str            # "coloring" | "sign search" | "none"
     diagnostics: dict
 
 
-def pattern_from_complex(K: SimplicialComplex) -> CompletionPattern:
-    n, ell = K.n_vertices, len(K.facets)
-    rows = []
-    for v in range(1, n + 1):
-        rows.append(tuple(v in facet for facet in K.facets))
-    return CompletionPattern(n, ell, tuple(rows), n - K.dimension)
+def ridge_signs(K: SimplicialComplex) -> tuple[dict[tuple, int],
+                                                tuple[tuple, tuple] | None]:
+    """Target sign of det C_tau on every ridge tau of K, or a conflict.
 
-
-def alternating_projection(pattern: CompletionPattern, r: int,
-                           floor: float = 1e-2, max_iter: int = 2000,
-                           seed: int = 0,
-                           tol: float = 1e-11) -> ProjectionResult:
-    """Alternate rank-r truncation with pattern projection.
-
-    Zero cells are reset to 0; Positive cells are clamped to at least
-    ``floor`` times the matrix's RMS entry scale, which keeps iterates away
-    from the useless all-zero boundary.  Convergence is declared when the
-    post-projection spectral gap sigma_{r+1}/sigma_r drops below tol.
+    Returns (targets, None), with the first facet of each component of the
+    dual graph given eps = +1, or ({}, (sigma, sigma')) for two adjacent
+    facets whose signs disagree, which no decoration can satisfy.
     """
-    if r > min(pattern.n, pattern.ell):
-        raise ValueError("target rank exceeds matrix dimensions")
-    import numpy as np
-    mask = pattern.mask()
-    rng = np.random.default_rng(seed)
-    M = np.where(mask, rng.uniform(0.5, 1.5, size=mask.shape), 0.0)
-    gap = np.inf
-    for it in range(1, max_iter + 1):
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        M = (U[:, :r] * s[:r]) @ Vt[:r]
-        scale = floor * np.linalg.norm(M) / np.sqrt(M.size)
-        M = np.where(mask, np.maximum(M, scale), 0.0)
-        s2 = np.linalg.svd(M, compute_uv=False)
-        if r >= len(s2) or s2[r - 1] == 0:
-            gap = 0.0 if r >= len(s2) else np.inf
-        else:
-            gap = float(s2[r] / s2[r - 1])
-        if gap < tol:
-            return ProjectionResult(M, it, gap)
-    return ProjectionResult(None, max_iter, gap)
-
-
-def extract_decoration(K: SimplicialComplex, M: np.ndarray,
-                       denom_bound: int = 10 ** 6,
-                       iterations: int = 0) -> CompletionResult:
-    """Left kernel of a near-rank-(n-d) completion, rationalized and verified.
-
-    The d left singular vectors for the smallest singular values are taken
-    as a numeric kernel basis, rounded entrywise to rationals with bounded
-    denominator, and checked facet-by-facet with exact arithmetic.  Both
-    tighter and looser denominator bounds are retried before giving up.
-    """
-    if denom_bound < 1:
-        raise ValueError(f"denom_bound must be >= 1, got {denom_bound}")
-    import numpy as np
-    d = K.dimension
-    n = K.n_vertices
-    U, _, _ = np.linalg.svd(M)
-    kernel = U[:, n - d:].T          # d x n
-    for bound in (denom_bound, denom_bound // 100, denom_bound * 100):
-        if bound < 1:
+    G = dual_graph(K)
+    eps = [0] * len(K.facets)
+    for root in range(len(K.facets)):
+        if eps[root]:
             continue
-        C = RationalMatrix(
-            [[Fraction(float(x)).limit_denominator(bound) for x in row]
-             for row in kernel]
-        )
-        ok, _failing = is_positively_decorated(K, C)
-        if ok:
-            return CompletionResult(M, C, iterations, True)
-    return CompletionResult(M, C, iterations, False)
+        eps[root] = 1
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            fa = K.facets[a]
+            for b in sorted(G.adjacency[a]):
+                fb = K.facets[b]
+                # positions of the vertex each facet has outside the ridge
+                i = next(p for p, v in enumerate(fa) if v not in fb)
+                j = next(p for p, v in enumerate(fb) if v not in fa)
+                sign = eps[a] * (-1) ** (i + j)
+                if not eps[b]:
+                    eps[b] = sign
+                    queue.append(b)
+                elif eps[b] != sign:
+                    return {}, (fa, fb)
+    return {f[:i] + f[i + 1:]: e * (-1) ** i
+            for e, f in zip(eps, K.facets) for i in range(len(f))}, None
 
 
-def decorate(K: SimplicialComplex, restarts: int = 100, seed: int = 0,
-             denom_bound: int = 10 ** 6, max_iter: int = 2000,
-             floor: float = 1e-2) -> DecorationOutcome:
+def _lbfgs(fg, x):
+    """L-BFGS with Armijo backtracking; fg(x) returns (f, gradient).
+
+    Only pairs with s.y > 0 are kept, so every direction is a descent one.
+    """
+    f, g = fg(x)
+    pairs = []
+    for _ in range(_ITERATIONS):
+        p, alphas = -g, []
+        for s, y in reversed(pairs):
+            alphas.append((s @ p) / (y @ s))
+            p = p - alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            p = p * ((s @ y) / (y @ y))
+        else:
+            p = p / max(1.0, abs(g).max())
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            p = p + (a - (y @ p) / (y @ s)) * s
+        step, slope = 1.0, g @ p
+        while True:
+            f_new, g_new = fg(x + step * p)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-10:
+                return x
+        s, y = step * p, g_new - g
+        if s @ y > 1e-12:
+            pairs = pairs[-(_MEMORY - 1):] + [(s, y)]
+        x, f, g, f_old = x + s, f_new, g_new, f
+        if f_old - f <= 1e-9 * max(1.0, abs(f)) or abs(g).max() < 1e-5:
+            break
+    return x
+
+
+def _sign_search(K: SimplicialComplex, targets: dict[tuple, int],
+                 seed: int) -> tuple[RationalMatrix, int, int] | None:
+    """One seeded margin search: (C, stage, denominator) or None."""
+    import numpy as np
+    d, n = K.dimension, K.n_vertices
+    ridges = np.array(list(targets), dtype=np.intp) - 1
+    chi = np.array(list(targets.values()), dtype=float)
+
+    def fg(x, k, mu):
+        C = x.reshape(d, n)
+        norms = np.linalg.norm(C, axis=0)
+        U = C / norms
+        M = U[:, ridges].transpose(1, 0, 2)       # one d x d matrix per ridge
+        det = np.linalg.det(M)
+        z = k * (chi * det - mu)
+        # d/dz softplus(-z) = -sigmoid(-z) = -exp(-softplus(z)), no overflow;
+        # d det / dM is the cofactor matrix det * M^-T
+        w = -k * chi * np.exp(-np.logaddexp(0.0, z)) * det
+        G = np.zeros((d, n))
+        np.add.at(G, (slice(None), ridges),
+                  w[None, :, None] * np.linalg.inv(M).transpose(2, 0, 1))
+        # through the column normalisation U = C / |C|
+        G = (G - U * (U * G).sum(axis=0)) / norms
+        return np.logaddexp(0.0, -z).sum(), G.ravel()
+
+    x = np.random.default_rng(seed).standard_normal(d * n)
+    for stage, (k, mu) in enumerate(_STAGES):
+        try:
+            x = _lbfgs(lambda x: fg(x, k, mu), x)
+        except np.linalg.LinAlgError:      # an exactly singular ridge matrix
+            return None
+        C = x.reshape(d, n)
+        U = C / np.linalg.norm(C, axis=0)
+        for q in _DENOMINATORS:
+            R = RationalMatrix([[Fraction(int(v), q) for v in row]
+                                for row in np.rint(U * q)])
+            if is_positively_decorated(K, R)[0]:
+                return R, stage, q
+    return None
+
+
+def decorate(K: SimplicialComplex, restarts: int = 100,
+             seed: int = 0) -> DecorationOutcome:
     """Find an exactly verified decoration of K, or report why none was found.
 
     Strategy: a non-bipartite dual graph is a definitive obstruction and
     short-circuits everything; a balanced coloring yields an immediate
-    decoration; otherwise seeded completion restarts run until one
-    candidate passes the exact verification.  A negative restart count
-    or seed, or a denominator bound below 1, is a ValueError.
+    decoration; a ridge-sign conflict is a definitive obstruction too;
+    otherwise seeded margin searches run until one rounded candidate passes
+    the exact verification.  A negative restart count or seed is a
+    ValueError.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if denom_bound < 1:
-        raise ValueError(f"denom_bound must be >= 1, got {denom_bound}")
     check = is_bipartite(dual_graph(K))
     if not check:
         return DecorationOutcome(None, "none", {
@@ -179,26 +190,23 @@ def decorate(K: SimplicialComplex, restarts: int = 100, seed: int = 0,
         raise AssertionError(
             f"balanced coloring failed exact verification on {failing}")
 
-    pattern = pattern_from_complex(K)
-    gaps = []
+    targets, conflict = ridge_signs(K)
+    if conflict is not None:
+        return DecorationOutcome(None, "none", {
+            "reason": "ridge signs conflict between adjacent facets",
+            "facets": [list(f) for f in conflict],
+        })
     for attempt in range(restarts):
-        proj = alternating_projection(pattern, pattern.target_rank,
-                                      floor=floor, max_iter=max_iter,
-                                      seed=seed + attempt)
-        gaps.append(proj.spectral_gap)
-        if not proj.converged:
-            continue
-        result = extract_decoration(K, proj.matrix, denom_bound=denom_bound,
-                                    iterations=proj.iterations)
-        if result.verified:
-            return DecorationOutcome(result.decoration, "completion", {
+        found = _sign_search(K, targets, seed + attempt)
+        if found is not None:
+            C, stage, q = found
+            return DecorationOutcome(C, "sign search", {
                 "restart": attempt,
                 "seed": seed + attempt,
-                "iterations": result.iterations,
-                "spectral_gap": proj.spectral_gap,
+                "stage": stage,
+                "denominator": q,
             })
     return DecorationOutcome(None, "none", {
-        "reason": "completion did not produce a verified decoration",
+        "reason": "sign search did not produce a verified decoration",
         "restarts": restarts,
-        "spectral_gaps": gaps,
     })

@@ -237,7 +237,6 @@ class PredictedStart:
     facet: tuple[int, ...]
     log_point: tuple[mp.mpf, ...]
     shift: tuple[Fraction, ...]   # gradient of the facet's affine support
-    offset: Fraction
 
 
 def log_fraction(x: Fraction) -> mp.mpf:
@@ -324,17 +323,16 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
 @functools.lru_cache(maxsize=1)
 def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
                      bits: int) -> tuple[tuple, ...]:
-    """(facet, truncated log-solution, gradient, offset, mpf gradient) per
-    facet of K.  None of it depends on t, so the last build is kept: counts
-    of one system at many t solve each facet once."""
+    """(facet, truncated log-solution, gradient, mpf gradient) per facet
+    of K.  None of it depends on t, so the last build is kept: counts of
+    one system at many t solve each facet once."""
     out = []
     with mp.workprec(bits):
         for facet in K.facets:
             trunc = truncated_solution(S.configuration, S.coefficients, facet,
                                        prec=bits)
-            offset, grad = facet_affine_support(S.configuration, S.heights,
-                                                facet)
-            out.append((facet, trunc.log_point, grad, offset,
+            _, grad = facet_affine_support(S.configuration, S.heights, facet)
+            out.append((facet, trunc.log_point, grad,
                         tuple(mpf_fraction(g) for g in grad)))
     return tuple(out)
 
@@ -350,6 +348,6 @@ def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
         lnt = log_fraction(t)
         return [PredictedStart(facet, tuple(x - lnt * g
                                             for x, g in zip(u, grad_mpf)),
-                               grad, offset)
-                for facet, u, grad, offset, grad_mpf
+                               grad)
+                for facet, u, grad, grad_mpf
                 in _facet_solutions(S, K, bits)]

@@ -269,19 +269,14 @@ def test_criterion_11_completion_pipeline():
     ok, _ = is_positively_decorated(snd_subcomplex(6, 3), outcome.decoration)
     assert ok
     assert elapsed < 60.0
-    # stretch target: a short search on the (11, 5) subcomplex must either
-    # verify exactly or surface spectral-gap diagnostics
-    stretch = decorate(snd_subcomplex(11, 5), restarts=3, seed=0,
-                       max_iter=800)
-    if stretch.decoration is not None:
-        ok, _ = is_positively_decorated(snd_subcomplex(11, 5),
-                                        stretch.decoration)
-        assert ok
-        note = "stretch (11,5) decorated"
-    else:
-        assert stretch.diagnostics["spectral_gaps"]
-        note = "stretch (11,5) reported spectral gaps"
-    verdict(11, f"(6,3) decorated via completion in {elapsed:.1f}s; {note}")
+    # Appendix A from scratch: a short search on the (11, 5) subcomplex
+    # must find a decoration that verifies exactly
+    stretch = decorate(snd_subcomplex(11, 5), restarts=3, seed=0)
+    assert stretch.method == "sign search"
+    ok, _ = is_positively_decorated(snd_subcomplex(11, 5), stretch.decoration)
+    assert ok
+    verdict(11, f"(6,3) decorated via sign search in {elapsed:.1f}s; "
+                f"(11,5) decorated from scratch")
 
 
 def test_criterion_12_multilinear_solution_counts():

@@ -90,13 +90,12 @@ def test_decorate_non_bipartite_reports_obstruction(runner, tmp_path):
     assert body["diagnostics"]["odd_cycle"]
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--denom-bound", "0"), ("--denom-bound", "-3"), ("--seed", "-1"),
-    ("--restarts", "-1")])
+@pytest.mark.parametrize("option, value", [("--seed", "-1"),
+                                           ("--restarts", "-1")])
 def test_decorate_bad_search_setting_is_a_usage_error(runner, tmp_path,
                                                       option, value):
     # snd(6, 3) has no balanced coloring, so these settings would reach
-    # the completion search
+    # the sign search
     p = tmp_path / "K.json"
     p.write_text(snd_subcomplex(6, 3).to_json())
     result = runner.invoke(main, ["decorate", "--complex", str(p),

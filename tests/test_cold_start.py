@@ -1,4 +1,4 @@
-"""numpy is loaded only by the completion search of `decorate`.
+"""numpy is loaded only by the sign search of `decorate`.
 
 Each check runs in a fresh interpreter, so that no module imported by
 the rest of the suite can hide an eager import.
@@ -15,10 +15,10 @@ import virodecor
 SRC = str(Path(virodecor.__file__).resolve().parents[1])
 
 # Drives the CLI through CliRunner in a scratch directory given as argv[2].
-# "commands" runs every command that needs no completion search and
-# reports whether numpy was loaded after each; "decorate" runs the
-# completion decorate of snd(6, 3) and reports its stdout, with numpy
-# imported first when argv[3] is "numpy-first".
+# "commands" runs every command that needs no sign search and reports
+# whether numpy was loaded after each; "decorate" runs the sign-search
+# decorate of snd(6, 3) and reports its stdout, with numpy imported first
+# when argv[3] is "numpy-first".
 DRIVER = r"""
 import json, os, sys
 if sys.argv[3:] == ["numpy-first"]:
@@ -90,5 +90,38 @@ def test_only_the_completion_search_loads_numpy(tmp_path):
     eager = _drive(tmp_path, "decorate", "numpy-first")
     assert [s["exit"] for s in lazy] == [0, 0]
     assert not lazy[0]["numpy"] and lazy[1]["numpy"]
-    assert "decoration found via completion" in lazy[1]["stdout"]
+    assert "decoration found via sign search" in lazy[1]["stdout"]
     assert lazy[1]["stdout"] == eager[1]["stdout"]
+
+
+# decorate of a 6-triangle Moebius band, from the library and the CLI: its
+# dual graph is bipartite, but its ridge signs conflict
+OBSTRUCTED = r"""
+import json, sys
+from click.testing import CliRunner
+from virodecor import SimplicialComplex, decorate
+from virodecor.cli import main
+
+K = SimplicialComplex.from_facets(2, 6, [
+    (1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (3, 4, 6), (1, 4, 6)])
+with open("K.json", "w") as f:
+    f.write(K.to_json())
+outcome = decorate(K)
+result = CliRunner().invoke(main, ["decorate", "--complex", "K.json"])
+print(json.dumps({"method": outcome.method,
+                  "diagnostics": outcome.diagnostics,
+                  "exit": result.exit_code, "stdout": result.stdout,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_ridge_sign_conflict_is_reported_without_numpy(tmp_path):
+    out = json.loads(_python("-c", OBSTRUCTED, cwd=tmp_path))
+    diagnostics = {"reason": "ridge signs conflict between adjacent facets",
+                   "facets": [[2, 3, 5], [3, 5, 6]]}
+    assert out["method"] == "none"
+    assert out["diagnostics"] == diagnostics
+    assert out["exit"] == 1
+    assert json.loads(out["stdout"]) == {"found": False,
+                                         "diagnostics": diagnostics}
+    assert not out["numpy"]

@@ -27,9 +27,13 @@ from virodecor.complexes import (
     simplex_signs,
     total_normalized_volume,
 )
+from virodecor.exactlinalg import determinant
 from virodecor.families import (
+    Poset,
+    cross_polytope_triangulation,
     cyclic_minimal_triangulation,
     cyclic_points,
+    order_polytope_triangulation,
     snd_subcomplex,
 )
 
@@ -288,7 +292,7 @@ def test_dual_graph_is_built_once_and_read_only(monkeypatch, tmp_path):
 
     K = snd_subcomplex(13, 5)
     outcome = completion.decorate(K, restarts=1)
-    assert outcome.method == "none"
+    assert outcome.method == "sign search"
     assert len(builds) == 2 and builds[1] is K
 
     G = dual_graph(K)
@@ -360,6 +364,64 @@ def test_exact_decoration_snd115():
     assert len(f.complex.facets) == 38
     ok, failing = is_positively_decorated(f.complex, f.coefficients)
     assert ok and failing == []
+
+
+def ridge_signs_match(K, C):
+    """chi_tau * sign det C_tau is one nonzero sign on every facet and
+    across every dual edge: the propagated targets are the signs of C's
+    ridge minors up to one sign per component."""
+    targets, conflict = completion.ridge_signs(K)
+    assert conflict is None
+
+    def ratio(tau):
+        det = determinant(C.submatrix_columns([v - 1 for v in tau]))
+        return targets[tau] * ((det > 0) - (det < 0))
+
+    ratios = [{ratio(tau) for tau in combinations(f, K.dimension)}
+              for f in K.facets]
+    return (all(r in ({1}, {-1}) for r in ratios)
+            and all(ratios[a] == ratios[b] for a, b in dual_graph(K).edges))
+
+
+def _stored(fixture):
+    f = fixture()
+    return f.complex, f.coefficients
+
+
+def _family_coloring(fam):
+    K = fam.complex
+    return K, decoration_from_coloring(fam.coloring, K.n_vertices,
+                                       K.dimension)
+
+
+def _sign_search(K):
+    return K, completion.decorate(K, restarts=3, seed=0).decoration
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _stored(catalog.snd63_fixture),
+    lambda: _stored(catalog.snd115_fixture),
+    *(lambda d=d: _family_coloring(cross_polytope_triangulation(d))
+      for d in range(2, 6)),
+    lambda: _family_coloring(order_polytope_triangulation(
+        Poset.from_relations(3, [(1, 2)]))),
+    lambda: _sign_search(snd_subcomplex(8, 5)),
+], ids=["snd-6-3", "snd-11-5", "cross-2", "cross-3", "cross-4", "cross-5",
+        "prism", "snd-8-5-sign-search"])
+def test_ridge_signs_agree_with_decorations(case):
+    assert ridge_signs_match(*case())
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_up_to_dim_4())
+@example(RIDGE_IN_THREE)
+@example(THREE_TRIANGLES)
+def test_ridge_signs_agree_with_balanced_colorings(K):
+    coloring = balanced_coloring(K)
+    if K.dimension == 0 or coloring is None:    # no d x n matrix for d = 0
+        return
+    assert ridge_signs_match(
+        K, decoration_from_coloring(coloring, K.n_vertices, K.dimension))
 
 
 def test_decoration_failure_reports_all_facets():
