@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from operator import lt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactlinalg import (
+    Elimination,
     RationalMatrix,
     common_integer_rows,
-    determinant_of_rows,
+    eliminate_prefixes,
     format_rational,
     integer_rows,
-    is_oriented_rows,
     parse_rational,
 )
 
@@ -144,6 +144,12 @@ class PointConfiguration:
         rows = [[Fraction(1)] * len(cols)]
         rows += [[c[i] for c in cols] for i in range(self.dimension)]
         return RationalMatrix(rows)
+
+    def require_vertices(self, K: SimplicialComplex) -> None:
+        """Raise ValueError unless every vertex of K has a point."""
+        if K.n_vertices > self.n_points:
+            raise ValueError(f"the complex has {K.n_vertices} vertices but "
+                             f"the configuration has {self.n_points} points")
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,38 +378,58 @@ def is_positively_decorated(
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Check every facet submatrix of C for orientation.
 
-    Returns (verdict, failing facets); the report lists all failures, not
-    just the first one.
+    Returns (verdict, failing facets in the order of K.facets); the report
+    lists all failures, not just the first one.
 
     Each column of C is scaled to integers once, by its own lcm.  A facet
     slice C_tau with columns scaled by a positive diagonal L has the kernel
     L^-1 v for each kernel vector v of C_tau, so its orientation is kept.
+    One walk over the facets' prefix trie pivots on each facet's first d
+    columns, sharing the pivots of common prefixes.  The last column x,
+    read in the pivot rows, then spans the kernel as v[last] = D and
+    v[pivot_i] = -x_i, so the facet is oriented iff every x_i * D < 0.
+    A facet whose first d columns are dependent has a zero minor and fails.
     """
     if C.cols < K.n_vertices:
         raise ValueError("coefficient matrix has fewer columns than vertices")
     if C.rows != K.dimension:
         raise ValueError("coefficient matrix row count must equal dimension")
     columns, _ = integer_rows(zip(*C.to_lists()))
-    failing = []
-    for facet in K.facets:
-        if not is_oriented_rows(list(zip(*(columns[v - 1] for v in facet)))):
-            failing.append(facet)
+    oriented = eliminate_prefixes(columns, K.facets, K.dimension,
+                                  K.dimension, _oriented)
+    failing = [facet for facet, ok in zip(K.facets, oriented) if not ok]
     return (not failing, failing)
 
 
+def _oriented(facet: Sequence[int], e: Elimination) -> bool:
+    return all(e.entry(facet[-1], r) * e.D < 0 for r in e.rows)
+
+
 def _lifted_determinants(
-    A: PointConfiguration, facets: Iterable[Sequence[int]]
-) -> tuple[int, Iterator[int]]:
-    """P^d and, lazily, P^d times the lifted determinant of each facet.
+    A: PointConfiguration, facets: Sequence[Sequence[int]]
+) -> tuple[int, list[int]]:
+    """P^d and P^d times the lifted determinant of each facet.
 
     The points are scaled to integers by one common denominator P, which
     multiplies every lifted determinant by P^d > 0: its sign is kept and
-    dividing by P^d restores it exactly.
+    dividing by P^d restores it exactly.  One walk over the facets'
+    prefix trie pivots on all d+1 lifted columns (1, a_v); the
+    determinant is sign times the last pivot, and 0 where a column finds
+    no pivot.
     """
     points, P = common_integer_rows(A.points)
-    lifted = [(1, *p) for p in points]    # the transposed lifted matrix
-    return P ** A.dimension, (determinant_of_rows([lifted[v - 1] for v in f])
-                              for f in facets)
+    lifted = [(1, *p) for p in points]
+    return P ** A.dimension, _determinants(lifted, facets)
+
+
+def _determinants(vectors: list[Sequence[int]],
+                  facets: Sequence[Sequence[int]]) -> list[int]:
+    """det [vectors[v - 1] for v in facet] of each facet."""
+    m = len(vectors[0])
+    if any(len(f) != m for f in facets):
+        raise ValueError("determinant requires a square matrix")
+    dets = eliminate_prefixes(vectors, facets, m, m, lambda _, e: e.sign * e.D)
+    return [0 if det is None else det for det in dets]
 
 
 def simplex_signs(
@@ -414,14 +440,15 @@ def simplex_signs(
     For a positively decorated complex, adjacent facets receive opposite
     signs.
     """
+    A.require_vertices(K)
     _, dets_a = _lifted_determinants(A, K.facets)
     # the lifted columns (1, c_v), each scaled by its own positive lcm
     lifted_c, _ = integer_rows((1, *col) for col in zip(*C.to_lists()))
+    dets_c = _determinants(lifted_c, K.facets)
     signs = {}
-    for facet, det_a in zip(K.facets, dets_a):
+    for facet, det_a, det_c in zip(K.facets, dets_a, dets_c):
         if det_a == 0:
             raise ValueError(f"degenerate facet {facet}: lifted matrix singular")
-        det_c = determinant_of_rows([lifted_c[v - 1] for v in facet])
         if det_c == 0:
             raise ValueError(f"facet {facet} is not decorated (singular lift)")
         signs[facet] = 1 if (det_a > 0) == (det_c > 0) else -1
@@ -430,17 +457,19 @@ def simplex_signs(
 
 def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
     """|det| of the lifted facet matrix: Euclidean volume times d!."""
-    scale, dets = _lifted_determinants(A, [facet])
-    return Fraction(abs(next(dets)), scale)
+    scale, (det,) = _lifted_determinants(A, [facet])
+    return Fraction(abs(det), scale)
 
 
 def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:
+    A.require_vertices(K)
     scale, dets = _lifted_determinants(A, K.facets)
     return all(abs(det) == scale for det in dets)
 
 
 def total_normalized_volume(K: SimplicialComplex,
                             A: PointConfiguration) -> Fraction:
+    A.require_vertices(K)
     scale, dets = _lifted_determinants(A, K.facets)
     return Fraction(sum(map(abs, dets)), scale)
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+
+
+T = TypeVar("T")
 
 
 class RankDeficiencyError(ValueError):
@@ -126,8 +129,10 @@ def parse_rational(s: str) -> Fraction:
 # -- core elimination ------------------------------------------------------
 #
 # Callers that test many facets scale their rational input to integers once
-# per call, by positive factors that leave the sign of every minor unchanged,
-# and run one elimination per facet on integer slices.
+# per call, by positive factors that leave the sign of every minor unchanged.
+# Then one walk over the facets' prefix trie (eliminate_prefixes) pivots on
+# each shared vertex prefix once, not once per facet.  It and eliminate
+# take every pivot through the one fraction-free step below.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -152,57 +157,187 @@ def common_integer_rows(
             for row in rows], P
 
 
-def eliminate(
-    a: list[Sequence[int]],
-) -> tuple[list[Sequence[int]], list[int], int, int]:
+# A column in elimination is a pair (y, t) that stands for the exact
+# column y * D / t, D being the last pivot so far.  A pivot that finds a
+# zero in a column's pivot row only rescales it by pv / prev; keeping that
+# scale in t, instead of multiplying every entry, is what lets a column
+# that no pivot touches cost nothing.
+Column = tuple[Sequence[int], int]
+
+
+def _exact(column: Column, D: int) -> Sequence[int]:
+    """The exact column that the pair stands for when D is the last pivot."""
+    y, t = column
+    return y if t == D else [a * D // t for a in y]
+
+
+def _bareiss_step(columns: Iterable[Column], r: int, x: Sequence[int],
+                  prev: int) -> list[Column]:
+    """One fraction-free (Bareiss) pivot on entry r of the exact column x.
+
+    prev is the last pivot so far (1 before the first) and pv = x[r] the
+    new one.  A column (y, t) with f = y[r] != 0 becomes exact at scale
+    pv: entry i != r is (pv * y[i] - f * x[i]) // t, which is the exact
+    (pv * Y[i] - F * x[i]) // prev of its exact values Y = y * prev / t,
+    F = f * prev / t, and entry r, the pivot row's, keeps its exact value
+    F.  A column with f = 0 is left as it is, which now means y * pv / t.
+    Every division is exact because each result is a minor of the input.
+    Columns are replaced, never mutated, so callers may share them.
+    """
+    pv = x[r]
+    out = []
+    for column in columns:
+        y, t = column
+        f = y[r]
+        if f:
+            z = [(pv * a - f * b) // t for a, b in zip(y, x)]
+            z[r] = f * prev // t
+            column = (z, pv)
+        out.append(column)
+    return out
+
+
+def _pivot_position(x: Sequence[int], free: Sequence[int]) -> int | None:
+    """Position in free of the first row where x is nonzero, if any."""
+    for p, i in enumerate(free):
+        if x[i]:
+            return p
+    return None
+
+
+class Elimination(NamedTuple):
+    """A fraction-free Gauss-Jordan elimination after some pivots.
+
+    Read in the pivot rows, a column is D times its coordinates in the
+    pivoted columns: the reduced row echelon form times D.  For a square
+    matrix of full rank, the determinant is sign * D.
+    """
+
+    D: int                    # the last pivot
+    sign: int                 # of the order of the pivot rows
+    rows: tuple[int, ...]     # the pivot row of each pivot, in turn
+    columns: Mapping[int, Column] | Sequence[Column]
+
+    def entry(self, j: int, i: int) -> int:
+        """Entry i of reduced column j."""
+        y, t = self.columns[j]
+        return y[i] * self.D // t
+
+
+def eliminate(a: Sequence[Sequence[int]]) -> tuple[Elimination, list[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
 
-    Returns (rows, pivot columns, D, sign).  The first len(pivots) rows are
-    D times the reduced row echelon form, the rest are zero.  D is the last
-    pivot: for a square matrix of full rank it is sign * det(a), where sign
-    is that of the row permutation.  Every division is exact because each
-    entry stays a minor of the input.  The list a is reordered and its rows
-    replaced in place, but no row is mutated, so callers may pass rows
-    (tuples included) that they share between calls.
+    Returns the elimination, its columns indexed as in a, and the pivoted
+    columns.  Each column's pivot is its first nonzero entry among the
+    rows not yet pivoted on; a column with none is passed over.  No row
+    moves: the pivot rows are listed instead, and sign is the sign of
+    that order.  The input is not changed.
     """
+    columns = [(y, 1) for y in zip(*a)]
+    free = list(range(len(a)))   # rows not yet pivoted on, increasing
     pivots: list[int] = []
+    rows: list[int] = []         # the pivot row of each pivot
     prev, sign = 1, 1
-    for c in range(len(a[0])):
-        r = len(pivots)
-        if r == len(a):
+    for c in range(len(columns)):
+        if not free:
             break
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        p = _pivot_position(columns[c][0], free)
         if p is None:
             continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
+        r = free.pop(p)
+        if p % 2:   # r moves ahead of p free rows
             sign = -sign
-        pr, pv = a[r], a[r][c]
-        for i in range(len(a)):
-            if i == r:
-                continue
-            f = a[i][c]
-            if f:
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], pr)]
-            elif pv != prev:
-                a[i] = [pv * x // prev for x in a[i]]
+        x = _exact(columns[c], prev)
+        # a column left of c is zero in every row still free, r included
+        columns[c:] = _bareiss_step(columns[c:], r, x, prev)
+        prev = x[r]
         pivots.append(c)
-        prev = pv
-    return a, pivots, prev, sign
+        rows.append(r)
+    return Elimination(prev, sign, tuple(rows), columns), pivots
 
 
-def determinant_of_rows(a: list[Sequence[int]]) -> int:
-    """Determinant of a square matrix of integer rows."""
-    if len(a[0]) != len(a):
-        raise ValueError("determinant requires a square matrix")
-    _, pivots, D, sign = eliminate(a)
-    return sign * D if len(pivots) == len(a) else 0
+def eliminate_prefixes(
+    vectors: Sequence[Sequence[int]],
+    facets: Sequence[Sequence[int]],
+    depth: int,
+    pivot_rows: int,
+    read: Callable[[Sequence[int], Elimination], T],
+    carry_all: bool = False,
+) -> list[T | None]:
+    """Eliminate each facet's matrix of columns [vectors[v - 1] for v in
+    facet], all facets in one walk; read(facet, state) for each facet, in
+    order.
+
+    The first depth columns of a facet are pivoted on in turn, each in
+    the first of the rows 0..pivot_rows-1 not yet pivoted on where it is
+    nonzero.  Facets with a common prefix share its pivots: a depth-first
+    walk over the prefix trie of the sorted facets runs one pivot step per
+    trie node and hands the reduced columns to its children.  By Bareiss
+    (1968), after k pivots every entry is a minor of the first k columns
+    and one more, so the shared state is each facet's own.  A node
+    carries the columns that some facet below it still uses, or with
+    carry_all every column outside its prefix, in increasing vertex
+    order.  No row moves; the pivot rows are listed instead, and sign is
+    the sign of that order, so for a square matrix the determinant is
+    sign * D.  A column with no pivot makes the prefix's columns
+    dependent, and every facet below it reads None.  Each state is read
+    when the walk reaches it and not kept.
+    """
+    n = len(vectors)
+    for facet in facets:
+        if len(facet) < depth:
+            raise ValueError(f"facet {tuple(facet)} has fewer than {depth} "
+                             f"vertices")
+        for v in facet:
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
+                                 f"range 1..{n}")
+    out: list[T | None] = [None] * len(facets)
+    order = sorted(range(len(facets)), key=lambda i: tuple(facets[i]))
+
+    def visit(columns, prev, sign, free, rows, lo, hi, k):
+        if k == depth:
+            state = Elimination(prev, sign, rows, columns)
+            for i in order[lo:hi]:
+                out[i] = read(facets[i], state)
+            return
+        while lo < hi:
+            v = facets[order[lo]][k]
+            mid = lo + 1
+            while mid < hi and facets[order[mid]][k] == v:
+                mid += 1
+            x = columns[v][0]
+            p = _pivot_position(x, free)
+            if p is not None:
+                if carry_all:
+                    keep = [w for w in columns if w != v]
+                else:
+                    need = set()
+                    for i in order[lo:mid]:
+                        need.update(facets[i][k + 1:])
+                    keep = sorted(need)
+                r = free[p]
+                x = _exact(columns[v], prev)
+                reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
+                visit(dict(zip(keep, reduced)), x[r],
+                      -sign if p % 2 else sign, free[:p] + free[p + 1:],
+                      rows + (r,), lo, mid, k + 1)
+            lo = mid
+
+    vertices = (range(1, n + 1) if carry_all
+                else sorted({v for facet in facets for v in facet}))
+    visit({v: (vectors[v - 1], 1) for v in vertices}, 1, 1,
+          list(range(pivot_rows)), (), 0, len(facets), 0)
+    return out
 
 
 def determinant(M: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant requires a square matrix")
     a, scale = integer_rows(M.to_lists())
-    return Fraction(determinant_of_rows(a), scale)
+    e, pivots = eliminate(a)
+    return Fraction(e.sign * e.D if len(pivots) == M.rows else 0, scale)
 
 
 def rank(M: RationalMatrix) -> int:
@@ -218,10 +353,10 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("shape mismatch in solve")
     a, _ = integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
-    a, pivots, D, _ = eliminate(a)
+    e, pivots = eliminate(a)
     if pivots[:n] != list(range(n)):
         raise RankDeficiencyError("singular matrix in solve")
-    return tuple(Fraction(a[i][n], D) for i in range(n))
+    return tuple(Fraction(e.entry(n, r), e.D) for r in e.rows)
 
 
 # -- oriented-matrix operations -------------------------------------------
@@ -243,14 +378,14 @@ def _kernel_line(a: list[Sequence[int]]) -> list[int] | None:
     d = len(a)
     if len(a[0]) != d + 1:
         raise ValueError("expected shape d x (d+1)")
-    a, pivots, D, _ = eliminate(a)
+    e, pivots = eliminate(a)
     if len(pivots) < d:
         return None
     free = next(c for c in range(d + 1) if c not in pivots)
     v = [0] * (d + 1)
-    v[free] = D
-    for row, pc in zip(a, pivots):
-        v[pc] = -row[free]
+    v[free] = e.D
+    for c, r in zip(pivots, e.rows):
+        v[c] = -e.entry(free, r)
     return v
 
 
@@ -258,21 +393,10 @@ def _one_signed(v: list[int]) -> bool:
     return all(x * v[0] > 0 for x in v)
 
 
-def is_oriented_rows(a: list[Sequence[int]]) -> bool:
-    """is_oriented for d integer rows of length d+1.
-
-    Scaling a row or a column by a positive number keeps the answer: a row
-    scale multiplies every maximal minor by it, and a column scale divides
-    one coordinate of the kernel line by it.  So a rational matrix scaled
-    to integers either way may be passed here.
-    """
-    v = _kernel_line(a)
-    return v is not None and _one_signed(v)
-
-
 def is_oriented(M: RationalMatrix) -> bool:
     """True iff all signed minors (-1)^i * minor(M, i) are nonzero of one sign."""
-    return is_oriented_rows(integer_rows(M.to_lists())[0])
+    v = _kernel_line(integer_rows(M.to_lists())[0])
+    return v is not None and _one_signed(v)
 
 
 def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
@@ -296,7 +420,7 @@ def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
     Returns None when the left kernel is trivial (full row rank).
     """
     # kernel of M^T: reduce M^T, read the free-variable basis
-    a, pivots, D, _ = eliminate(integer_rows(M.transpose().to_lists())[0])
+    e, pivots = eliminate(integer_rows(M.transpose().to_lists())[0])
     free = [c for c in range(M.rows) if c not in pivots]
     if not free:
         return None
@@ -304,7 +428,7 @@ def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
     for fc in free:
         vec = [Fraction(0)] * M.rows
         vec[fc] = Fraction(1)
-        for row, pc in zip(a, pivots):
-            vec[pc] = Fraction(-row[fc], D)
+        for pc, r in zip(pivots, e.rows):
+            vec[pc] = Fraction(-e.entry(fc, r), e.D)
         basis.append(vec)
     return RationalMatrix(basis)

@@ -13,16 +13,18 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 import mpmath as mp
 
 from .complexes import PointConfiguration, SimplicialComplex
 from .exactlinalg import (
+    Elimination,
     RationalMatrix,
     RankDeficiencyError,
+    common_integer_rows,
     eliminate,
+    eliminate_prefixes,
     format_rational,
     integer_rows,
     parse_rational,
@@ -138,41 +140,45 @@ class RegularityReport:
     violations: list[tuple[tuple[int, ...], int]]  # (facet, 1-based point)
 
 
-def _lifted_integer_rows(A: PointConfiguration, heights: Sequence[Fraction],
-                        vertices: Sequence[int]) -> list[list[int]]:
-    """Rows (1, a_v, h_v) for the given 1-based vertices, in integers.
-
-    Each row is scaled by its own positive lcm L_v.  Scaling an equation
-    of the support's system leaves its solution unchanged, and multiplies
-    the hull gap read off row v by L_v > 0.
-    """
-    return integer_rows((1, *A.points[v - 1], Fraction(heights[v - 1]))
-                        for v in vertices)[0]
-
-
-def _affine_support(rows: list[list[int]],
-                    facet: Sequence[int]) -> tuple[list[int], int]:
-    """Numerators and denominator D > 0 of the support through a facet.
-
-    rows holds the facet's lifted integer rows; the support
-    x -> (coef_0 + sum_k coef_k x_k) / D matches h on the facet.
-    """
-    n = len(rows)
-    if len(rows[0]) != n + 1:
-        raise ValueError(f"facet {tuple(facet)} does not have "
-                         f"{len(rows[0]) - 1} vertices")
-    a, pivots, D, _ = eliminate(rows)
-    if pivots != list(range(n)):
-        raise RankDeficiencyError(f"facet {tuple(facet)} is affinely degenerate")
-    coef = [row[n] for row in a]
-    return (coef, D) if D > 0 else ([-c for c in coef], -D)
+def _require_heights(A: PointConfiguration, heights: Sequence) -> None:
+    if len(heights) != A.n_points:
+        raise ValueError(f"{len(heights)} heights for {A.n_points} points")
 
 
 def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
                          facet: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact affine function (offset, gradient) matching the lift on a facet."""
-    coef, D = _affine_support(_lifted_integer_rows(A, heights, facet), facet)
-    return Fraction(coef[0], D), tuple(Fraction(c, D) for c in coef[1:])
+    """Exact affine function (offset, gradient) matching the lift on a facet.
+
+    The support solves one equation per vertex v, with the row
+    (1, a_v, h_v).  Each row is scaled to integers by its own lcm, which
+    leaves the solution unchanged, and one elimination gives it.
+    """
+    n = len(facet)
+    _require_heights(A, heights)
+    for v in facet:
+        if not 1 <= v <= A.n_points:
+            raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
+                             f"range 1..{A.n_points}")
+    if A.dimension + 1 != n:
+        raise ValueError(f"facet {tuple(facet)} does not have "
+                         f"{A.dimension + 1} vertices")
+    rows, _ = integer_rows((1, *A.points[v - 1], Fraction(heights[v - 1]))
+                           for v in facet)
+    e, pivots = eliminate(rows)
+    if pivots != list(range(n)):
+        raise RankDeficiencyError(f"facet {tuple(facet)} is affinely degenerate")
+    offset, *gradient = (Fraction(e.entry(n, r), e.D) for r in e.rows)
+    return offset, tuple(gradient)
+
+
+def _gap_signs(facet: Sequence[int],
+               e: Elimination) -> list[tuple[int, int]]:
+    """(p, sign of the hull gap at p) for every point p outside the facet."""
+    out = []
+    for p in e.columns:
+        gap = e.entry(p, -1) * e.D
+        out.append((p, (gap > 0) - (gap < 0)))
+    return out
 
 
 def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
@@ -187,27 +193,35 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     Ties and mixed senses are reported as violations: they mean the height
     induces a coarser or a different subdivision than the given complex.
 
-    The rows (1, a_p, h_p) are scaled to integers once per call, each by
-    its own lcm L_p.  With the support's numerators coef and denominator
-    D, the gap at p times L_p * D > 0 is the dot product of p's integer
-    row with (-coef, D), so every sign is decided in integers.
+    The columns (1, a_p, h_p) are scaled to integers once per call, the
+    coordinates by their common denominator P and the heights by theirs,
+    H.  One walk over the facets' prefix trie pivots on each facet's d+1
+    columns in the rows (1, a) only, never in the height row, and
+    carries every column outside the prefix.  With N the facet's lifted
+    matrix, the height-row entry E_p of an outside point p is then
+    sigma * det [N, (1, a_p); h, h_p] and the last pivot D is
+    sigma * det N, for one row-order sign sigma, both scaled by P^d and E_p
+    also by H.  The gap at p is det [N, (1, a_p); h, h_p] / det N, so it
+    has the sign of E_p * D.  A facet whose (1, a) columns find no pivot
+    is affinely degenerate.  Violations follow the order of K.facets, and
+    within a facet the order of the points.
     """
-    rows = _lifted_integer_rows(A, heights, range(1, A.n_points + 1))
+    n, d = A.n_points, A.dimension
+    A.require_vertices(K)
+    _require_heights(A, heights)
+    if K.facets and len(K.facets[0]) != d + 1:
+        raise ValueError(f"facet {K.facets[0]} does not have {d + 1} vertices")
+    points, _ = common_integer_rows(A.points)
+    (lift,), _ = common_integer_rows([[Fraction(h) for h in heights]])
+    columns = [(1, *a, h) for a, h in zip(points, lift)]
     above, below, ties = [], [], []
-    for facet in K.facets:
-        coef, D = _affine_support([rows[v - 1] for v in facet], facet)
-        weights = [-c for c in coef] + [D]
-        members = set(facet)
-        for p in range(1, A.n_points + 1):
-            if p in members:
-                continue
-            gap = sum(map(mul, rows[p - 1], weights))
-            if gap > 0:
-                above.append((facet, p))
-            elif gap < 0:
-                below.append((facet, p))
-            else:
-                ties.append((facet, p))
+    for facet, gaps in zip(K.facets, eliminate_prefixes(
+            columns, K.facets, d + 1, d + 1, _gap_signs, carry_all=True)):
+        if gaps is None:
+            raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
+        for p, gap in gaps:
+            (above if gap > 0 else below if gap < 0 else ties).append(
+                (facet, p))
     if ties:
         return RegularityReport(False, None, ties)
     if above and below:

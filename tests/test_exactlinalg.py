@@ -11,6 +11,7 @@ from virodecor.exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
     determinant,
+    eliminate_prefixes,
     format_rational,
     is_oriented,
     left_kernel_basis,
@@ -126,6 +127,37 @@ def test_solve_rejects_rhs_of_wrong_length(rhs):
     with pytest.raises(ValueError, match="shape mismatch in solve") as info:
         solve(RationalMatrix([[1, 0], [0, 1]]), rhs)
     assert not isinstance(info.value, RankDeficiencyError)
+
+
+@st.composite
+def vectors_and_facets(draw):
+    """n integer vectors of length m and up to 12 facets of m labels each,
+    in any order and with repeats, over so few labels that they share
+    prefixes."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, m + 2))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m,
+                                     max_size=m), min_size=n, max_size=n))
+    facets = draw(st.lists(st.lists(st.integers(1, n), min_size=m,
+                                    max_size=m).map(tuple),
+                           min_size=1, max_size=12))
+    return vectors, facets
+
+
+@given(vectors_and_facets())
+@settings(max_examples=200, deadline=None)
+def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
+    """sign * D of the walk is each facet's determinant, None where it is
+    zero; facets that share a prefix share its pivots."""
+    vectors, facets = inputs
+    m = len(vectors[0])
+    dets = eliminate_prefixes(vectors, facets, m, m, lambda _, e: e.sign * e.D)
+    for facet, det in zip(facets, dets):
+        M = RationalMatrix([[vectors[v - 1][i] for v in facet]
+                            for i in range(m)])
+        expected = determinant_cofactor(M)
+        assert (det is None) == (expected == 0)
+        assert det is None or det == expected
 
 
 # -- orientation -----------------------------------------------------------

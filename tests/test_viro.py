@@ -235,15 +235,44 @@ def lifted_complexes(draw):
             SimplicialComplex.from_facets(d, n, facets), C)
 
 
-@given(lifted_complexes())
-@settings(max_examples=300, deadline=None)
-def test_integer_path_matches_fraction_oracles(inputs):
-    A, heights, K, C = inputs
+@st.composite
+def shared_prefix_complexes(draw):
+    """(A, heights, K, C) with d up to 5 and up to 16 facets over at most
+    d + 3 vertices, so that facets share long vertex prefixes, and small
+    integer points and zero-heavy columns, so that some shared prefixes
+    are dependent.  K.facets keeps the drawn order, not the
+    lexicographic one."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 1, d + 3))
+    small = st.integers(-1, 1).map(Fraction)
+    points = draw(st.lists(st.tuples(*[st.one_of(small, coords)] * d),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        heights = draw(st.lists(zero_heavy, min_size=n, max_size=n))
+    else:
+        a = draw(st.sampled_from([Fraction(-2, 3), Fraction(5, 7)]))
+        heights = [a * sum(x * x for x in p) for p in points]
+    facets = draw(st.lists(st.sampled_from(
+        list(combinations(range(1, n + 1), d + 1))), min_size=1, max_size=16,
+        unique=True))
+    C = RationalMatrix(draw(st.lists(st.lists(
+        st.one_of(small, zero_heavy), min_size=n, max_size=n),
+        min_size=d, max_size=d)))
+    return (PointConfiguration.from_rows(points), heights,
+            SimplicialComplex(d, n, tuple(facets)), C)
+
+
+def assert_matches_fraction_oracles(A, heights, K, C):
+    """Every per-facet check against its per-facet Fraction oracle, with
+    reports and errors in the order of K.facets."""
     ours, oracle = (outcome(regularity_check, A, heights, K),
                     outcome(regularity_by_fraction_gaps, A, heights, K))
     if isinstance(oracle, tuple):
-        # the oracle's solve cannot name the facet; the type must agree
-        assert ours[0] is oracle[0] is RankDeficiencyError
+        # the oracle's solve cannot name the facet: ours names the first
+        # degenerate facet of K
+        first = next(f for f in K.facets if volume_by_determinant(A, f) == 0)
+        assert ours == (RankDeficiencyError,
+                        f"facet {first} is affinely degenerate")
     else:
         assert ours == oracle
     for facet in K.facets:
@@ -258,8 +287,88 @@ def test_integer_path_matches_fraction_oracles(inputs):
                if not oriented_by_minors(C.submatrix_columns(
                    [v - 1 for v in f]))]
     assert is_positively_decorated(K, C) == (not failing, failing)
-    assert outcome(simplex_signs, K, A, C) == outcome(
-        simplex_signs_by_determinant, K, A, C)
+    ours = outcome(simplex_signs, K, A, C)
+    oracle = outcome(simplex_signs_by_determinant, K, A, C)
+    assert ours == oracle
+    if isinstance(ours, dict):
+        assert list(ours) == list(oracle)
+
+
+@given(lifted_complexes())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_fraction_oracles(inputs):
+    assert_matches_fraction_oracles(*inputs)
+
+
+@given(shared_prefix_complexes())
+@settings(max_examples=200, deadline=None)
+def test_shared_prefixes_match_fraction_oracles(inputs):
+    assert_matches_fraction_oracles(*inputs)
+
+
+# (1, 2, 3) and (1, 4, 5) are collinear; K lists (1, 4, 5) first and is not
+# in lexicographic order
+LINE_POINTS = PointConfiguration.from_rows(
+    [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
+UNSORTED = SimplicialComplex(2, 5, ((2, 3, 4), (1, 4, 5), (1, 2, 4),
+                                    (1, 2, 3)))
+# colours 0, 1, 0, 2, 0: only (2, 3, 4) and (1, 2, 4) are rainbow
+RAINBOW_TWO = decoration_from_coloring({1: 0, 2: 1, 3: 0, 4: 2, 5: 0}, 5, 2)
+
+
+def test_degenerate_facets_are_reported_in_complex_order():
+    with pytest.raises(RankDeficiencyError,
+                       match=r"^facet \(1, 4, 5\) is affinely degenerate$"):
+        regularity_check(LINE_POINTS, [0, 1, 4, 1, 4], UNSORTED)
+    assert not is_unimodular(UNSORTED, LINE_POINTS)
+    assert [normalized_volume(LINE_POINTS, f) for f in UNSORTED.facets] \
+        == [1, 0, 1, 0]
+    with pytest.raises(ValueError, match=r"degenerate facet \(1, 4, 5\)"):
+        simplex_signs(UNSORTED, LINE_POINTS, RAINBOW_TWO)
+
+
+def test_failing_facets_follow_complex_order():
+    assert is_positively_decorated(UNSORTED, RAINBOW_TWO) == (
+        False, [(1, 4, 5), (1, 2, 3)])
+
+
+def test_violations_follow_complex_order():
+    K = SimplicialComplex(2, 5, ((2, 3, 4), (1, 2, 4)))
+    report = regularity_check(LINE_POINTS, [0] * 5, K)
+    assert report == RegularityReport(False, None, [
+        ((2, 3, 4), 1), ((2, 3, 4), 5), ((1, 2, 4), 3), ((1, 2, 4), 5)])
+    assert report == regularity_by_fraction_gaps(LINE_POINTS, [0] * 5, K)
+
+
+@pytest.mark.parametrize("facet", [(0, 1, 2), (1, 2, 5), (-1, 2, 3)])
+def test_vertex_labels_out_of_range_are_refused(facet):
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1), (5, 5)])
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        normalized_volume(A, facet)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        facet_affine_support(A, [0, 1, 1, 3], facet)
+
+
+def test_complex_with_more_vertices_than_points_is_refused():
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
+    K = SimplicialComplex.from_facets(2, 4, [(1, 2, 3), (2, 3, 4)])
+    message = "the complex has 4 vertices but the configuration has 3 points"
+    for check in (is_unimodular, total_normalized_volume):
+        with pytest.raises(ValueError, match=message):
+            check(K, A)
+    with pytest.raises(ValueError, match=message):
+        regularity_check(A, [0, 1, 1], K)
+
+
+@pytest.mark.parametrize("heights", [[0, 1], [0, 1, 1, 2]])
+def test_a_height_count_other_than_the_points_is_refused(heights):
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
+    K = SimplicialComplex.from_facets(2, 3, [(1, 2, 3)])
+    message = f"^{len(heights)} heights for 3 points$"
+    with pytest.raises(ValueError, match=message):
+        regularity_check(A, heights, K)
+    with pytest.raises(ValueError, match=message):
+        facet_affine_support(A, heights, (1, 2, 3))
 
 
 # -- truncated solutions ---------------------------------------------------
