@@ -316,9 +316,9 @@ def count(system_path, complex_path, t_str, expect, fmt):
     bits = _precision()
     try:
         t = parse_rational(t_str)
-        if t <= 0:
-            raise ValueError
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
+        _fail_usage(f"invalid t: {t_str!r}: {exc}")
+    if t <= 0:
         _fail_usage(f"invalid t: {t_str!r}")
     S = _load(system_path, ViroSystem.from_json, "system")
     K = _load_complex(complex_path)

@@ -10,6 +10,8 @@ the rest of the package.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
@@ -123,7 +125,28 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """Fraction(s), refused when its numerator or denominator has more
+    digits than Python will write back out (sys.get_int_max_str_digits(),
+    where 0 means no limit): such a value could be read but never
+    printed, so it fails here, before any work."""
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(s, str) and ("e" in s or "E" in s):
+        # a decimal exponent e moves the value at least |e| - len(s)
+        # digits away from 1; checked first, so that 10^|e| is never built
+        exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", s)
+        if exponent and abs(int(exponent[1])) > limit + len(s):
+            raise _too_long(s, limit)
+    x = Fraction(s)
+    big = max(abs(x.numerator), x.denominator)
+    # 2^(3 * limit) < 10^limit, so a shorter value needs no exact test
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise _too_long(s, limit)
+    return x
+
+
+def _too_long(s, limit: int) -> ValueError:
+    return ValueError(f"rational {s!r} has more than {limit} digits in its "
+                      f"numerator or denominator")
 
 
 # -- core elimination ------------------------------------------------------

@@ -4,10 +4,19 @@ Points live as u = log X, so positivity is structural.  Every row is
 evaluated with its largest exponent factored out, which keeps residuals
 representable even when heights reach 10^6; an evaluation takes one exp
 per monomial and one per row, and accumulates each residual and each
-Jacobian entry exactly (fsum, fdot) before rounding it once.  Newton
+Jacobian entry exactly (fsum, dot) before rounding it once.  Newton
 evaluates each iterate once, and forms the Jacobian from the weights of
 that evaluation only for the iterates it accepts.  Newton's steps and
 the condition numbers are solved with the LU of `viro`, on Python lists.
+
+The evaluation, the Jacobian, the LU, Newton, the condition numbers and
+the deduplication run on raw mpmath values with the operations of
+`precision.Arithmetic`, each the libmp call its mpf operator makes, so
+every value is bit-identical to mpf-class code at every precision.
+Values become mpfs only at the public edges: `evaluate`, `jacobian`,
+`NewtonResult`, `Witness` and `condition_estimate`, which takes and
+returns mpfs.
+
 Counts produced here are floating-point certificates (residual +
 nonsingular Jacobian + pairwise separation), not interval-arithmetic
 proofs, and are flagged as such; each reports the working precision it
@@ -22,9 +31,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_shift
 
 from .complexes import SimplicialComplex
-from .precision import default_precision
+from .precision import Arithmetic, default_precision
 from .viro import (
     ViroSystem,
     _lu_factor,
@@ -39,55 +49,75 @@ DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 
 @functools.lru_cache(maxsize=1)
 def _compile(S: ViroSystem, t: Fraction, bits: int):
-    """The system at t converted to mpf once; returns a function of u.
+    """The system at t converted once; returns a function of u.
 
-    The function maps a log-point u to (residuals, scales, jacobian):
-    residual_i = f_i(exp u) / exp(scale_i), where scale_i is the row's
-    largest term exponent, and jacobian() forms the Jacobian in log
-    coordinates under the same row scaling, as a list of rows, from the
-    weights of this evaluation; a point whose Jacobian is never asked
-    for costs none.  Each call takes one exp per monomial and one per
-    row: term j of row i weighs w_ij = c_ij * exp(e_j), the residual is
-    fsum(w_i) * exp(-scale_i) and Jacobian entry (i, k) is
-    fdot(w_i, a_.k) * exp(-scale_i), so every sum is accumulated exactly
-    and rounded once.  mpf exponents are unbounded, so exp(e_j) cannot
-    overflow however large the heights.  The mpf values are rounded to
-    `bits`, so call both functions at that working precision.  Only the
-    context's + - * /, exp, fsum and fdot are used.  The last build is
-    kept: a count refines every facet of one system.
+    The function maps a log-point u, given as raw mpmath values, to
+    (residuals, scales, jacobian): residual_i = f_i(exp u) / exp(scale_i),
+    where scale_i is the row's largest term exponent, and jacobian()
+    forms the Jacobian in log coordinates under the same row scaling, as
+    a list of rows, from the weights of this evaluation; a point whose
+    Jacobian is never asked for costs none.  Each call takes one exp per
+    monomial and one per row: term j of row i weighs w_ij = c_ij *
+    exp(e_j), the residual is fsum(w_i) * exp(-scale_i) and Jacobian
+    entry (i, k) is dot(w_i, a_.k) * exp(-scale_i), so every sum is
+    accumulated exactly and rounded once.  Exponents are unbounded, so
+    exp(e_j) cannot overflow however large the heights.  Every value in
+    and out is a raw mpmath value, computed with `Arithmetic(bits)`.
+    The last build is kept: a count refines every facet of one system.
     """
+    ops = Arithmetic(bits)
+    add, mul, exp, neg = ops.add, ops.mul, ops.exp, ops.neg
+    total, fsum, dot, max_ = ops.total, ops.fsum, ops.dot, ops.max
     with mp.workprec(bits):
         lnt = log_fraction(t)
-        points = [[mpf_fraction(a) for a in p]
+        points = [[mpf_fraction(a)._mpf_ for a in p]
                   for p in S.configuration.points]
-        offsets = [mpf_fraction(h) * lnt for h in S.heights]
+        offsets = [(mpf_fraction(h) * lnt)._mpf_ for h in S.heights]
         rows = []
         for row in S.coefficients.to_lists():
             support = [j for j, c in enumerate(row) if c != 0]
-            rows.append((support, [mpf_fraction(row[j]) for j in support],
+            rows.append((support, [mpf_fraction(row[j])._mpf_
+                                   for j in support],
                          [[points[j][k] for j in support]
                           for k in range(S.dimension)]))
 
     def system(u):
-        exps = [off + sum(a * uk for a, uk in zip(p, u))
+        exps = [add(off, total([mul(a, uk) for a, uk in zip(p, u)]))
                 for off, p in zip(offsets, points)]
-        powers = [mp.exp(e) for e in exps]
+        powers = [exp(e) for e in exps]
         residuals, scales, weights = [], [], []
         for support, coefficients, _ in rows:
-            m = max(exps[j] for j in support)
-            s = mp.exp(-m)
-            w = [c * powers[j] for j, c in zip(support, coefficients)]
-            residuals.append(mp.fsum(w) * s)
+            m = max_([exps[j] for j in support])
+            s = exp(neg(m))
+            w = [mul(c, powers[j]) for j, c in zip(support, coefficients)]
+            residuals.append(mul(fsum(w), s))
             scales.append(m)
             weights.append((w, s))
 
         def jacobian():
-            return [[mp.fdot(w, column) * s for column in columns]
+            return [[mul(dot(w, column), s) for column in columns]
                     for (w, s), (_, _, columns) in zip(weights, rows)]
 
         return residuals, scales, jacobian
 
     return system
+
+
+def _require_length(S: ViroSystem, u: Sequence) -> None:
+    if len(u) != S.dimension:
+        raise ValueError(f"log-point has {len(u)} coordinates; the system "
+                         f"has dimension {S.dimension}")
+
+
+def _evaluate(S: ViroSystem, t: Fraction, u: Sequence, prec: int | None):
+    """_compile's evaluation at u.  An mpf coordinate is taken as it is,
+    at any precision, as the mpf operators take it; any other number is
+    converted at the working precision first."""
+    _require_length(S, u)
+    bits = prec or default_precision()
+    with mp.workprec(bits):
+        u = [x._mpf_ if hasattr(x, "_mpf_") else mp.mpf(x)._mpf_ for x in u]
+    return _compile(S, Fraction(t), bits)(u)
 
 
 def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
@@ -99,17 +129,31 @@ def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
     """
     if Fraction(t) <= 0:
         raise ValueError("t must be positive")
-    bits = prec or default_precision()
-    with mp.workprec(bits):
-        return _compile(S, Fraction(t), bits)(u)[:2]
+    residuals, scales, _ = _evaluate(S, t, u, prec)
+    return [mp.make_mpf(r) for r in residuals], [mp.make_mpf(m)
+                                                 for m in scales]
 
 
 def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
              prec: int | None = None):
     """Jacobian in log coordinates, with the same row scaling as evaluate."""
-    bits = prec or default_precision()
-    with mp.workprec(bits):
-        return mp.matrix(_compile(S, Fraction(t), bits)(u)[2]())
+    return _matrix(_evaluate(S, t, u, prec)[2]())
+
+
+def _matrix(rows) -> mp.matrix:
+    return mp.matrix([[mp.make_mpf(x) for x in row] for row in rows])
+
+
+def _in_range(x, bits: int) -> bool:
+    """Whether the raw value x is finite and below 2^bits in magnitude.
+
+    A coordinate that reaches 2^bits keeps no fractional bit, so no bit
+    of exp(x) is correct; and exp takes time and memory in proportion to
+    log |x|, which Newton on a system without a root can drive past any
+    bound: each step there can exponentiate the last.
+    """
+    sign, man, exp, bc = x
+    return exp + bc <= bits if man else not exp
 
 
 @dataclass
@@ -120,10 +164,6 @@ class NewtonResult:
     iterations: int
     jacobian: object | None = None   # at the root; None unless converged
     halvings: int = 0                # step halvings, summed over the run
-
-
-def _max_abs(xs):
-    return max(abs(x) for x in xs)
 
 
 def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
@@ -138,68 +178,85 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     tol * max(1, |u|): the step is measured relative to the point, whose
     coordinates reach 10^5 and more at small t.  Divergence, a singular
     Jacobian and iteration exhaustion are reported distinctly, each with
-    the number of step halvings taken over the run.  Each
-    iterate is evaluated once: the accepted line-search trial's
-    evaluation supplies the next residual and, from its weights, the next
-    Jacobian; a rejected trial forms no Jacobian.
+    the number of step halvings taken over the run.  A trial point with a
+    coordinate of magnitude 2^prec or more is rejected unevaluated, like
+    one whose residual does not fall.  Each iterate is evaluated once: the
+    accepted line-search trial's evaluation supplies the next residual
+    and, from its weights, the next Jacobian; a rejected trial forms no
+    Jacobian.  The iteration runs on raw mpmath values; the start is
+    rounded to the working precision first, and the result holds mpfs.
     """
+    if not isinstance(max_iter, int) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive whole number; "
+                         f"got {max_iter!r}")
+    _require_length(S, u0)
     bits = prec or default_precision()
+    ops = Arithmetic(bits)
+    add, mul, lt, max_abs = ops.add, ops.mul, ops.lt, ops.max_abs
+    tol = mpf_shift(ops.one, -(bits // 2))
+    system = _compile(S, Fraction(t), bits)
     with mp.workprec(bits):
-        tol = mp.ldexp(1, -(bits // 2))
-        system = _compile(S, Fraction(t), bits)
-        u = [mp.mpf(x) for x in u0]
-        res, _, jacobian = system(u)
-        halvings = 0
-        for it in range(1, max_iter + 1):
-            rnorm = _max_abs(res)
-            try:
-                step = _lu_solve(_lu_factor(jacobian()), [-r for r in res])
-            except ZeroDivisionError:
-                return NewtonResult("singular", None, rnorm, it,
-                                    halvings=halvings)
-            lam = mp.mpf(1)
-            for _ in range(30):
-                trial = [x + lam * dx for x, dx in zip(u, step)]
-                if rnorm < tol:
-                    evaluation = None    # a full step, taken untested
-                    break
-                evaluation = system(trial)
-                if _max_abs(evaluation[0]) < rnorm:
-                    break
-                lam /= 2
-                halvings += 1
+        u = [mp.mpf(x)._mpf_ for x in u0]
+    res, _, jacobian = system(u)
+    halvings = 0
+    for it in range(1, max_iter + 1):
+        rnorm = max_abs(res)
+        try:
+            step = _lu_solve(_lu_factor(jacobian(), ops),
+                             [ops.neg(r) for r in res], ops)
+        except ZeroDivisionError:
+            return NewtonResult("singular", None, mp.make_mpf(rnorm), it,
+                                halvings=halvings)
+        lam = ops.one
+        for _ in range(30):
+            trial = [add(x, mul(lam, dx)) for x, dx in zip(u, step)]
+            if not all(_in_range(x, bits) for x in trial):
+                pass                 # rejected unevaluated
+            elif lt(rnorm, tol):
+                evaluation = None    # a full step, taken untested
+                break
             else:
-                return NewtonResult("diverged", None, rnorm, it,
-                                    halvings=halvings)
-            u = trial
-            if not all(mp.isfinite(x) for x in u):
-                return NewtonResult("diverged", None, rnorm, it,
-                                    halvings=halvings)
-            res, _, jacobian = evaluation or system(u)
-            size = max(1, _max_abs(u))
-            if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
-                return NewtonResult("converged", tuple(u), _max_abs(res), it,
-                                    mp.matrix(jacobian()), halvings=halvings)
-        return NewtonResult("max_iter", None, rnorm, max_iter,
-                            halvings=halvings)
+                evaluation = system(trial)
+                if lt(max_abs(evaluation[0]), rnorm):
+                    break
+            lam = mpf_shift(lam, -1)
+            halvings += 1
+        else:
+            return NewtonResult("diverged", None, mp.make_mpf(rnorm), it,
+                                halvings=halvings)
+        u = trial
+        res, _, jacobian = evaluation or system(u)
+        size = ops.max([ops.one, max_abs(u)])
+        if lt(rnorm, tol) and lt(max_abs(mul(lam, dx) for dx in step),
+                                 mul(tol, size)):
+            return NewtonResult("converged", tuple(map(mp.make_mpf, u)),
+                                mp.make_mpf(max_abs(res)), it,
+                                _matrix(jacobian()), halvings=halvings)
+    return NewtonResult("max_iter", None, mp.make_mpf(rnorm), max_iter,
+                        halvings=halvings)
 
 
 def condition_estimate(J) -> object:
     """1-norm condition number of a small square mpmath matrix.
 
     ||J||_1 times the largest column 1-norm of J^-1, whose columns are
-    solved from one LU factorization; inf when J is singular.
+    solved from one LU factorization; inf when J is singular.  Runs on
+    the raw values of J at the context's working precision.
     """
-    rows = J.tolist()
+    ops = Arithmetic(mp.mp.prec)
+    rows = [[x._mpf_ for x in row] for row in J.tolist()]
     try:
-        factors = _lu_factor(rows)
+        factors = _lu_factor(rows, ops)
     except ZeroDivisionError:
         return mp.inf
     n = len(rows)
-    inverse_norm = max(mp.fsum(abs(x) for x in _lu_solve(factors, e))
-                       for e in ([int(i == k) for i in range(n)]
-                                 for k in range(n)))
-    return mp.mnorm(J, 1) * inverse_norm
+    units = ([ops.one if i == k else ops.zero for i in range(n)]
+             for k in range(n))
+    inverse_norm = ops.max(ops.fsum(_lu_solve(factors, e, ops), True)
+                           for e in units)
+    norm = ops.max(ops.fsum([row[k] for row in rows], True)
+                   for k in range(n))
+    return mp.make_mpf(ops.mul(norm, inverse_norm))
 
 
 @dataclass
@@ -274,20 +331,27 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
             witnesses.append(Witness(result.log_point, result.residual,
                                      cond, start.facet))
         # deterministic single-threaded deduplication in facet order
+        ops = Arithmetic(bits)
+        sub, lt = ops.sub, ops.lt
+        threshold = DEDUP_LOG_DISTANCE._mpf_
         distinct: list[Witness] = []
+        kept_points: list[list] = []
         min_sep = None
         for w in witnesses:
+            point = [x._mpf_ for x in w.log_point]
             dup = False
-            for kept in distinct:
-                sep = max(abs(a - b)
-                          for a, b in zip(w.log_point, kept.log_point))
-                if min_sep is None or sep < min_sep:
+            for kept in kept_points:
+                sep = ops.max_abs(map(sub, point, kept))
+                if min_sep is None or lt(sep, min_sep):
                     min_sep = sep
-                if sep < DEDUP_LOG_DISTANCE:
+                if lt(sep, threshold):
                     dup = True
             if dup:
                 failures.append((w.facet, "duplicate root"))
             else:
                 distinct.append(w)
+                kept_points.append(point)
+        if min_sep is not None:
+            min_sep = mp.make_mpf(min_sep)
         return CertifiedCount(len(distinct), distinct, min_sep, failures,
                               bits)

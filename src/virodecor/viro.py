@@ -30,7 +30,7 @@ from .exactlinalg import (
     parse_rational,
     positive_kernel_vector,
 )
-from .precision import default_precision
+from .precision import Arithmetic, default_precision
 
 
 @dataclass(frozen=True)
@@ -265,45 +265,59 @@ def mpf_fraction(x: Fraction) -> mp.mpf:
 
 
 # The one dense solver of the floating-point side: Newton's step, the
-# condition estimate and the lifted solve below all factor with it.
+# condition estimate and the lifted solve below all factor with it.  It
+# runs on raw mpmath values with the operations of one `Arithmetic`.
 
 
-def _lu_factor(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """LU factors of a small square matrix given as a list of rows.
+def _lu_factor(rows: Sequence[Sequence],
+               ops: Arithmetic) -> tuple[list[list], list[int]]:
+    """LU factors of a small square matrix given as a list of rows of raw
+    mpmath values, in the arithmetic `ops`.
 
-    Partial pivoting; returns (lu, perm), where lu holds U on and above
-    the diagonal and L's multipliers below it, and row i of L*U is row
-    perm[i] of the input.  As in mpmath, a pivot p with
-    |p| <= ||A||_1 * eps counts as singular: ZeroDivisionError.
+    Partial pivoting, keeping the first of equal candidates; returns
+    (lu, perm), where lu holds U on and above the diagonal and L's
+    multipliers below it, and row i of L*U is row perm[i] of the input.
+    As in mpmath, a pivot p with |p| <= ||A||_1 * eps counts as singular:
+    ZeroDivisionError.
     """
+    sub, mul, div, abs_ = ops.sub, ops.mul, ops.div, ops.abs
     a = [list(row) for row in rows]
     n = len(a)
-    tol = max(sum(abs(row[k]) for row in a) for k in range(n)) * mp.eps
+    tol = mul(ops.max(ops.total(abs_(row[k]) for row in a) for k in range(n)),
+              ops.eps)
     perm = list(range(n))
     for j in range(n):
-        p = max(range(j, n), key=lambda i: abs(a[i][j]))
-        if abs(a[p][j]) <= tol:
+        magnitudes = [abs_(a[i][j]) for i in range(j, n)]
+        best = ops.max(magnitudes)
+        if ops.le(best, tol):
             raise ZeroDivisionError("matrix is numerically singular")
+        p = j + magnitudes.index(best)
         a[j], a[p] = a[p], a[j]
         perm[j], perm[p] = perm[p], perm[j]
         pivot_row = a[j]
+        pivot = pivot_row[j]
         for row in a[j + 1:]:
-            f = row[j] = row[j] / pivot_row[j]
+            f = row[j] = div(row[j], pivot)
             for k in range(j + 1, n):
-                row[k] -= f * pivot_row[k]
+                row[k] = sub(row[k], mul(f, pivot_row[k]))
     return a, perm
 
 
-def _lu_solve(factors: tuple[list[list], list[int]],
-              b: Sequence) -> list:
-    """Solve A x = b from _lu_factor(A)."""
+def _lu_solve(factors: tuple[list[list], list[int]], b: Sequence,
+              ops: Arithmetic) -> list:
+    """Solve A x = b from _lu_factor(A, ops), in the same arithmetic."""
     a, perm = factors
+    sub, mul, total = ops.sub, ops.mul, ops.total
     n = len(a)
     x = [b[p] for p in perm]
     for i in range(1, n):
-        x[i] -= sum(a[i][k] * x[k] for k in range(i))
+        row = a[i]
+        x[i] = sub(x[i], total([mul(row[k], x[k]) for k in range(i)]))
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+        row = a[i]
+        x[i] = ops.div(sub(x[i], total([mul(row[k], x[k])
+                                         for k in range(i + 1, n)])),
+                       row[i])
     return x
 
 
@@ -322,16 +336,19 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
     v = positive_kernel_vector(sub)
     if v is None:
         raise ValueError(f"facet {facet} is not positively decorated")
-    with mp.workprec(prec or default_precision()):
+    bits = prec or default_precision()
+    ops = Arithmetic(bits)
+    with mp.workprec(bits):
         lifted = A.lifted_matrix(facet)
-        mat = [[mpf_fraction(lifted[i, j]) for i in range(lifted.rows)]
+        mat = [[mpf_fraction(lifted[i, j])._mpf_ for i in range(lifted.rows)]
                for j in range(lifted.cols)]
         try:
-            sol = _lu_solve(_lu_factor(mat), [log_fraction(x) for x in v])
+            sol = _lu_solve(_lu_factor(mat, ops),
+                            [log_fraction(x)._mpf_ for x in v], ops)
         except ZeroDivisionError as exc:
             raise RankDeficiencyError(
                 f"degenerate facet {facet}: lifted matrix singular") from exc
-        return TruncatedSolution(facet, tuple(sol[1:]))
+        return TruncatedSolution(facet, tuple(map(mp.make_mpf, sol[1:])))
 
 
 @functools.lru_cache(maxsize=1)

@@ -187,6 +187,28 @@ def test_count_invalid_t(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
+                                                        monkeypatch):
+    """10^9999 has more digits than Python writes out: the JSON report
+    could never print t, so the count is not started."""
+    f = catalog.snd63_fixture()
+    S = build_viro_system(f.configuration, f.coefficients, f.heights)
+    sp = tmp_path / "S.json"
+    kp = tmp_path / "K.json"
+    sp.write_text(S.to_json())
+    kp.write_text(f.complex.to_json())
+    monkeypatch.setattr("virodecor.cli.certified_positive_count",
+                        lambda *a, **k: pytest.fail("counted"))
+    for t in ("1e-9999", "1e9999", "1e-99999999"):
+        result = runner.invoke(main, ["count", "--system", str(sp),
+                                      "--complex", str(kp), "--t", t,
+                                      "--format", "json"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: invalid t: {t!r}: rational {t!r} has more than " \
+            f"4300 digits" in result.output
+
+
 def test_viro_roundtrip(runner, tmp_path):
     f = catalog.snd63_fixture()
     (tmp_path / "A.json").write_text(
@@ -345,6 +367,37 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"error: malformed {file} file" in result.output
+
+
+@pytest.mark.parametrize("name,text", [
+    ("heights", json.dumps({"heights": ["0", "1", "2", "1e-5000", "4",
+                                        "5"]})),
+    ("regular", json.dumps({"heights": ["1e5000"] * 6})),
+    ("matrix", json.dumps({"rows": 3, "cols": 6,
+                           "entries": ["1e-5000"] * 18})),
+    ("points", json.dumps({"dimension": 3, "points": [
+        ["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+        ["0", "0", "1"], ["1", "1", "1"], ["2", "1e-5000", "1"]]})),
+    ("system", json.dumps({"points": _points(3, 6)["points"],
+                           "coefficients": _matrix(3, 6),
+                           "heights": ["0"] * 5 + ["1e-5000"]})),
+])
+def test_unprintable_rationals_are_usage_errors(runner, tmp_path, name,
+                                                 text):
+    """A rational too long to write out fails in its loader with exit 2;
+    viro writes no S.json."""
+    file, command = COMMANDS[name]
+    paths = _write_inputs(tmp_path, (file, text))
+    paths["out"] = str(tmp_path / "out")
+    args = [a.format(**paths) for a in command]
+    if name == "heights":
+        args += ["--out", str(tmp_path / "S.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: malformed {file} file" in result.output
+    assert "has more than 4300 digits" in result.output
+    assert not (tmp_path / "S.json").exists()
 
 
 def test_regular_check_names_an_affinely_degenerate_facet(runner, tmp_path):

@@ -14,16 +14,19 @@ from virodecor.complexes import (
     SimplicialComplex,
     decoration_from_coloring,
 )
-from virodecor.exactlinalg import RationalMatrix
+from virodecor.exactlinalg import RationalMatrix, positive_kernel_vector
 from virodecor.families import cross_polytope_triangulation
 from virodecor.numerics import (
     DEDUP_LOG_DISTANCE,
+    NewtonResult,
+    Witness,
     certified_positive_count,
     condition_estimate,
     evaluate,
     jacobian,
     newton_refine,
 )
+from virodecor.precision import Arithmetic
 from virodecor.viro import (
     _lu_factor,
     _lu_solve,
@@ -137,6 +140,14 @@ def test_evaluation_matches_the_row_loop(case):
             assert abs(J[i, k] - want_J[i][k]) <= bound
 
 
+def raw(xs):
+    return [x._mpf_ for x in xs]
+
+
+def raw_rows(rows):
+    return [raw(row) for row in rows]
+
+
 def well_conditioned(rnd, n):
     """A random n x n matrix made diagonally dominant."""
     rows = [[mp.mpf(rnd.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
@@ -150,13 +161,15 @@ def test_lu_matches_mpmath(bits):
     """Solves agree with mp.lu_solve, and the condition estimate with
     ||J||_1 * ||J^-1||_1, to 2^(20 - prec) relative."""
     rnd = random.Random(bits)
+    ops = Arithmetic(bits)
     with mp.workprec(bits):
         tol = mp.ldexp(1, 20 - bits)
         for n in range(1, 7):
             for _ in range(5):
                 rows = well_conditioned(rnd, n)
                 b = [mp.mpf(rnd.uniform(-10, 10)) for _ in range(n)]
-                x = _lu_solve(_lu_factor(rows), b)
+                x = [mp.make_mpf(v) for v in _lu_solve(
+                    _lu_factor(raw_rows(rows), ops), raw(b), ops)]
                 want = mp.lu_solve(mp.matrix(rows), mp.matrix(b))
                 err = max(abs(x[i] - want[i]) for i in range(n))
                 assert err <= tol * max(abs(w) for w in want)
@@ -168,7 +181,7 @@ def test_lu_matches_mpmath(bits):
 def test_lu_refuses_a_singular_matrix():
     rows = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]]
     with pytest.raises(ZeroDivisionError):
-        _lu_factor(rows)
+        _lu_factor(raw_rows(rows), Arithmetic(PREC))
     assert condition_estimate(mp.matrix(rows)) == mp.inf
 
 
@@ -374,7 +387,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
         assert result.status == "converged"
         assert len(set(points)) == len(points)
         assert len(jacobians) == result.iterations + 1
-        assert jacobians[-1] == result.log_point
+        assert jacobians[-1] == tuple(raw(result.log_point))
 
 
 def test_equal_systems_share_one_build(monkeypatch):
@@ -532,3 +545,436 @@ def test_report_json_shape():
     assert report["precision"] == PREC
     for w in report["witnesses"]:
         assert set(w) == {"log_x", "residual", "jac_cond", "facet"}
+
+
+# -- bit-identity oracles ---------------------------------------------------
+#
+# The kernel of a count runs on raw mpmath values.  The mpf-class code it
+# replaced is kept below as the oracle: each witness, residual, condition
+# number and separation must be the same mpf value bit for bit, compared
+# through _mpf_, and each failure the same, at every precision.  Newton's
+# oracle has one line more than the code it was: the line search rejects
+# a trial beyond 2^prec unevaluated.  Without it, Newton on a system with
+# no positive root runs |u| up a tower of exponentials, and exp of such a
+# coordinate runs out of memory.
+
+
+def oracle_compile(S, t, bits):
+    """The mpf-class evaluation: (residuals, scales, jacobian) of u."""
+    with mp.workprec(bits):
+        lnt = log_fraction(t)
+        points = [[mpf_fraction(a) for a in p]
+                  for p in S.configuration.points]
+        offsets = [mpf_fraction(h) * lnt for h in S.heights]
+        rows = []
+        for row in S.coefficients.to_lists():
+            support = [j for j, c in enumerate(row) if c != 0]
+            rows.append((support, [mpf_fraction(row[j]) for j in support],
+                         [[points[j][k] for j in support]
+                          for k in range(S.dimension)]))
+
+    def system(u):
+        exps = [off + sum(a * uk for a, uk in zip(p, u))
+                for off, p in zip(offsets, points)]
+        powers = [mp.exp(e) for e in exps]
+        residuals, scales, weights = [], [], []
+        for support, coefficients, _ in rows:
+            m = max(exps[j] for j in support)
+            s = mp.exp(-m)
+            w = [c * powers[j] for j, c in zip(support, coefficients)]
+            residuals.append(mp.fsum(w) * s)
+            scales.append(m)
+            weights.append((w, s))
+
+        def jacobian():
+            return [[mp.fdot(w, column) * s for column in columns]
+                    for (w, s), (_, _, columns) in zip(weights, rows)]
+
+        return residuals, scales, jacobian
+
+    return system
+
+
+def oracle_lu_factor(rows):
+    a = [list(row) for row in rows]
+    n = len(a)
+    tol = max(sum(abs(row[k]) for row in a) for k in range(n)) * mp.eps
+    perm = list(range(n))
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if abs(a[p][j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        a[j], a[p] = a[p], a[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        pivot_row = a[j]
+        for row in a[j + 1:]:
+            f = row[j] = row[j] / pivot_row[j]
+            for k in range(j + 1, n):
+                row[k] -= f * pivot_row[k]
+    return a, perm
+
+
+def oracle_lu_solve(factors, b):
+    a, perm = factors
+    n = len(a)
+    x = [b[p] for p in perm]
+    for i in range(1, n):
+        x[i] -= sum(a[i][k] * x[k] for k in range(i))
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return x
+
+
+def _max_abs(xs):
+    return max(abs(x) for x in xs)
+
+
+def oracle_newton(S, t, u0, max_iter=100, prec=PREC):
+    bits = prec
+    with mp.workprec(bits):
+        tol = mp.ldexp(1, -(bits // 2))
+        system = oracle_compile(S, Fraction(t), bits)
+        u = [mp.mpf(x) for x in u0]
+        res, _, jacobian = system(u)
+        halvings = 0
+        for it in range(1, max_iter + 1):
+            rnorm = _max_abs(res)
+            try:
+                step = oracle_lu_solve(oracle_lu_factor(jacobian()),
+                                       [-r for r in res])
+            except ZeroDivisionError:
+                return NewtonResult("singular", None, rnorm, it,
+                                    halvings=halvings)
+            lam = mp.mpf(1)
+            for _ in range(30):
+                trial = [x + lam * dx for x, dx in zip(u, step)]
+                if not all(abs(x) < mp.ldexp(1, bits) for x in trial):
+                    pass
+                elif rnorm < tol:
+                    evaluation = None
+                    break
+                else:
+                    evaluation = system(trial)
+                    if _max_abs(evaluation[0]) < rnorm:
+                        break
+                lam /= 2
+                halvings += 1
+            else:
+                return NewtonResult("diverged", None, rnorm, it,
+                                    halvings=halvings)
+            u = trial
+            res, _, jacobian = evaluation or system(u)
+            size = max(1, _max_abs(u))
+            if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
+                return NewtonResult("converged", tuple(u), _max_abs(res), it,
+                                    mp.matrix(jacobian()), halvings=halvings)
+        return NewtonResult("max_iter", None, rnorm, max_iter,
+                            halvings=halvings)
+
+
+def oracle_condition(J):
+    rows = J.tolist()
+    try:
+        factors = oracle_lu_factor(rows)
+    except ZeroDivisionError:
+        return mp.inf
+    n = len(rows)
+    inverse_norm = max(mp.fsum(abs(x) for x in oracle_lu_solve(factors, e))
+                       for e in ([int(i == k) for i in range(n)]
+                                 for k in range(n)))
+    return mp.mnorm(J, 1) * inverse_norm
+
+
+def oracle_count(S, K, t, bits):
+    with mp.workprec(bits):
+        witnesses, failures = [], []
+        for start in predicted_solutions(S, K, t, prec=bits):
+            result = oracle_newton(S, t, start.log_point, prec=bits)
+            if result.status != "converged":
+                residual = mp.nstr(result.residual, 2, min_fixed=0,
+                                   max_fixed=0)
+                failures.append((start.facet,
+                                 f"{result.status} after {result.iterations} "
+                                 f"iterations (residual {residual}, "
+                                 f"{result.halvings} halvings)"))
+                continue
+            cond = oracle_condition(result.jacobian)
+            if not mp.isfinite(cond):
+                failures.append((start.facet, "singular jacobian at root"))
+                continue
+            witnesses.append(Witness(result.log_point, result.residual,
+                                     cond, start.facet))
+        distinct, min_sep = [], None
+        for w in witnesses:
+            dup = False
+            for kept in distinct:
+                sep = max(abs(a - b)
+                          for a, b in zip(w.log_point, kept.log_point))
+                if min_sep is None or sep < min_sep:
+                    min_sep = sep
+                if sep < DEDUP_LOG_DISTANCE:
+                    dup = True
+            if dup:
+                failures.append((w.facet, "duplicate root"))
+            else:
+                distinct.append(w)
+        return numerics.CertifiedCount(len(distinct), distinct, min_sep,
+                                       failures, bits)
+
+
+def oracle_truncated(A, C, facet, bits):
+    """The lifted solve of viro.truncated_solution through the oracle LU."""
+    v = positive_kernel_vector(C.submatrix_columns([i - 1 for i in facet]))
+    with mp.workprec(bits):
+        lifted = A.lifted_matrix(facet)
+        mat = [[mpf_fraction(lifted[i, j]) for i in range(lifted.rows)]
+               for j in range(lifted.cols)]
+        sol = oracle_lu_solve(oracle_lu_factor(mat),
+                              [log_fraction(x) for x in v])
+        return tuple(sol[1:])
+
+
+def bits_of(x):
+    return None if x is None else x._mpf_
+
+
+def newton_bits(result):
+    jac = result.jacobian
+    return (result.status, result.iterations, result.halvings,
+            bits_of(result.residual),
+            None if result.log_point is None else raw(result.log_point),
+            None if jac is None else raw_rows(jac.tolist()))
+
+
+def count_bits(result):
+    return (result.count, result.precision, result.failures,
+            bits_of(result.min_separation),
+            [(w.facet, raw(w.log_point), w.residual._mpf_,
+              w.jacobian_condition._mpf_) for w in result.witnesses])
+
+
+ORACLE_BITS = [53, 64, 113, 256]
+SND115_TS = [Fraction(1, q) for q in (1000, 300, 100, 30, 10, 5, 3, 2)]
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_snd115_count_is_bit_identical_to_the_mpf_oracle(bits):
+    f, S = snd115_system()
+    for facet in f.complex.facets:
+        trunc = viro.truncated_solution(f.configuration, f.coefficients,
+                                        facet, prec=bits)
+        assert raw(trunc.log_point) == raw(oracle_truncated(
+            f.configuration, f.coefficients, facet, bits))
+    for t in SND115_TS:
+        got = certified_positive_count(S, f.complex, t, prec=bits)
+        assert count_bits(got) == count_bits(oracle_count(S, f.complex, t,
+                                                          bits)), t
+        assert got.count == 38
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_cross_double_root_is_bit_identical_to_the_mpf_oracle(bits):
+    """At t = 1/2 every facet of cross(3) runs out of its 100 iterations
+    or converges to the double root; duplicates are found in between."""
+    S, K = cross_system(3)
+    t = Fraction(1, 2)
+    for start in predicted_solutions(S, K, t, prec=bits):
+        got = newton_refine(S, t, start.log_point, prec=bits)
+        assert newton_bits(got) == newton_bits(
+            oracle_newton(S, t, start.log_point, prec=bits))
+    got = certified_positive_count(S, K, t, prec=bits)
+    assert count_bits(got) == count_bits(oracle_count(S, K, t, bits))
+    assert all("after 100 iterations" in reason or reason == "duplicate root"
+               for _, reason in got.failures)
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_diverging_starts_are_bit_identical_to_the_mpf_oracle(bits):
+    """The planar fixture's diverging facets halve their last step 30
+    times; a far start fails within 20 iterations."""
+    f, S = planar_system()
+    t = Fraction(1, 10)
+    halvings = []
+    for start in predicted_solutions(S, f.complex, t, prec=bits):
+        got = newton_refine(S, t, start.log_point, prec=bits)
+        assert newton_bits(got) == newton_bits(
+            oracle_newton(S, t, start.log_point, prec=bits))
+        if got.status == "diverged":
+            halvings.append(got.halvings)
+    assert halvings and min(halvings) >= 30
+    got = certified_positive_count(S, f.complex, t, prec=bits)
+    assert count_bits(got) == count_bits(oracle_count(S, f.complex, t, bits))
+    far = [mp.mpf(500), mp.mpf(-500)]
+    assert newton_bits(newton_refine(S, Fraction(1, 1000), far, max_iter=20,
+                                     prec=bits)) == \
+        newton_bits(oracle_newton(S, Fraction(1, 1000), far, max_iter=20,
+                                  prec=bits))
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_singular_jacobian_is_bit_identical_to_the_mpf_oracle(bits):
+    A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
+    S = build_viro_system(A, RationalMatrix([[2, -1, -1], [2, -1, -1]]),
+                          [0, 1, 1])
+    u = [mp.mpf(0), mp.mpf(1)]
+    got = newton_refine(S, Fraction(1, 10), u, prec=bits)
+    assert got.status == "singular"
+    assert newton_bits(got) == newton_bits(
+        oracle_newton(S, Fraction(1, 10), u, prec=bits))
+    with mp.workprec(bits):
+        J = jacobian(S, Fraction(1, 10), u, prec=bits)
+        assert condition_estimate(J) == oracle_condition(J) == mp.inf
+
+
+@st.composite
+def small_systems(draw):
+    """A system of dimension up to 3, a start, a t, an iteration budget
+    and a precision."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(d + 1, d + 2))
+    A = PointConfiguration.from_rows(
+        draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                      min_size=m, max_size=m)))
+    C = RationalMatrix(draw(st.lists(
+        st.lists(st.fractions(-3, 3, max_denominator=5), min_size=m,
+                 max_size=m).filter(any),
+        min_size=d, max_size=d)))
+    heights = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    u = draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
+    t = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 10),
+                              Fraction(1, 1000)]))
+    max_iter = draw(st.integers(1, 25))
+    bits = draw(st.sampled_from(ORACLE_BITS))
+    return build_viro_system(A, C, heights), t, u, max_iter, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_newton_is_bit_identical_to_the_mpf_oracle(case):
+    S, t, u, max_iter, bits = case
+    got = newton_refine(S, t, u, max_iter=max_iter, prec=bits)
+    assert newton_bits(got) == newton_bits(
+        oracle_newton(S, t, u, max_iter=max_iter, prec=bits))
+    if got.jacobian is not None:
+        with mp.workprec(bits):
+            assert bits_of(condition_estimate(got.jacobian)) == \
+                bits_of(oracle_condition(got.jacobian))
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_systems())
+def test_evaluation_is_bit_identical_to_the_mpf_oracle(case):
+    """Floats and mpfs of any precision are taken as the mpf operators
+    take them."""
+    S, t, u, bits = case
+    with mp.workprec(bits + 7):
+        wide = [mp.mpf(x) / 3 for x in u]
+    for point in (u, wide):
+        res, scales = evaluate(S, t, point, prec=bits)
+        with mp.workprec(bits):
+            want_res, want_scales, want_J = oracle_compile(S, t, bits)(point)
+            want_J = want_J()
+        assert raw(res) == raw(want_res)
+        assert raw(scales) == raw(want_scales)
+        J = jacobian(S, t, point, prec=bits)
+        assert raw_rows(J.tolist()) == raw_rows(want_J)
+        with mp.workprec(bits):
+            assert bits_of(condition_estimate(J)) == \
+                bits_of(oracle_condition(mp.matrix(want_J)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.sampled_from(ORACLE_BITS))
+def test_lu_is_bit_identical_to_the_mpf_oracle(entries, bits):
+    """Small integer matrices, singular ones included, each scaled by 1/7
+    so the entries round: the same factors, solves and refusals."""
+    n = len(entries)
+    with mp.workprec(bits):
+        rows = [[mp.mpf(x) / 7 for x in row] for row in entries]
+        b = [mp.mpf(i + 1) / 3 for i in range(n)]
+        try:
+            want = oracle_lu_factor(rows)
+        except ZeroDivisionError:
+            want = None
+        ops = Arithmetic(bits)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                _lu_factor(raw_rows(rows), ops)
+            assert condition_estimate(mp.matrix(rows)) == mp.inf
+            return
+        got = _lu_factor(raw_rows(rows), ops)
+        assert got == (raw_rows(want[0]), want[1])
+        assert _lu_solve(got, raw(b), ops) == raw(oracle_lu_solve(want, b))
+        assert bits_of(condition_estimate(mp.matrix(rows))) == \
+            bits_of(oracle_condition(mp.matrix(rows)))
+
+
+def rootless_system():
+    """-2 t^3 / x - t^4 / 2 = 0 has no positive root.  Far right, a Newton
+    step in u = log x is about exp(u): at t = 1/2 and 53 bits, from
+    u = 2.54 the iterates are 5.1, 27.1 and 7.7e10, and the next step,
+    near exp(7.7e10), is too large for exp to hold in memory."""
+    A = PointConfiguration.from_rows([(-1,), (0,)])
+    return build_viro_system(
+        A, RationalMatrix([[Fraction(-2), Fraction(-1, 2)]]), [3, 4])
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_newton_rejects_a_runaway_step(bits):
+    result = newton_refine(rootless_system(), Fraction(1, 2), [2.54],
+                           max_iter=24, prec=bits)
+    assert result.status == "diverged"
+    assert result.halvings >= 30
+    assert newton_bits(result) == newton_bits(oracle_newton(
+        rootless_system(), Fraction(1, 2), [2.54], max_iter=24, prec=bits))
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5])
+def test_newton_refuses_a_bad_iteration_budget(max_iter):
+    f, S = snd115_system()
+    start = predicted_solutions(S, f.complex, Fraction(1, 100))[0]
+    with pytest.raises(ValueError, match=f"max_iter .*{max_iter!r}"):
+        newton_refine(S, Fraction(1, 100), start.log_point,
+                      max_iter=max_iter)
+
+
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_a_log_point_of_the_wrong_length_is_refused(length, monkeypatch):
+    """On snd-11-5 (dimension 5) before any work: the system is never
+    compiled."""
+    f, S = snd115_system()
+    u = [mp.mpf(0)] * length
+
+    def no_work(*args):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(numerics, "_compile", no_work)
+    message = f"log-point has {length} coordinates; the system has " \
+        f"dimension 5"
+    for call in (lambda: newton_refine(S, Fraction(1, 100), u),
+                 lambda: evaluate(S, Fraction(1, 100), u),
+                 lambda: jacobian(S, Fraction(1, 100), u)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_lu_singular_threshold_is_the_norm_times_eps(bits):
+    """||A||_1 = 4 makes the threshold 8 * 2^-prec: a last pivot of
+    6 * 2^-prec is singular and one of 10 * 2^-prec is not, as in the
+    oracle."""
+    ops = Arithmetic(bits)
+    with mp.workprec(bits):
+        for k, singular in ((6, True), (10, False)):
+            rows = [[mp.mpf(1), mp.mpf(1), mp.mpf(0)],
+                    [mp.mpf(1), 1 + mp.ldexp(k, -bits), mp.mpf(0)],
+                    [mp.mpf(0), mp.mpf(0), mp.mpf(4)]]
+            for factor in (oracle_lu_factor, lambda r: _lu_factor(
+                    raw_rows(r), ops)):
+                if singular:
+                    with pytest.raises(ZeroDivisionError):
+                        factor(rows)
+                else:
+                    factor(rows)
