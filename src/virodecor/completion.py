@@ -27,7 +27,6 @@ from .complexes import (
     balanced_coloring,
     decoration_from_coloring,
     dual_graph,
-    is_bipartite,
     is_positively_decorated,
 )
 from .exactlinalg import RationalMatrix
@@ -163,24 +162,17 @@ def decorate(K: SimplicialComplex, restarts: int = 100,
              seed: int = 0) -> DecorationOutcome:
     """Find an exactly verified decoration of K, or report why none was found.
 
-    Strategy: a non-bipartite dual graph is a definitive obstruction and
-    short-circuits everything; a balanced coloring yields an immediate
-    decoration; a ridge-sign conflict is a definitive obstruction too;
-    otherwise seeded margin searches run until one rounded candidate passes
-    the exact verification.  A negative restart count or seed is a
+    Strategy: a balanced coloring yields an immediate decoration; a
+    ridge-sign conflict is a definitive obstruction (a non-bipartite dual
+    graph is not: the 5-triangle Moebius band is decorable); otherwise
+    seeded margin searches run until one rounded candidate passes the
+    exact verification.  A negative restart count or seed is a
     ValueError.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    check = is_bipartite(dual_graph(K))
-    if not check:
-        return DecorationOutcome(None, "none", {
-            "reason": "dual graph is not bipartite",
-            "odd_cycle": check.odd_cycle,
-        })
-
     coloring = balanced_coloring(K)
     if coloring is not None:
         C = decoration_from_coloring(coloring, K.n_vertices, K.dimension)

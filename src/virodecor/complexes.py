@@ -21,8 +21,9 @@ from operator import lt
 from typing import Mapping, Sequence
 
 from .exactlinalg import (
-    Elimination,
     RationalMatrix,
+    _determinant,
+    _oriented,
     common_integer_rows,
     eliminate_prefixes,
     format_rational,
@@ -401,10 +402,6 @@ def is_positively_decorated(
     return (not failing, failing)
 
 
-def _oriented(facet: Sequence[int], e: Elimination) -> bool:
-    return all(e.entry(facet[-1], r) * e.D < 0 for r in e.rows)
-
-
 def _lifted_determinants(
     A: PointConfiguration, facets: Sequence[Sequence[int]]
 ) -> tuple[int, list[int]]:
@@ -428,8 +425,7 @@ def _determinants(vectors: list[Sequence[int]],
     m = len(vectors[0])
     if any(len(f) != m for f in facets):
         raise ValueError("determinant requires a square matrix")
-    dets = eliminate_prefixes(vectors, facets, m, m, lambda _, e: e.sign * e.D)
-    return [0 if det is None else det for det in dets]
+    return eliminate_prefixes(vectors, facets, m, m, _determinant)
 
 
 def simplex_signs(

@@ -124,6 +124,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# a decimal literal with an exponent, as Fraction reads it
+_DECIMAL_WITH_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def parse_rational(s: str) -> Fraction:
     """Fraction(s), refused when its numerator or denominator has more
     digits than Python will write back out (sys.get_int_max_str_digits(),
@@ -132,8 +138,9 @@ def parse_rational(s: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     if limit and isinstance(s, str) and ("e" in s or "E" in s):
         # a decimal exponent e moves the value at least |e| - len(s)
-        # digits away from 1; checked first, so that 10^|e| is never built
-        exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", s)
+        # digits away from 1; checked first, so that 10^|e| is never built,
+        # and only on a well-formed literal: Fraction names a malformed one
+        exponent = _DECIMAL_WITH_EXPONENT.fullmatch(s)
         if exponent and abs(int(exponent[1])) > limit + len(s):
             raise _too_long(s, limit)
     x = Fraction(s)
@@ -154,8 +161,9 @@ def _too_long(s, limit: int) -> ValueError:
 # Callers that test many facets scale their rational input to integers once
 # per call, by positive factors that leave the sign of every minor unchanged.
 # Then one walk over the facets' prefix trie (eliminate_prefixes) pivots on
-# each shared vertex prefix once, not once per facet.  It and eliminate
-# take every pivot through the one fraction-free step below.
+# each shared vertex prefix once, not once per facet.  A single matrix is
+# the walk over one facet (eliminate), so every pivot is taken by that one
+# loop, through the one fraction-free step below.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -232,14 +240,15 @@ class Elimination(NamedTuple):
     """A fraction-free Gauss-Jordan elimination after some pivots.
 
     Read in the pivot rows, a column is D times its coordinates in the
-    pivoted columns: the reduced row echelon form times D.  For a square
-    matrix of full rank, the determinant is sign * D.
+    pivoted columns: the reduced row echelon form times D.  The rank is
+    len(rows), and a square matrix of full rank has determinant sign * D.
     """
 
     D: int                    # the last pivot
     sign: int                 # of the order of the pivot rows
     rows: tuple[int, ...]     # the pivot row of each pivot, in turn
-    columns: Mapping[int, Column] | Sequence[Column]
+    pivots: tuple[int, ...]   # the pivoted column labels, in turn
+    columns: Mapping[int, Column]
 
     def entry(self, j: int, i: int) -> int:
         """Entry i of reduced column j."""
@@ -247,36 +256,16 @@ class Elimination(NamedTuple):
         return y[i] * self.D // t
 
 
-def eliminate(a: Sequence[Sequence[int]]) -> tuple[Elimination, list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
-
-    Returns the elimination, its columns indexed as in a, and the pivoted
-    columns.  Each column's pivot is its first nonzero entry among the
-    rows not yet pivoted on; a column with none is passed over.  No row
-    moves: the pivot rows are listed instead, and sign is the sign of
-    that order.  The input is not changed.
+def eliminate(a: Sequence[Sequence[int]]) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows:
+    the walk below over the one facet (1, ..., m) of their m columns, so
+    a column with no pivot is passed over and kept.  The input is not
+    changed.
     """
-    columns = [(y, 1) for y in zip(*a)]
-    free = list(range(len(a)))   # rows not yet pivoted on, increasing
-    pivots: list[int] = []
-    rows: list[int] = []         # the pivot row of each pivot
-    prev, sign = 1, 1
-    for c in range(len(columns)):
-        if not free:
-            break
-        p = _pivot_position(columns[c][0], free)
-        if p is None:
-            continue
-        r = free.pop(p)
-        if p % 2:   # r moves ahead of p free rows
-            sign = -sign
-        x = _exact(columns[c], prev)
-        # a column left of c is zero in every row still free, r included
-        columns[c:] = _bareiss_step(columns[c:], r, x, prev)
-        prev = x[r]
-        pivots.append(c)
-        rows.append(r)
-    return Elimination(prev, sign, tuple(rows), columns), pivots
+    m = len(a[0])
+    (e,) = eliminate_prefixes(list(zip(*a)), [range(1, m + 1)], m, len(a),
+                              lambda _, e: e, carry_all=True)
+    return e
 
 
 def eliminate_prefixes(
@@ -286,7 +275,7 @@ def eliminate_prefixes(
     pivot_rows: int,
     read: Callable[[Sequence[int], Elimination], T],
     carry_all: bool = False,
-) -> list[T | None]:
+) -> list[T]:
     """Eliminate each facet's matrix of columns [vectors[v - 1] for v in
     facet], all facets in one walk; read(facet, state) for each facet, in
     order.
@@ -302,9 +291,10 @@ def eliminate_prefixes(
     carry_all every column outside its prefix, in increasing vertex
     order.  No row moves; the pivot rows are listed instead, and sign is
     the sign of that order, so for a square matrix the determinant is
-    sign * D.  A column with no pivot makes the prefix's columns
-    dependent, and every facet below it reads None.  Each state is read
-    when the walk reaches it and not kept.
+    sign * D.  A column with no pivot is passed over: no row moves, no
+    column changes, and it stays among the columns; the facet's rank,
+    len(rows), then falls short of depth.  Each state is read when the
+    walk reaches it and not kept.
     """
     n = len(vectors)
     for facet in facets:
@@ -315,12 +305,12 @@ def eliminate_prefixes(
             if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
                                  f"range 1..{n}")
-    out: list[T | None] = [None] * len(facets)
+    out: list = [None] * len(facets)
     order = sorted(range(len(facets)), key=lambda i: tuple(facets[i]))
 
-    def visit(columns, prev, sign, free, rows, lo, hi, k):
+    def visit(columns, prev, sign, free, rows, pivots, lo, hi, k):
         if k == depth:
-            state = Elimination(prev, sign, rows, columns)
+            state = Elimination(prev, sign, rows, pivots, columns)
             for i in order[lo:hi]:
                 out[i] = read(facets[i], state)
             return
@@ -331,7 +321,9 @@ def eliminate_prefixes(
                 mid += 1
             x = columns[v][0]
             p = _pivot_position(x, free)
-            if p is not None:
+            if p is None:
+                visit(columns, prev, sign, free, rows, pivots, lo, mid, k + 1)
+            else:
                 if carry_all:
                     keep = [w for w in columns if w != v]
                 else:
@@ -344,14 +336,19 @@ def eliminate_prefixes(
                 reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
                 visit(dict(zip(keep, reduced)), x[r],
                       -sign if p % 2 else sign, free[:p] + free[p + 1:],
-                      rows + (r,), lo, mid, k + 1)
+                      rows + (r,), pivots + (v,), lo, mid, k + 1)
             lo = mid
 
     vertices = (range(1, n + 1) if carry_all
                 else sorted({v for facet in facets for v in facet}))
     visit({v: (vectors[v - 1], 1) for v in vertices}, 1, 1,
-          list(range(pivot_rows)), (), 0, len(facets), 0)
+          list(range(pivot_rows)), (), (), 0, len(facets), 0)
     return out
+
+
+def _determinant(facet: Sequence[int], e: Elimination) -> int:
+    """det of the facet's square matrix: sign * D, or 0 below full rank."""
+    return e.sign * e.D if len(e.rows) == len(facet) else 0
 
 
 def determinant(M: RationalMatrix) -> Fraction:
@@ -359,12 +356,11 @@ def determinant(M: RationalMatrix) -> Fraction:
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
     a, scale = integer_rows(M.to_lists())
-    e, pivots = eliminate(a)
-    return Fraction(e.sign * e.D if len(pivots) == M.rows else 0, scale)
+    return Fraction(_determinant(range(1, M.cols + 1), eliminate(a)), scale)
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(eliminate(integer_rows(M.to_lists())[0])[1])
+    return len(eliminate(integer_rows(M.to_lists())[0]).rows)
 
 
 def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -376,10 +372,10 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("shape mismatch in solve")
     a, _ = integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
-    e, pivots = eliminate(a)
-    if pivots[:n] != list(range(n)):
+    e = eliminate(a)
+    if e.pivots != tuple(range(1, n + 1)):
         raise RankDeficiencyError("singular matrix in solve")
-    return tuple(Fraction(e.entry(n, r), e.D) for r in e.rows)
+    return tuple(Fraction(e.entry(n + 1, r), e.D) for r in e.rows)
 
 
 # -- oriented-matrix operations -------------------------------------------
@@ -392,34 +388,37 @@ def maximal_minors(M: RationalMatrix) -> tuple[Fraction, ...]:
     return tuple(determinant(M.delete_column(j)) for j in range(M.cols))
 
 
-def _kernel_line(a: list[Sequence[int]]) -> list[int] | None:
-    """Integer vector spanning the kernel of d integer rows of length d+1.
-
-    It is proportional to the signed maximal minors (-1)^i * minor(a, i).
-    None when the rank is below d.
+def _kernel_line(facet: Sequence[int], e: Elimination) -> list[int] | None:
+    """Kernel line of the facet's d x (d+1) matrix, from an elimination of
+    its first d columns: v[pivot_i] = -x_i and v[last] = D for the last
+    column x read in the pivot rows, proportional to the signed maximal
+    minors (-1)^i * minor(i).  None when the first d columns are dependent.
     """
-    d = len(a)
-    if len(a[0]) != d + 1:
-        raise ValueError("expected shape d x (d+1)")
-    e, pivots = eliminate(a)
-    if len(pivots) < d:
+    if e.pivots != tuple(facet[:-1]):
         return None
-    free = next(c for c in range(d + 1) if c not in pivots)
-    v = [0] * (d + 1)
-    v[free] = e.D
-    for c, r in zip(pivots, e.rows):
-        v[c] = -e.entry(free, r)
-    return v
+    y, t = e.columns[facet[-1]]
+    return [-y[r] * e.D // t for r in e.rows] + [e.D]
 
 
-def _one_signed(v: list[int]) -> bool:
-    return all(x * v[0] > 0 for x in v)
+def _one_signed(v: list[int] | None) -> bool:
+    return v is not None and (min(v) > 0 or max(v) < 0)
+
+
+def _oriented(facet: Sequence[int], e: Elimination) -> bool:
+    """True iff the facet's signed minors are nonzero of one sign."""
+    return _one_signed(_kernel_line(facet, e))
+
+
+def _whole(M: RationalMatrix) -> tuple[range, Elimination]:
+    """The one facet of a d x (d+1) matrix, and its elimination."""
+    if M.cols != M.rows + 1:
+        raise ValueError("expected shape d x (d+1)")
+    return range(1, M.cols + 1), eliminate(integer_rows(M.to_lists())[0])
 
 
 def is_oriented(M: RationalMatrix) -> bool:
     """True iff all signed minors (-1)^i * minor(M, i) are nonzero of one sign."""
-    v = _kernel_line(integer_rows(M.to_lists())[0])
-    return v is not None and _one_signed(v)
+    return _oriented(*_whole(M))
 
 
 def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
@@ -429,9 +428,10 @@ def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
     None when M is full rank but not oriented.  Rank-deficient input raises
     RankDeficiencyError so callers can tell the two failure modes apart.
     """
-    v = _kernel_line(integer_rows(M.to_lists())[0])
-    if v is None:
+    facet, e = _whole(M)
+    if len(e.rows) < M.rows:
         raise RankDeficiencyError("matrix has rank < d; kernel is not a line")
+    v = _kernel_line(facet, e)
     if not _one_signed(v):
         return None
     return tuple(Fraction(x, v[0]) for x in v)
@@ -443,15 +443,15 @@ def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
     Returns None when the left kernel is trivial (full row rank).
     """
     # kernel of M^T: reduce M^T, read the free-variable basis
-    e, pivots = eliminate(integer_rows(M.transpose().to_lists())[0])
-    free = [c for c in range(M.rows) if c not in pivots]
+    e = eliminate(integer_rows(M.transpose().to_lists())[0])
+    free = [c for c in range(1, M.rows + 1) if c not in e.pivots]
     if not free:
         return None
     basis = []
     for fc in free:
         vec = [Fraction(0)] * M.rows
-        vec[fc] = Fraction(1)
-        for pc, r in zip(pivots, e.rows):
-            vec[pc] = Fraction(-e.entry(fc, r), e.D)
+        vec[fc - 1] = Fraction(1)
+        for pc, r in zip(e.pivots, e.rows):
+            vec[pc - 1] = Fraction(-e.entry(fc, r), e.D)
         basis.append(vec)
     return RationalMatrix(basis)

@@ -23,12 +23,11 @@ from .exactlinalg import (
     RationalMatrix,
     RankDeficiencyError,
     common_integer_rows,
-    eliminate,
     eliminate_prefixes,
     format_rational,
-    integer_rows,
     parse_rational,
     positive_kernel_vector,
+    solve,
 )
 from .precision import Arithmetic, default_precision
 
@@ -149,31 +148,33 @@ def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
                          facet: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact affine function (offset, gradient) matching the lift on a facet.
 
-    The support solves one equation per vertex v, with the row
-    (1, a_v, h_v).  Each row is scaled to integers by its own lcm, which
-    leaves the solution unchanged, and one elimination gives it.
+    The support solves one equation per vertex v: (1, a_v) . (offset,
+    gradient) = h_v.
     """
-    n = len(facet)
     _require_heights(A, heights)
     for v in facet:
         if not 1 <= v <= A.n_points:
             raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
                              f"range 1..{A.n_points}")
-    if A.dimension + 1 != n:
+    if A.dimension + 1 != len(facet):
         raise ValueError(f"facet {tuple(facet)} does not have "
                          f"{A.dimension + 1} vertices")
-    rows, _ = integer_rows((1, *A.points[v - 1], Fraction(heights[v - 1]))
-                           for v in facet)
-    e, pivots = eliminate(rows)
-    if pivots != list(range(n)):
-        raise RankDeficiencyError(f"facet {tuple(facet)} is affinely degenerate")
-    offset, *gradient = (Fraction(e.entry(n, r), e.D) for r in e.rows)
+    try:
+        offset, *gradient = solve(
+            RationalMatrix([(1, *A.points[v - 1]) for v in facet]),
+            [heights[v - 1] for v in facet])
+    except RankDeficiencyError:
+        raise RankDeficiencyError(
+            f"facet {tuple(facet)} is affinely degenerate") from None
     return offset, tuple(gradient)
 
 
 def _gap_signs(facet: Sequence[int],
-               e: Elimination) -> list[tuple[int, int]]:
-    """(p, sign of the hull gap at p) for every point p outside the facet."""
+               e: Elimination) -> list[tuple[int, int]] | None:
+    """(p, sign of the hull gap at p) for every point p outside the facet,
+    or None when the facet's (1, a) columns are dependent."""
+    if len(e.rows) < len(facet):
+        return None
     out = []
     for p in e.columns:
         gap = e.entry(p, -1) * e.D

@@ -87,7 +87,10 @@ def test_decorate_non_bipartite_reports_obstruction(runner, tmp_path):
     assert result.exit_code == 1
     body = json.loads(result.output)
     assert body["found"] is False
-    assert body["diagnostics"]["odd_cycle"]
+    assert body["diagnostics"] == {
+        "reason": "ridge signs conflict between adjacent facets",
+        "facets": [[1, 2, 4, 5], [2, 3, 4, 5]],
+    }
 
 
 @pytest.mark.parametrize("option, value", [("--seed", "-1"),
@@ -350,6 +353,9 @@ MISFITS = [
     ("points", '{"dimension": 3}'),
     ("heights", '{"heights": ["x"]}'),
     ("heights", '{"heights": ["0", Infinity]}'),
+    # malformed, not too long, though their tails look like huge exponents
+    ("heights", '{"heights": ["xe99999"]}'),
+    ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/2e99999"]}'),
     ("degenerate", FLAT_FACET),
     ("system", '{"points": []}'),
     ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
@@ -367,6 +373,7 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"error: malformed {file} file" in result.output
+    assert "digits" not in result.output
 
 
 @pytest.mark.parametrize("name,text", [

@@ -1,10 +1,20 @@
 """Ridge-sign decoration search."""
 
+from math import cos, radians, sin
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virodecor.complexes import SimplicialComplex, is_positively_decorated
+from virodecor.complexes import (
+    SimplicialComplex,
+    dual_graph,
+    is_bipartite,
+    is_positively_decorated,
+)
 from virodecor.completion import decorate, ridge_signs
+from virodecor.exactlinalg import RationalMatrix
 from virodecor.families import cyclic_minimal_triangulation, snd_subcomplex
 
 
@@ -13,6 +23,16 @@ S63 = snd_subcomplex(6, 3)
 # bipartite, but it has no balanced coloring and its ridge signs conflict
 MOEBIUS = SimplicialComplex.from_facets(2, 6, [
     (1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (3, 4, 6), (1, 4, 6)])
+# a 5-triangle Moebius band: its dual graph is a 5-cycle, so it is not
+# bipartite, yet the pentagram below decorates it
+MOEBIUS5 = SimplicialComplex.from_facets(2, 5, [
+    (1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 4, 5), (1, 2, 5)])
+# column k at angle 144 k degrees on a circle of radius 1000
+PENTAGRAM = RationalMatrix(list(zip(*(
+    (round(1000 * cos(radians(144 * k))), round(1000 * sin(radians(144 * k))))
+    for k in range(1, 6)))))
+# three triangles on one edge: their dual graph is a triangle
+BOOK3 = SimplicialComplex.from_facets(2, 5, [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
 
 
 def test_pattern_single_simplex():
@@ -77,7 +97,47 @@ def test_decorate_refuses_non_bipartite():
     outcome = decorate(cyclic_minimal_triangulation(6, 3))
     assert outcome.decoration is None
     assert outcome.method == "none"
-    assert outcome.diagnostics["odd_cycle"]
+    assert outcome.diagnostics == {
+        "reason": "ridge signs conflict between adjacent facets",
+        "facets": [[1, 2, 4, 5], [2, 3, 4, 5]],
+    }
+
+
+def test_decorate_non_bipartite_moebius_band():
+    assert not is_bipartite(dual_graph(MOEBIUS5))
+    assert is_positively_decorated(MOEBIUS5, PENTAGRAM) == (True, [])
+    assert ridge_signs(MOEBIUS5)[1] is None
+    outcome = decorate(MOEBIUS5, restarts=3)
+    assert outcome.method == "sign search"
+    assert is_positively_decorated(MOEBIUS5, outcome.decoration) == (True, [])
+
+
+def test_decorate_non_bipartite_book_of_three_triangles():
+    assert not is_bipartite(dual_graph(BOOK3))
+    C = RationalMatrix([[1, 0, -1, -1, -1], [0, 1, -1, -1, -1]])
+    assert is_positively_decorated(BOOK3, C) == (True, [])
+    assert ridge_signs(BOOK3)[1] is None
+    outcome = decorate(BOOK3, restarts=3)
+    assert outcome.decoration is not None
+    assert is_positively_decorated(BOOK3, outcome.decoration) == (True, [])
+
+
+@st.composite
+def cyclic_subcomplexes(draw):
+    """A nonempty subset of the facets of a minimal cyclic triangulation."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(d + 1, d + 6))
+    facets = cyclic_minimal_triangulation(n, d).facets
+    keep = draw(st.lists(st.sampled_from(facets), min_size=1, unique=True))
+    return SimplicialComplex.from_facets(d, n, keep)
+
+
+@given(cyclic_subcomplexes())
+@settings(max_examples=200, deadline=None)
+def test_ridge_signs_conflict_iff_not_bipartite_in_a_triangulation(K):
+    """Inside a triangulation, an odd cycle in the dual graph and a
+    ridge-sign conflict go together."""
+    assert (not is_bipartite(dual_graph(K))) == (ridge_signs(K)[1] is not None)
 
 
 def test_decorate_balanced_complex_uses_coloring():

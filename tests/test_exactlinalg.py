@@ -42,6 +42,34 @@ def square_matrices(max_n=5, entries=rationals):
         lambda n: matrices(n, n, entries))
 
 
+@st.composite
+def degenerate_matrices(draw, rows, cols):
+    """rows x cols matrices in which any column, the leading ones included,
+    may be zero, repeat an earlier column or combine two earlier ones, so
+    that the elimination finds no pivot in it and passes over it."""
+    columns = [list(c) for c in
+               zip(*draw(matrices(rows, cols, sparse_rationals)).to_lists())]
+    for j in range(cols):
+        kind = draw(st.sampled_from(["keep", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            columns[j] = [Fraction(0)] * rows
+        elif kind != "keep" and j:
+            a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+            c = Fraction(0) if kind == "repeat" else draw(rationals)
+            columns[j] = [x + c * y for x, y in zip(columns[a], columns[b])]
+    return RationalMatrix(list(zip(*columns)))
+
+
+def degenerate_square(max_n=4):
+    return st.integers(1, max_n).flatmap(lambda n: degenerate_matrices(n, n))
+
+
+def degenerate_oriented_shape(max_d=4):
+    """d x (d+1) inputs of degenerate_matrices."""
+    return st.integers(1, max_d).flatmap(
+        lambda d: degenerate_matrices(d, d + 1))
+
+
 def determinant_cofactor(M):
     """Cofactor expansion along the first row; independent of elimination."""
     if M.rows == 1:
@@ -75,8 +103,9 @@ def test_determinant_fractional_entries():
     assert determinant(M) == Fraction(1, 14) - Fraction(1, 15)
 
 
-@given(st.one_of(square_matrices(), square_matrices(entries=sparse_rationals)))
-@settings(max_examples=200, deadline=None)
+@given(st.one_of(square_matrices(), square_matrices(entries=sparse_rationals),
+                 degenerate_square()))
+@settings(max_examples=300, deadline=None)
 def test_determinant_matches_cofactor_expansion(M):
     assert determinant(M) == determinant_cofactor(M)
 
@@ -95,19 +124,30 @@ def test_determinant_row_scaling(M, c):
     assert determinant(RationalMatrix(rows)) == c * determinant(M)
 
 
-@given(square_matrices(4))
-@settings(max_examples=100, deadline=None)
+@given(st.one_of(square_matrices(4), st.tuples(
+    st.integers(1, 4), st.integers(1, 6)).flatmap(
+        lambda shape: degenerate_matrices(*shape))))
+@settings(max_examples=200, deadline=None)
 def test_rank_nullity(M):
     r = rank(M)
     kern = left_kernel_basis(M.transpose())
     nullity = 0 if kern is None else kern.rows
     assert r + nullity == M.cols
+    assert r == rank(M.transpose())
+    if M.rows == M.cols:
+        assert (r == M.rows) == (determinant_cofactor(M) != 0)
+    if kern is not None:
+        # independent rows x with x . M^T = 0
+        assert rank(kern) == kern.rows
+        assert all(x == 0 for row in matmul(kern, M.transpose()).to_lists()
+                   for x in row)
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.tuples(matrices(n, n, sparse_rationals),
+    lambda n: st.tuples(st.one_of(matrices(n, n, sparse_rationals),
+                                  degenerate_matrices(n, n)),
                         st.lists(rationals, min_size=n, max_size=n))))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_solve_roundtrip(Mb):
     M, b = Mb
     if determinant(M) != 0:
@@ -147,11 +187,14 @@ def vectors_and_facets(draw):
 @given(vectors_and_facets())
 @settings(max_examples=200, deadline=None)
 def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
-    """sign * D of the walk is each facet's determinant, None where it is
-    zero; facets that share a prefix share its pivots."""
+    """sign * D of the walk is each facet's determinant, and the rank
+    falls short exactly where it is zero; facets that share a prefix share
+    its pivots."""
     vectors, facets = inputs
     m = len(vectors[0])
-    dets = eliminate_prefixes(vectors, facets, m, m, lambda _, e: e.sign * e.D)
+    dets = eliminate_prefixes(
+        vectors, facets, m, m,
+        lambda _, e: e.sign * e.D if len(e.rows) == m else None)
     for facet, det in zip(facets, dets):
         M = RationalMatrix([[vectors[v - 1][i] for v in facet]
                             for i in range(m)])
@@ -186,10 +229,11 @@ def test_positive_kernel_rank_deficient_raises():
         positive_kernel_vector(M)
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(
+@given(st.one_of(st.integers(min_value=1, max_value=5).flatmap(
     lambda d: st.one_of(matrices(d, d + 1),
-                        matrices(d, d + 1, sparse_rationals))))
-@settings(max_examples=300, deadline=None)
+                        matrices(d, d + 1, sparse_rationals))),
+    degenerate_oriented_shape()))
+@settings(max_examples=400, deadline=None)
 def test_orientation_equivalences(M):
     """The three characterizations of an oriented matrix must agree:
 
@@ -250,10 +294,11 @@ def test_chirotope_keys_and_signs():
     assert chi[(2, 3)] == -1
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(
+@given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(
     lambda d: st.one_of(matrices(d, d + 1),
-                        matrices(d, d + 1, sparse_rationals))))
-@settings(max_examples=150, deadline=None)
+                        matrices(d, d + 1, sparse_rationals))),
+    degenerate_oriented_shape()))
+@settings(max_examples=200, deadline=None)
 def test_maximal_minor_signs_match_chirotope(M):
     """Minor i deletes column i: its sign is the chirotope's on the rest."""
     chi = chirotope(M)
