@@ -167,12 +167,16 @@ def decorate(K: SimplicialComplex, restarts: int = 100,
     graph is not: the 5-triangle Moebius band is decorable); otherwise
     seeded margin searches run until one rounded candidate passes the
     exact verification.  A negative restart count or seed is a
-    ValueError.
+    ValueError, and so is a complex of dimension 0, since a decoration
+    matrix has one row per dimension.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if K.dimension == 0:
+        raise ValueError("a decoration matrix has one row per dimension; "
+                         "the complex has dimension 0")
     coloring = balanced_coloring(K)
     if coloring is not None:
         C = decoration_from_coloring(coloring, K.n_vertices, K.dimension)

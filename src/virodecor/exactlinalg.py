@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: determinants, minors, kernels, orientation.
+"""Exact rational linear algebra: determinants, ranks, solves, orientation.
 
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 scaled to integer rows for one fraction-free elimination, and there is no
@@ -53,27 +53,12 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._data)
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._data]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self._data)))
 
     def submatrix_columns(self, cols: Iterable[int]) -> "RationalMatrix":
         cols = list(cols)
         return RationalMatrix([[row[j] for j in cols] for row in self._data])
-
-    def delete_column(self, j: int) -> "RationalMatrix":
-        return self.submatrix_columns([c for c in range(self.cols) if c != j])
-
-    def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
-        v = [_frac(x) for x in v]
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch in matvec")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._data)
 
     def __eq__(self, other):
         return (
@@ -124,10 +109,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# a decimal literal with an exponent, as Fraction reads it
-_DECIMAL_WITH_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
-    r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+# a literal as Fraction reads it, with its numerator, denominator, decimal
+# and exponent digit runs as groups
+_RUN = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(
+    rf"\s*[-+]?(?=\d|\.\d)(\d*|{_RUN})"
+    rf"(?:\s*/\s*({_RUN})|(?:\.(\d*|{_RUN}))?(?:[eE][-+]?({_RUN}))?)\s*")
 
 
 def parse_rational(s: str) -> Fraction:
@@ -136,12 +123,17 @@ def parse_rational(s: str) -> Fraction:
     where 0 means no limit): such a value could be read but never
     printed, so it fails here, before any work."""
     limit = sys.get_int_max_str_digits()
-    if limit and isinstance(s, str) and ("e" in s or "E" in s):
-        # a decimal exponent e moves the value at least |e| - len(s)
-        # digits away from 1; checked first, so that 10^|e| is never built,
-        # and only on a well-formed literal: Fraction names a malformed one
-        exponent = _DECIMAL_WITH_EXPONENT.fullmatch(s)
-        if exponent and abs(int(exponent[1])) > limit + len(s):
+    if limit and isinstance(s, str) and (len(s) > limit or "e" in s
+                                         or "E" in s):
+        # A run of more than limit digits is one Python will not convert,
+        # and a decimal exponent e moves the value at least |e| - len(s)
+        # digits away from 1.  Both are checked first, so that 10^|e| is
+        # never built, and only on a well-formed literal: Fraction names a
+        # malformed one.
+        literal = _LITERAL.fullmatch(s)
+        if literal and (any(len(run.replace("_", "")) > limit
+                            for run in literal.groups() if run)
+                        or literal[4] and int(literal[4]) > limit + len(s)):
             raise _too_long(s, limit)
     x = Fraction(s)
     big = max(abs(x.numerator), x.denominator)
@@ -381,13 +373,6 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
 # -- oriented-matrix operations -------------------------------------------
 
 
-def maximal_minors(M: RationalMatrix) -> tuple[Fraction, ...]:
-    """The d+1 maximal minors of a d x (d+1) matrix, i-th = det without column i."""
-    if M.cols != M.rows + 1:
-        raise ValueError("expected shape d x (d+1)")
-    return tuple(determinant(M.delete_column(j)) for j in range(M.cols))
-
-
 def _kernel_line(facet: Sequence[int], e: Elimination) -> list[int] | None:
     """Kernel line of the facet's d x (d+1) matrix, from an elimination of
     its first d columns: v[pivot_i] = -x_i and v[last] = D for the last
@@ -436,22 +421,3 @@ def positive_kernel_vector(M: RationalMatrix) -> tuple[Fraction, ...] | None:
         return None
     return tuple(Fraction(x, v[0]) for x in v)
 
-
-def left_kernel_basis(M: RationalMatrix) -> RationalMatrix | None:
-    """Exact basis of {x : x . M = 0}, one row per basis vector.
-
-    Returns None when the left kernel is trivial (full row rank).
-    """
-    # kernel of M^T: reduce M^T, read the free-variable basis
-    e = eliminate(integer_rows(M.transpose().to_lists())[0])
-    free = [c for c in range(1, M.rows + 1) if c not in e.pivots]
-    if not free:
-        return None
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * M.rows
-        vec[fc - 1] = Fraction(1)
-        for pc, r in zip(e.pivots, e.rows):
-            vec[pc - 1] = Fraction(-e.entry(fc, r), e.D)
-        basis.append(vec)
-    return RationalMatrix(basis)

@@ -397,8 +397,11 @@ def _set_partitions(universe: tuple[int, ...],
             yield (block,) + tail
 
 
-def multilinear_tp_system(parts: Sequence[int],
-                          max_retries: int = 8) -> MultilinearSystem:
+# node perturbations multilinear_tp_system tries before it gives up
+_TP_RETRIES = 8
+
+
+def multilinear_tp_system(parts: Sequence[int]) -> MultilinearSystem:
     """Build the system for a partition of d and solve all its branches exactly.
 
     Totally positive matrices are realized as Vandermonde matrices over
@@ -414,7 +417,7 @@ def multilinear_tp_system(parts: Sequence[int],
     k = len(parts)
     partitions = tuple(_set_partitions(tuple(range(1, d + 1)), parts))
 
-    for attempt in range(max_retries):
+    for attempt in range(_TP_RETRIES):
         matrices = []
         offset = Fraction(attempt, attempt + 1)
         node = Fraction(1)
@@ -450,5 +453,5 @@ def multilinear_tp_system(parts: Sequence[int],
             return MultilinearSystem(parts, tuple(matrices),
                                      partitions, tuple(solutions))
     raise ArithmeticError(
-        f"could not build distinct positive solutions after {max_retries} retries"
+        f"could not build distinct positive solutions after {_TP_RETRIES} retries"
     )

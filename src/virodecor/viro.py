@@ -97,12 +97,12 @@ def build_viro_system(A: PointConfiguration, C: RationalMatrix,
     return ViroSystem(A, C, tuple(Fraction(h) for h in heights))
 
 
-def render_system(S: ViroSystem, var_names: Sequence[str] | None = None) -> str:
-    """Human-readable rendering with explicit t powers."""
+def render_system(S: ViroSystem) -> str:
+    """Human-readable rendering with explicit t powers, in the variables
+    X, Y, Z, or X1, ..., Xd past d = 3."""
     d = S.dimension
-    if var_names is None:
-        var_names = ([f"X{i + 1}" for i in range(d)] if d > 3
-                     else ["X", "Y", "Z"][:d])
+    var_names = ([f"X{i + 1}" for i in range(d)] if d > 3
+                 else ["X", "Y", "Z"][:d])
     lines = []
     for i in range(d):
         terms = []
@@ -251,7 +251,6 @@ class PredictedStart:
 
     facet: tuple[int, ...]
     log_point: tuple[mp.mpf, ...]
-    shift: tuple[Fraction, ...]   # gradient of the facet's affine support
 
 
 def log_fraction(x: Fraction) -> mp.mpf:
@@ -340,9 +339,9 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
     bits = prec or default_precision()
     ops = Arithmetic(bits)
     with mp.workprec(bits):
-        lifted = A.lifted_matrix(facet)
-        mat = [[mpf_fraction(lifted[i, j])._mpf_ for i in range(lifted.rows)]
-               for j in range(lifted.cols)]
+        # the transposed lifted matrix: one row (1, a_v) per vertex v
+        mat = [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *A.points[v - 1])]
+               for v in facet]
         try:
             sol = _lu_solve(_lu_factor(mat, ops),
                             [log_fraction(x)._mpf_ for x in v], ops)
@@ -355,16 +354,16 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
 @functools.lru_cache(maxsize=1)
 def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
                      bits: int) -> tuple[tuple, ...]:
-    """(facet, truncated log-solution, gradient, mpf gradient) per facet
-    of K.  None of it depends on t, so the last build is kept: counts of
-    one system at many t solve each facet once."""
+    """(facet, truncated log-solution, mpf gradient of the affine
+    support) per facet of K.  None of it depends on t, so the last build
+    is kept: counts of one system at many t solve each facet once."""
     out = []
     with mp.workprec(bits):
         for facet in K.facets:
             trunc = truncated_solution(S.configuration, S.coefficients, facet,
                                        prec=bits)
             _, grad = facet_affine_support(S.configuration, S.heights, facet)
-            out.append((facet, trunc.log_point, grad,
+            out.append((facet, trunc.log_point,
                         tuple(mpf_fraction(g) for g in grad)))
     return tuple(out)
 
@@ -379,7 +378,5 @@ def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
     with mp.workprec(bits):
         lnt = log_fraction(t)
         return [PredictedStart(facet, tuple(x - lnt * g
-                                            for x, g in zip(u, grad_mpf)),
-                               grad)
-                for facet, u, grad, grad_mpf
-                in _facet_solutions(S, K, bits)]
+                                            for x, g in zip(u, grad)))
+                for facet, u, grad in _facet_solutions(S, K, bits)]

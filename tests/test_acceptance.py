@@ -30,7 +30,6 @@ from virodecor.completion import decorate
 from virodecor.exactlinalg import (
     RationalMatrix,
     is_oriented,
-    maximal_minors,
     positive_kernel_vector,
     rank,
 )
@@ -49,6 +48,8 @@ from virodecor.families import (
 )
 from virodecor.numerics import certified_positive_count, evaluate, jacobian
 from virodecor.viro import build_viro_system, regularity_check, render_system
+
+from exact_oracles import lifted_matrix, matvec, maximal_minors
 
 
 def verdict(n, text):
@@ -315,7 +316,7 @@ def test_criterion_13a_orientation_equivalences():
             if v is not None:
                 oriented_seen += 1
                 assert all(x > 0 for x in v)
-                assert all(s == 0 for s in M.matvec(v))
+                assert all(s == 0 for s in matvec(M, v))
     assert oriented_seen > 0
     verdict(13, "orientation equivalences on 1000 random matrices")
 
@@ -333,8 +334,8 @@ def test_criterion_13b_adjacent_signs_opposite():
         # the two simplices must lie on opposite sides of the shared face,
         # otherwise they do not form a simplicial complex
         try:
-            det1 = determinant(A.lifted_matrix(shared + (1,)))
-            det2 = determinant(A.lifted_matrix(shared + (d + 2,)))
+            det1 = determinant(lifted_matrix(A, shared + (1,)))
+            det2 = determinant(lifted_matrix(A, shared + (d + 2,)))
         except ValueError:
             continue
         if det1 == 0 or det2 == 0 or (det1 > 0) == (det2 > 0):

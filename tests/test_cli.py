@@ -108,6 +108,33 @@ def test_decorate_bad_search_setting_is_a_usage_error(runner, tmp_path,
     assert "Traceback" not in result.output
 
 
+def test_decorate_refuses_a_zero_dimensional_complex(runner, tmp_path):
+    """No matrix has the d = 0 rows a decoration of this complex needs."""
+    p = tmp_path / "K.json"
+    p.write_text('{"dimension": 0, "n_vertices": 3, "facets": [[1], [2]]}')
+    result = runner.invoke(main, ["decorate", "--complex", str(p)])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: a decoration matrix has one row per "
+                             "dimension; the complex has dimension 0\n")
+
+
+def test_decorate_writes_a_matrix_with_no_columns(runner, tmp_path):
+    """A complex with no vertices is decorated by a d x 0 matrix, which
+    check --decorated accepts."""
+    kp = tmp_path / "K.json"
+    cp = tmp_path / "C.json"
+    kp.write_text('{"dimension": 2, "n_vertices": 0, "facets": []}')
+    result = runner.invoke(main, ["decorate", "--complex", str(kp),
+                                  "--out", str(cp)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(cp.read_text()) == {"rows": 2, "cols": 0,
+                                          "entries": []}
+    result = runner.invoke(main, ["check", "--complex", str(kp), "--matrix",
+                                  str(cp), "--decorated"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "decorated: pass\n"
+
+
 def test_count_json_parity_with_library(runner, tmp_path):
     f = catalog.snd63_fixture()
     S = build_viro_system(f.configuration, f.coefficients, f.heights)
@@ -190,6 +217,12 @@ def test_count_invalid_t(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# literals with a run of more than 4300 digits, which Python itself refuses
+# to convert: in the exponent, the numerator and the denominator
+LONG_RUNS = ("1e" + "9" * 5000, "1" + "0" * 5000, "1/" + "7" * 5000,
+             "-" + "3" * 4301)
+
+
 def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
                                                         monkeypatch):
     """10^9999 has more digits than Python writes out: the JSON report
@@ -202,7 +235,7 @@ def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
     kp.write_text(f.complex.to_json())
     monkeypatch.setattr("virodecor.cli.certified_positive_count",
                         lambda *a, **k: pytest.fail("counted"))
-    for t in ("1e-9999", "1e9999", "1e-99999999"):
+    for t in ("1e-9999", "1e9999", "1e-99999999", *LONG_RUNS):
         result = runner.invoke(main, ["count", "--system", str(sp),
                                       "--complex", str(kp), "--t", t,
                                       "--format", "json"])
@@ -210,6 +243,7 @@ def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
         assert isinstance(result.exception, SystemExit)
         assert f"error: invalid t: {t!r}: rational {t!r} has more than " \
             f"4300 digits" in result.output
+        assert "set_int_max_str_digits" not in result.output
 
 
 def test_viro_roundtrip(runner, tmp_path):
@@ -356,6 +390,8 @@ MISFITS = [
     # malformed, not too long, though their tails look like huge exponents
     ("heights", '{"heights": ["xe99999"]}'),
     ("matrix", '{"rows": 1, "cols": 1, "entries": ["1/2e99999"]}'),
+    pytest.param("heights", json.dumps({"heights": ["x" + "9" * 5000]}),
+                 id="heights-malformed-long-run"),
     ("degenerate", FLAT_FACET),
     ("system", '{"points": []}'),
     ("poset", '{"size": 2, "relations": [[1, 2], [2, 1]]}'),
@@ -388,6 +424,23 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     ("system", json.dumps({"points": _points(3, 6)["points"],
                            "coefficients": _matrix(3, 6),
                            "heights": ["0"] * 5 + ["1e-5000"]})),
+    pytest.param("heights", json.dumps(
+        {"heights": ["0", "1", "2", LONG_RUNS[0], "4", "5"]}),
+        id="heights-long-exponent"),
+    pytest.param("matrix", json.dumps(
+        {"rows": 3, "cols": 6, "entries": [LONG_RUNS[1]] * 18}),
+        id="matrix-long-numerator"),
+    pytest.param("points", json.dumps({"dimension": 3, "points": [
+        ["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+        ["0", "0", "1"], ["1", "1", "1"], ["2", LONG_RUNS[2], "1"]]}),
+        id="points-long-denominator"),
+    pytest.param("system", json.dumps(
+        {"points": _points(3, 6)["points"], "coefficients": _matrix(3, 6),
+         "heights": ["0"] * 5 + [LONG_RUNS[3]]}),
+        id="system-long-negative-numerator"),
+    pytest.param("heights", json.dumps(
+        {"heights": ["0", "1", "2", "0." + "0" * 4300 + "1", "4", "5"]}),
+        id="heights-long-decimal"),
 ])
 def test_unprintable_rationals_are_usage_errors(runner, tmp_path, name,
                                                  text):
@@ -404,6 +457,7 @@ def test_unprintable_rationals_are_usage_errors(runner, tmp_path, name,
     assert isinstance(result.exception, SystemExit)
     assert f"error: malformed {file} file" in result.output
     assert "has more than 4300 digits" in result.output
+    assert "set_int_max_str_digits" not in result.output
     assert not (tmp_path / "S.json").exists()
 
 

@@ -37,6 +37,8 @@ from virodecor.families import (
     snd_subcomplex,
 )
 
+from exact_oracles import column
+
 
 O63 = cyclic_minimal_triangulation(6, 3)
 O63_FACETS = [(1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6),
@@ -341,9 +343,9 @@ def test_balanced_coloring_across_components():
 
 def test_decoration_from_coloring_columns():
     C = decoration_from_coloring({1: 0, 2: 1, 3: 2}, 3, 2)
-    assert C.column(0) == (1, 0)
-    assert C.column(1) == (0, 1)
-    assert C.column(2) == (-1, -1)
+    assert column(C, 0) == (1, 0)
+    assert column(C, 1) == (0, 1)
+    assert column(C, 2) == (-1, -1)
 
 
 def test_coloring_decorations_of_reference_fixtures():

@@ -36,6 +36,8 @@ from virodecor.viro import (
     predicted_solutions,
 )
 
+from exact_oracles import lifted_matrix
+
 PREC = 256
 
 
@@ -726,7 +728,7 @@ def oracle_truncated(A, C, facet, bits):
     """The lifted solve of viro.truncated_solution through the oracle LU."""
     v = positive_kernel_vector(C.submatrix_columns([i - 1 for i in facet]))
     with mp.workprec(bits):
-        lifted = A.lifted_matrix(facet)
+        lifted = lifted_matrix(A, facet)
         mat = [[mpf_fraction(lifted[i, j]) for i in range(lifted.rows)]
                for j in range(lifted.cols)]
         sol = oracle_lu_solve(oracle_lu_factor(mat),
