@@ -32,6 +32,7 @@ from .exactlinalg import (
     RationalMatrix,
     format_rational,
     parse_rational,
+    quote_literal,
 )
 from .families import (
     Poset,
@@ -317,9 +318,9 @@ def count(system_path, complex_path, t_str, expect, fmt):
     try:
         t = parse_rational(t_str)
     except (ValueError, ZeroDivisionError) as exc:
-        _fail_usage(f"invalid t: {t_str!r}: {exc}")
+        _fail_usage(f"invalid t: {quote_literal(t_str)}: {exc}")
     if t <= 0:
-        _fail_usage(f"invalid t: {t_str!r}")
+        _fail_usage(f"invalid t: {quote_literal(t_str)}")
     S = _load(system_path, ViroSystem.from_json, "system")
     K = _load_complex(complex_path)
     _require_points_fit(K, S.configuration, "system", system_path)

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from operator import lt
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactlinalg import (
+    Column,
+    Elimination,
     RationalMatrix,
     _determinant,
     _oriented,
@@ -392,21 +394,69 @@ def is_positively_decorated(
     return (not failing, failing)
 
 
-def _lifted_determinants(
-    A: PointConfiguration, facets: Sequence[Sequence[int]]
-) -> tuple[int, list[int]]:
-    """P^d and P^d times the lifted determinant of each facet.
+_Coordinates = tuple[tuple[int, ...], tuple[tuple[int, Column], ...]]
+
+
+class _LiftedTable(NamedTuple):
+    """The lifted configuration eliminated once per facet of a complex.
+
+    scale is P^d, for the common denominator P of the points.  dets holds
+    P^d times each facet's lifted determinant, 0 where the facet's points
+    are affinely dependent.  coords holds, per facet, (vertices, pairs):
+    vertices[r] is the vertex whose column was pivoted in row r, and
+    pairs lists (p, (y, t)) for each point p outside the facet, in
+    increasing order, with (1, a_p) = sum_r (y[r] / t) * (1, a_v) over
+    the rows r and their vertices v = vertices[r].  So y / t are p's
+    barycentric coordinates on the facet, kept as integers over one
+    nonzero t.  coords is None for a dependent facet.  None of it depends
+    on heights.
+    """
+
+    scale: int
+    dets: tuple[int, ...]
+    coords: tuple[_Coordinates | None, ...]
+
+
+def _facet_entry(facet: Sequence[int],
+                 e: Elimination) -> tuple[int, _Coordinates | None]:
+    """(lifted determinant, barycentric coordinates) of one facet, read off
+    the elimination of its d+1 lifted columns: in the pivot rows, here
+    every row, an outside column is D times its coordinates on the
+    pivoted columns, and its pair (y, t) stands for y * D / t."""
+    det = _determinant(facet, e)
+    if not det:
+        return 0, None
+    vertices = [0] * len(facet)
+    for r, v in zip(e.rows, e.pivots):
+        vertices[r] = v
+    return det, (tuple(vertices), tuple(e.columns.items()))
+
+
+@functools.lru_cache(maxsize=1)
+def _lifted_table(A: PointConfiguration,
+                  facets: Sequence[Sequence[int]]) -> _LiftedTable:
+    """Eliminate the lifted columns (1, a_p) of every facet, in one walk.
 
     The points are scaled to integers by one common denominator P, which
-    multiplies every lifted determinant by P^d > 0: its sign is kept and
-    dividing by P^d restores it exactly.  One walk over the facets'
-    prefix trie pivots on all d+1 lifted columns (1, a_v); the
-    determinant is sign times the last pivot, and 0 where a column finds
-    no pivot.
+    multiplies every lifted determinant by P^d > 0 and leaves every
+    barycentric coordinate unchanged.  One walk over the facets' prefix
+    trie pivots on all d+1 lifted columns of each facet and carries every
+    column outside the prefix; the determinant is sign times the last
+    pivot.  The table depends on (A, facets) alone, so the last one is
+    kept: regularity under any heights, the volumes and the simplex
+    signs of one complex read one walk.  A call on a single facet uses
+    the uncached builder, _lifted_table.__wrapped__, and keeps the
+    complex's table.
     """
+    m = A.dimension + 1
+    if any(len(f) != m for f in facets):
+        raise ValueError("determinant requires a square matrix")
     points, P = common_integer_rows(A.points)
     lifted = [(1, *p) for p in points]
-    return P ** A.dimension, _determinants(lifted, facets)
+    entries = eliminate_prefixes(lifted, facets, m, m, _facet_entry,
+                                 carry_all=True)
+    return _LiftedTable(P ** A.dimension, tuple(det for det, _ in entries),
+                        tuple(coords for _, coords in entries))
 
 
 def _determinants(vectors: list[Sequence[int]],
@@ -427,7 +477,7 @@ def simplex_signs(
     signs.
     """
     A.require_vertices(K)
-    _, dets_a = _lifted_determinants(A, K.facets)
+    dets_a = _lifted_table(A, K.facets).dets
     # the lifted columns (1, c_v), each scaled by its own positive lcm
     lifted_c, _ = integer_rows((1, *col) for col in zip(*C.to_lists()))
     dets_c = _determinants(lifted_c, K.facets)
@@ -443,20 +493,25 @@ def simplex_signs(
 
 def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
     """|det| of the lifted facet matrix: Euclidean volume times d!."""
-    scale, (det,) = _lifted_determinants(A, [facet])
+    scale, (det,), _ = _lifted_table.__wrapped__(A, [facet])
     return Fraction(abs(det), scale)
 
 
 def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:
+    """True iff every facet's lifted determinant is +-1.
+
+    Reads the cached table of (A, K.facets), so after a regularity check
+    of the same complex, under any heights, it runs no elimination.
+    """
     A.require_vertices(K)
-    scale, dets = _lifted_determinants(A, K.facets)
+    scale, dets, _ = _lifted_table(A, K.facets)
     return all(abs(det) == scale for det in dets)
 
 
 def total_normalized_volume(K: SimplicialComplex,
                             A: PointConfiguration) -> Fraction:
     A.require_vertices(K)
-    scale, dets = _lifted_determinants(A, K.facets)
+    scale, dets, _ = _lifted_table(A, K.facets)
     return Fraction(sum(map(abs, dets)), scale)
 
 

@@ -121,7 +121,8 @@ def parse_rational(s: str) -> Fraction:
     """Fraction(s), refused when its numerator or denominator has more
     digits than Python will write back out (sys.get_int_max_str_digits(),
     where 0 means no limit): such a value could be read but never
-    printed, so it fails here, before any work."""
+    printed, so it fails here, before any work.  An error quotes a long
+    literal by its first characters and its length (quote_literal)."""
     limit = sys.get_int_max_str_digits()
     if limit and isinstance(s, str) and (len(s) > limit or "e" in s
                                          or "E" in s):
@@ -135,7 +136,15 @@ def parse_rational(s: str) -> Fraction:
                             for run in literal.groups() if run)
                         or literal[4] and int(literal[4]) > limit + len(s)):
             raise _too_long(s, limit)
-    x = Fraction(s)
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        # Fraction's message repeats the literal, or its numerator, whole
+        if not isinstance(s, str) or len(s) <= _SHOWN:
+            raise
+        what = ("Invalid literal for Fraction:" if isinstance(exc, ValueError)
+                else "zero denominator in")
+        raise type(exc)(f"{what} {quote_literal(s)}") from None
     big = max(abs(x.numerator), x.denominator)
     # 2^(3 * limit) < 10^limit, so a shorter value needs no exact test
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
@@ -144,8 +153,20 @@ def parse_rational(s: str) -> Fraction:
 
 
 def _too_long(s, limit: int) -> ValueError:
-    return ValueError(f"rational {s!r} has more than {limit} digits in its "
-                      f"numerator or denominator")
+    return ValueError(f"rational {quote_literal(s)} has more than {limit} "
+                      f"digits in its numerator or denominator")
+
+
+# an error message repeats at most this many characters of a literal
+_SHOWN = 40
+
+
+def quote_literal(s) -> str:
+    """repr(s) for an error message; a longer string is cut to its first
+    _SHOWN characters, followed by its length."""
+    if not isinstance(s, str) or len(s) <= _SHOWN:
+        return repr(s)
+    return f"{s[:_SHOWN]!r}… ({len(s)} characters)"
 
 
 # -- core elimination ------------------------------------------------------
@@ -364,6 +385,13 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("shape mismatch in solve")
     a, _ = integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
+    return _solution(a)
+
+
+def _solution(a: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """x with M x = b, for the integer rows a of [M | b], M square; the
+    rows may carry any positive scales."""
+    n = len(a)
     e = eliminate(a)
     if e.pivots != tuple(range(1, n + 1)):
         raise RankDeficiencyError("singular matrix in solve")

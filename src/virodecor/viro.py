@@ -13,21 +13,21 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
 
-from .complexes import PointConfiguration, SimplicialComplex
+from .complexes import PointConfiguration, SimplicialComplex, _lifted_table
 from .exactlinalg import (
-    Elimination,
     RationalMatrix,
     RankDeficiencyError,
+    _solution,
     common_integer_rows,
-    eliminate_prefixes,
     format_rational,
+    integer_rows,
     parse_rational,
     positive_kernel_vector,
-    solve,
 )
 from .precision import Arithmetic, default_precision
 
@@ -159,27 +159,15 @@ def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
     if A.dimension + 1 != len(facet):
         raise ValueError(f"facet {tuple(facet)} does not have "
                          f"{A.dimension + 1} vertices")
+    # the integer rows (1, a_v, h_v), each scaled by its own positive lcm
+    rows, _ = integer_rows([(1, *A.points[v - 1], Fraction(heights[v - 1]))
+                            for v in facet])
     try:
-        offset, *gradient = solve(
-            RationalMatrix([(1, *A.points[v - 1]) for v in facet]),
-            [heights[v - 1] for v in facet])
+        offset, *gradient = _solution(rows)
     except RankDeficiencyError:
         raise RankDeficiencyError(
             f"facet {tuple(facet)} is affinely degenerate") from None
     return offset, tuple(gradient)
-
-
-def _gap_signs(facet: Sequence[int],
-               e: Elimination) -> list[tuple[int, int]] | None:
-    """(p, sign of the hull gap at p) for every point p outside the facet,
-    or None when the facet's (1, a) columns are dependent."""
-    if len(e.rows) < len(facet):
-        return None
-    out = []
-    for p in e.columns:
-        gap = e.entry(p, -1) * e.D
-        out.append((p, (gap > 0) - (gap < 0)))
-    return out
 
 
 def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
@@ -194,33 +182,36 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     Ties and mixed senses are reported as violations: they mean the height
     induces a coarser or a different subdivision than the given complex.
 
-    The columns (1, a_p, h_p) are scaled to integers once per call, the
-    coordinates by their common denominator P and the heights by theirs,
-    H.  One walk over the facets' prefix trie pivots on each facet's d+1
-    columns in the rows (1, a) only, never in the height row, and
-    carries every column outside the prefix.  With N the facet's lifted
-    matrix, the height-row entry E_p of an outside point p is then
-    sigma * det [N, (1, a_p); h, h_p] and the last pivot D is
-    sigma * det N, for one row-order sign sigma, both scaled by P^d and E_p
-    also by H.  The gap at p is det [N, (1, a_p); h, h_p] / det N, so it
-    has the sign of E_p * D.  A facet whose (1, a) columns find no pivot
-    is affinely degenerate.  Violations follow the order of K.facets, and
-    within a facet the order of the points.
+    The test reads the table of (A, K.facets) that complexes keeps for
+    the last complex: per facet, each outside point p's barycentric
+    coordinates y_k / t on the facet's vertices v_k, as integers from one
+    elimination of the lifted columns (1, a_p).  The gap at p, h_p minus
+    the facet's affine support at a_p, is then
+    (t * h_p - sum_k y_k * h_{v_k}) / t, so it has the sign of
+    sign(t) * (t * h_p - sum_k y_k * h_{v_k}), with the heights scaled to
+    integers by their positive common denominator.  The table does not
+    depend on the heights: checks of one (A, K) under many heights, and
+    the volumes of the same complex, share one elimination, and a check
+    after the first is only integer dot products.  A facet whose points are
+    affinely dependent raises RankDeficiencyError.  Violations follow
+    the order of K.facets, and within a facet the order of the points.
     """
-    n, d = A.n_points, A.dimension
+    d = A.dimension
     A.require_vertices(K)
     _require_heights(A, heights)
     if K.facets and len(K.facets[0]) != d + 1:
         raise ValueError(f"facet {K.facets[0]} does not have {d + 1} vertices")
-    points, _ = common_integer_rows(A.points)
     (lift,), _ = common_integer_rows([[Fraction(h) for h in heights]])
-    columns = [(1, *a, h) for a, h in zip(points, lift)]
     above, below, ties = [], [], []
-    for facet, gaps in zip(K.facets, eliminate_prefixes(
-            columns, K.facets, d + 1, d + 1, _gap_signs, carry_all=True)):
-        if gaps is None:
+    for facet, coords in zip(K.facets, _lifted_table(A, K.facets).coords):
+        if coords is None:
             raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
-        for p, gap in gaps:
+        vertices, pairs = coords
+        lift_v = [lift[v - 1] for v in vertices]
+        for p, (y, t) in pairs:
+            gap = t * lift[p - 1] - sum(map(mul, y, lift_v))
+            if t < 0:
+                gap = -gap
             (above if gap > 0 else below if gap < 0 else ties).append(
                 (facet, p))
     if ties:

@@ -241,9 +241,31 @@ def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
                                       "--format", "json"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"error: invalid t: {t!r}: rational {t!r} has more than " \
+        shown = repr(t) if len(t) <= 40 else \
+            f"{t[:40]!r}… ({len(t)} characters)"
+        assert f"error: invalid t: {shown}: rational {shown} has more than " \
             f"4300 digits" in result.output
         assert "set_int_max_str_digits" not in result.output
+        assert len(result.output.encode()) < 300
+
+
+@pytest.mark.parametrize("t, reason", [
+    ("x" * 5000, "Invalid literal for Fraction: "),
+    ("1" * 4000 + "/0", "zero denominator in "),
+    ("-" + "1" * 4000, None),
+], ids=["malformed", "zero-denominator", "negative"])
+def test_count_cuts_a_long_t_short_in_its_error(runner, tmp_path, t, reason):
+    """A malformed, zero-denominator or negative t of thousands of
+    characters is echoed as its first 40 characters and its length."""
+    (tmp_path / "S.json").touch()
+    (tmp_path / "K.json").touch()
+    result = runner.invoke(main, ["count", "--system",
+                                  str(tmp_path / "S.json"), "--complex",
+                                  str(tmp_path / "K.json"), "--t", t])
+    assert result.exit_code == 2, result.output
+    shown = f"{t[:40]!r}… ({len(t)} characters)"
+    detail = "" if reason is None else f": {reason}{shown}"
+    assert result.output == f"error: invalid t: {shown}{detail}\n"
 
 
 def test_viro_roundtrip(runner, tmp_path):

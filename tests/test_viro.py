@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virodecor import catalog
+from virodecor import catalog, complexes, exactlinalg
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
+    _lifted_table,
     decoration_from_coloring,
     is_positively_decorated,
     is_unimodular,
@@ -24,6 +25,7 @@ from virodecor.exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
     determinant,
+    eliminate_prefixes,
     solve,
 )
 from virodecor.families import Poset, order_polytope_triangulation
@@ -197,26 +199,32 @@ zero_heavy = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                        st.fractions(-5, 5, max_denominator=9))
 
 
+HEIGHT_KINDS = ("random", "two-valued", "convex", "concave")
+
+
+def heights_over(points, kind):
+    """Heights over the points: random, two-valued (ties), or a convex or
+    concave quadratic plus an affine function (often one sense)."""
+    n, d = len(points), len(points[0])
+    if kind == "random":
+        return st.lists(coords, min_size=n, max_size=n)
+    if kind == "two-valued":
+        return st.lists(st.sampled_from([Fraction(0), Fraction(1, 3)]),
+                        min_size=n, max_size=n)
+    a = Fraction(5, 7) if kind == "convex" else Fraction(-2, 3)
+    return st.lists(coords, min_size=d + 1, max_size=d + 1).map(
+        lambda b: [a * sum(x * x for x in p) + b[0]
+                   + sum(bk * x for bk, x in zip(b[1:], p)) for p in points])
+
+
 @st.composite
 def lifted_complexes(draw):
     """(A, heights, K, C): random facets over a few rational points, heights
-    that are random, two-valued (ties) or a convex or concave quadratic plus
-    an affine function (often one sense), and a zero-heavy or a scaled
-    coloring C."""
+    of one of HEIGHT_KINDS, and a zero-heavy or a scaled coloring C."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(d + 1, d + 4))
     points = draw(st.lists(st.tuples(*[coords] * d), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["random", "two-valued", "quadratic"]))
-    if kind == "random":
-        heights = draw(st.lists(coords, min_size=n, max_size=n))
-    elif kind == "two-valued":
-        heights = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 3)]),
-                                min_size=n, max_size=n))
-    else:
-        a = draw(st.sampled_from([Fraction(-2, 3), Fraction(5, 7)]))
-        b = draw(st.lists(coords, min_size=d + 1, max_size=d + 1))
-        heights = [a * sum(x * x for x in p) + b[0]
-                   + sum(bk * x for bk, x in zip(b[1:], p)) for p in points]
+    heights = draw(heights_over(points, draw(st.sampled_from(HEIGHT_KINDS))))
     facets = draw(st.lists(st.sampled_from(
         list(combinations(range(1, n + 1), d + 1))), min_size=1, max_size=6,
         unique=True))
@@ -263,9 +271,7 @@ def shared_prefix_complexes(draw):
             SimplicialComplex(d, n, tuple(facets)), C)
 
 
-def assert_matches_fraction_oracles(A, heights, K, C):
-    """Every per-facet check against its per-facet Fraction oracle, with
-    reports and errors in the order of K.facets."""
+def assert_regularity_matches(A, heights, K):
     ours, oracle = (outcome(regularity_check, A, heights, K),
                     outcome(regularity_by_fraction_gaps, A, heights, K))
     if isinstance(oracle, tuple):
@@ -276,6 +282,12 @@ def assert_matches_fraction_oracles(A, heights, K, C):
                         f"facet {first} is affinely degenerate")
     else:
         assert ours == oracle
+
+
+def assert_matches_fraction_oracles(A, heights, K, C):
+    """Every per-facet check against its per-facet Fraction oracle, with
+    reports and errors in the order of K.facets."""
+    assert_regularity_matches(A, heights, K)
     for facet in K.facets:
         ours = outcome(facet_affine_support, A, heights, facet)
         oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
@@ -305,6 +317,68 @@ def test_integer_path_matches_fraction_oracles(inputs):
 @settings(max_examples=200, deadline=None)
 def test_shared_prefixes_match_fraction_oracles(inputs):
     assert_matches_fraction_oracles(*inputs)
+
+
+@st.composite
+def two_complexes_under_many_heights(draw):
+    """Two (A, K) of one strategy, each with heights of every kind."""
+    complexes_ = draw(st.sampled_from([lifted_complexes(),
+                                       shared_prefix_complexes()]))
+    out = []
+    for _ in range(2):
+        A, _, K, _ = draw(complexes_)
+        out.append((A, K, [draw(heights_over(A.points, kind))
+                           for kind in HEIGHT_KINDS]))
+    return out
+
+
+@given(two_complexes_under_many_heights())
+@settings(max_examples=100, deadline=None)
+def test_checks_of_two_complexes_interleaved_match_the_oracles(inputs):
+    """Regularity under every height kind and the volumes, of two complexes
+    in turn and with single-facet volumes in between, read the cached
+    table of the complex at hand, never a stale or evicted one."""
+    (A, K, lifts), (A2, K2, lifts2) = inputs
+    for h, h2 in zip(lifts, lifts2):
+        for B, L, heights in ((A, K, h), (A2, K2, h2)):
+            assert_regularity_matches(B, heights, L)
+            volumes = [volume_by_determinant(B, f) for f in L.facets]
+            assert normalized_volume(B, L.facets[-1]) == volumes[-1]
+            assert normalized_volume(A, K.facets[0]) \
+                == volume_by_determinant(A, K.facets[0])
+            assert is_unimodular(L, B) == all(v == 1 for v in volumes)
+            assert total_normalized_volume(L, B) == sum(volumes)
+
+
+def test_one_walk_of_the_lifted_points_serves_every_check(monkeypatch):
+    """Repeated regularity checks under several heights, volumes and simplex
+    signs of one (A, K), with single-facet volumes in between, eliminate
+    the lifted points of K's facets once."""
+    f = catalog.snd63_fixture()
+    A, K, C = f.configuration, f.complex, f.coefficients
+    walks = []
+
+    def counting(vectors, facets, *args, **kwargs):
+        walks.append(([tuple(v) for v in vectors],
+                      [tuple(facet) for facet in facets]))
+        return eliminate_prefixes(vectors, facets, *args, **kwargs)
+
+    for module in (complexes, exactlinalg):
+        monkeypatch.setattr(module, "eliminate_prefixes", counting)
+    _lifted_table.cache_clear()
+    heights = [f.heights, [2 * h + 1 for h in f.heights], [0] * A.n_points,
+               [-h for h in f.heights]]
+    senses = []
+    for lift in heights * 2:
+        senses.append(regularity_check(A, lift, K).sense)
+        is_unimodular(K, A)
+        total_normalized_volume(K, A)
+        simplex_signs(K, A, C)
+        normalized_volume(A, K.facets[0])
+    assert senses == ["convex", "convex", None, "concave"] * 2
+    lifted = [(1, *p) for p in A.points]
+    assert [facets for vectors, facets in walks if vectors == lifted] \
+        == [list(K.facets)] + [[K.facets[0]]] * len(heights) * 2
 
 
 # (1, 2, 3) and (1, 4, 5) are collinear; K lists (1, 4, 5) first and is not
