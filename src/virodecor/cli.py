@@ -31,6 +31,7 @@ from .exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
     format_rational,
+    loads_exact,
     parse_rational,
     quote_literal,
 )
@@ -78,31 +79,31 @@ def _heights_json(heights) -> str:
     return json.dumps({"heights": [format_rational(h) for h in heights]})
 
 
-def _load(path: str, parse, what: str):
-    """Parse an input file; malformed content is a usage error."""
+def _load(path: str, from_dict, what: str):
+    """from_dict of an input file's JSON, its numbers read exactly
+    (loads_exact); malformed content is a usage error."""
     try:
-        return parse(Path(path).read_text())
+        return from_dict(loads_exact(Path(path).read_text()))
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         _fail_usage(f"malformed {what} file {path}: {detail}")
 
 
 def _load_heights(path: str) -> tuple[Fraction, ...]:
-    return _load(path, lambda s: tuple(
-        parse_rational(h) for h in json.loads(s)["heights"]), "heights")
+    return _load(path, lambda d: tuple(map(parse_rational, d["heights"])),
+                 "heights")
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    return _load(path, SimplicialComplex.from_json, "complex")
+    return _load(path, SimplicialComplex.from_json_dict, "complex")
 
 
 def _load_matrix(path: str) -> RationalMatrix:
-    return _load(path, RationalMatrix.from_json, "matrix")
+    return _load(path, RationalMatrix.from_json_dict, "matrix")
 
 
 def _load_points(path: str) -> PointConfiguration:
-    return _load(path, lambda s: PointConfiguration.from_json_dict(
-        json.loads(s)), "points")
+    return _load(path, PointConfiguration.from_json_dict, "points")
 
 
 def _require_fit(K: SimplicialComplex, what: str, path: str, fits: bool,
@@ -152,8 +153,7 @@ def family(kind, n, d, poset_path, out_dir):
     elif kind == "order":
         if poset_path is None:
             _fail_usage("order requires --poset")
-        P = _load(poset_path, lambda s: Poset.from_json_dict(json.loads(s)),
-                  "poset")
+        P = _load(poset_path, Poset.from_json_dict, "poset")
         fam = order_polytope_triangulation(P)
         K, A, heights, coloring = (fam.complex, fam.configuration,
                                    fam.heights, fam.coloring)
@@ -321,7 +321,7 @@ def count(system_path, complex_path, t_str, expect, fmt):
         _fail_usage(f"invalid t: {quote_literal(t_str)}: {exc}")
     if t <= 0:
         _fail_usage(f"invalid t: {quote_literal(t_str)}")
-    S = _load(system_path, ViroSystem.from_json, "system")
+    S = _load(system_path, ViroSystem.from_json_dict, "system")
     K = _load_complex(complex_path)
     _require_points_fit(K, S.configuration, "system", system_path)
     try:

@@ -21,7 +21,6 @@ from operator import lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactlinalg import (
-    Column,
     Elimination,
     RationalMatrix,
     _determinant,
@@ -30,6 +29,7 @@ from .exactlinalg import (
     eliminate_prefixes,
     format_rational,
     integer_rows,
+    loads_exact,
     parse_rational,
 )
 
@@ -104,7 +104,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, s: str) -> "SimplicialComplex":
-        return cls.from_json_dict(json.loads(s))
+        return cls.from_json_dict(loads_exact(s))
 
 
 @dataclass(frozen=True)
@@ -388,13 +388,13 @@ def is_positively_decorated(
     if C.rows != K.dimension:
         raise ValueError("coefficient matrix row count must equal dimension")
     columns, _ = integer_rows(zip(*C.to_lists()))
-    oriented = eliminate_prefixes(columns, K.facets, K.dimension,
-                                  K.dimension, _oriented)
+    oriented = eliminate_prefixes(columns, K.facets, _oriented)
     failing = [facet for facet, ok in zip(K.facets, oriented) if not ok]
     return (not failing, failing)
 
 
-_Coordinates = tuple[tuple[int, ...], tuple[tuple[int, Column], ...]]
+_Coordinates = tuple[int, tuple[int, ...],
+                     tuple[tuple[int, Sequence[int]], ...]]
 
 
 class _LiftedTable(NamedTuple):
@@ -402,14 +402,13 @@ class _LiftedTable(NamedTuple):
 
     scale is P^d, for the common denominator P of the points.  dets holds
     P^d times each facet's lifted determinant, 0 where the facet's points
-    are affinely dependent.  coords holds, per facet, (vertices, pairs):
-    vertices[r] is the vertex whose column was pivoted in row r, and
-    pairs lists (p, (y, t)) for each point p outside the facet, in
-    increasing order, with (1, a_p) = sum_r (y[r] / t) * (1, a_v) over
-    the rows r and their vertices v = vertices[r].  So y / t are p's
-    barycentric coordinates on the facet, kept as integers over one
-    nonzero t.  coords is None for a dependent facet.  None of it depends
-    on heights.
+    are affinely dependent.  coords holds, per facet, (D, vertices,
+    pairs): D is the last pivot, vertices[r] is the vertex whose column
+    was pivoted in row r, and pairs lists (p, x) for each point p outside
+    the facet, in increasing order, with D * (1, a_p) = sum_r x[r] *
+    (1, a_v) over the rows r and their vertices v = vertices[r].  So x / D
+    are p's barycentric coordinates on the facet, kept as integers.
+    coords is None for a dependent facet.  None of it depends on heights.
     """
 
     scale: int
@@ -420,16 +419,15 @@ class _LiftedTable(NamedTuple):
 def _facet_entry(facet: Sequence[int],
                  e: Elimination) -> tuple[int, _Coordinates | None]:
     """(lifted determinant, barycentric coordinates) of one facet, read off
-    the elimination of its d+1 lifted columns: in the pivot rows, here
-    every row, an outside column is D times its coordinates on the
-    pivoted columns, and its pair (y, t) stands for y * D / t."""
-    det = _determinant(facet, e)
-    if not det:
+    the elimination of its d+1 lifted columns: if they took every pivot,
+    an outside column is D times its coordinates on them in the pivot
+    rows, here every row; if not, the facet is affinely dependent."""
+    if e.pivots != tuple(facet):
         return 0, None
     vertices = [0] * len(facet)
     for r, v in zip(e.rows, e.pivots):
         vertices[r] = v
-    return det, (tuple(vertices), tuple(e.columns.items()))
+    return e.sign * e.D, (e.D, tuple(vertices), tuple(e.columns.items()))
 
 
 @functools.lru_cache(maxsize=1)
@@ -439,22 +437,23 @@ def _lifted_table(A: PointConfiguration,
 
     The points are scaled to integers by one common denominator P, which
     multiplies every lifted determinant by P^d > 0 and leaves every
-    barycentric coordinate unchanged.  One walk over the facets' prefix
-    trie pivots on all d+1 lifted columns of each facet and carries every
-    column outside the prefix; the determinant is sign times the last
-    pivot.  The table depends on (A, facets) alone, so the last one is
-    kept: regularity under any heights, the volumes and the simplex
-    signs of one complex read one walk.  A call on a single facet uses
-    the uncached builder, _lifted_table.__wrapped__, and keeps the
-    complex's table.
+    barycentric coordinate unchanged.  Each facet is listed with the
+    points outside it after its vertices, so one walk over the prefix
+    trie pivots on the facet's d+1 lifted columns and carries every
+    other point's; the determinant is sign times the last pivot.  The
+    table depends on (A, facets) alone, so the last one is kept:
+    regularity under any heights, the volumes and the simplex signs of
+    one complex read one walk.
     """
     m = A.dimension + 1
     if any(len(f) != m for f in facets):
         raise ValueError("determinant requires a square matrix")
     points, P = common_integer_rows(A.points)
-    lifted = [(1, *p) for p in points]
-    entries = eliminate_prefixes(lifted, facets, m, m, _facet_entry,
-                                 carry_all=True)
+    every = range(1, len(points) + 1)
+    entries = eliminate_prefixes(
+        [(1, *p) for p in points],
+        [(*f, *(p for p in every if p not in f)) for f in facets],
+        lambda listed, e: _facet_entry(listed[:m], e))
     return _LiftedTable(P ** A.dimension, tuple(det for det, _ in entries),
                         tuple(coords for _, coords in entries))
 
@@ -465,7 +464,7 @@ def _determinants(vectors: list[Sequence[int]],
     m = len(vectors[0])
     if any(len(f) != m for f in facets):
         raise ValueError("determinant requires a square matrix")
-    return eliminate_prefixes(vectors, facets, m, m, _determinant)
+    return eliminate_prefixes(vectors, facets, _determinant)
 
 
 def simplex_signs(
@@ -492,9 +491,11 @@ def simplex_signs(
 
 
 def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
-    """|det| of the lifted facet matrix: Euclidean volume times d!."""
-    scale, (det,), _ = _lifted_table.__wrapped__(A, [facet])
-    return Fraction(abs(det), scale)
+    """|det| of the lifted facet matrix: Euclidean volume times d!, from a
+    one-facet walk of its own, so a complex's cached table is kept."""
+    points, P = common_integer_rows(A.points)
+    (det,) = _determinants([(1, *p) for p in points], [facet])
+    return Fraction(abs(det), P ** A.dimension)
 
 
 def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:

@@ -99,7 +99,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, s: str) -> "RationalMatrix":
-        return cls.from_json_dict(json.loads(s))
+        return cls.from_json_dict(loads_exact(s))
 
 
 def format_rational(x: Fraction) -> str:
@@ -163,10 +163,32 @@ _SHOWN = 40
 
 def quote_literal(s) -> str:
     """repr(s) for an error message; a longer string is cut to its first
-    _SHOWN characters, followed by its length."""
-    if not isinstance(s, str) or len(s) <= _SHOWN:
+    _SHOWN characters, followed by its length, and a number too long for
+    Python to print is named by its size."""
+    if isinstance(s, str) and len(s) > _SHOWN:
+        return f"{s[:_SHOWN]!r}… ({len(s)} characters)"
+    try:
         return repr(s)
-    return f"{s[:_SHOWN]!r}… ({len(s)} characters)"
+    except ValueError:  # an int or a Fraction of more digits than allowed
+        x = Fraction(s)
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        return f"<{type(s).__name__} of {bits} bits>"
+
+
+def loads_exact(text: str):
+    """json.loads with every number read exactly: a JSON number with a
+    fraction or an exponent as its Fraction (parse_rational), never as a
+    binary double, and an integer as an int.  A number with more digits
+    than Python will write back out fails as parse_rational's do."""
+    return json.loads(text, parse_float=parse_rational, parse_int=_json_int)
+
+
+def _json_int(s: str) -> int:
+    """int(s); a literal too long for int() gets parse_rational's error."""
+    try:
+        return int(s)
+    except ValueError:
+        return parse_rational(s).numerator
 
 
 # -- core elimination ------------------------------------------------------
@@ -176,7 +198,8 @@ def quote_literal(s) -> str:
 # Then one walk over the facets' prefix trie (eliminate_prefixes) pivots on
 # each shared vertex prefix once, not once per facet.  A single matrix is
 # the walk over one facet (eliminate), so every pivot is taken by that one
-# loop, through the one fraction-free step below.
+# loop, through the one fraction-free step below, on columns kept as their
+# exact integers.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -201,43 +224,31 @@ def common_integer_rows(
             for row in rows], P
 
 
-# A column in elimination is a pair (y, t) that stands for the exact
-# column y * D / t, D being the last pivot so far.  A pivot that finds a
-# zero in a column's pivot row only rescales it by pv / prev; keeping that
-# scale in t, instead of multiplying every entry, is what lets a column
-# that no pivot touches cost nothing.
-Column = tuple[Sequence[int], int]
-
-
-def _exact(column: Column, D: int) -> Sequence[int]:
-    """The exact column that the pair stands for when D is the last pivot."""
-    y, t = column
-    return y if t == D else [a * D // t for a in y]
-
-
-def _bareiss_step(columns: Iterable[Column], r: int, x: Sequence[int],
-                  prev: int) -> list[Column]:
-    """One fraction-free (Bareiss) pivot on entry r of the exact column x.
+def _bareiss_step(columns: Iterable[Sequence[int]], r: int, x: Sequence[int],
+                  prev: int) -> list[list[int]]:
+    """One fraction-free (Bareiss) pivot on entry r of the column x.
 
     prev is the last pivot so far (1 before the first) and pv = x[r] the
-    new one.  A column (y, t) with f = y[r] != 0 becomes exact at scale
-    pv: entry i != r is (pv * y[i] - f * x[i]) // t, which is the exact
-    (pv * Y[i] - F * x[i]) // prev of its exact values Y = y * prev / t,
-    F = f * prev / t, and entry r, the pivot row's, keeps its exact value
-    F.  A column with f = 0 is left as it is, which now means y * pv / t.
-    Every division is exact because each result is a minor of the input.
-    Columns are replaced, never mutated, so callers may share them.
+    new one.  Each column y, with f = y[r], becomes z with
+    z[i] = (pv * y[i] - f * x[i]) // prev for i != r and z[r] = f: D times
+    its coordinates on the pivoted columns, now at D = pv.  With f = 0,
+    as for most columns of sparse input, z is y * pv // prev, or y itself
+    when pv = prev.  Every division is exact because each result is a
+    minor of the input.  Columns are replaced, never mutated, so callers
+    may share them.
     """
     pv = x[r]
     out = []
-    for column in columns:
-        y, t = column
+    for y in columns:
         f = y[r]
         if f:
-            z = [(pv * a - f * b) // t for a, b in zip(y, x)]
-            z[r] = f * prev // t
-            column = (z, pv)
-        out.append(column)
+            z = [(pv * a - f * b) // prev for a, b in zip(y, x)]
+            z[r] = f
+        elif pv == prev:
+            z = y
+        else:
+            z = [pv * a // prev for a in y]
+        out.append(z)
     return out
 
 
@@ -252,7 +263,7 @@ def _pivot_position(x: Sequence[int], free: Sequence[int]) -> int | None:
 class Elimination(NamedTuple):
     """A fraction-free Gauss-Jordan elimination after some pivots.
 
-    Read in the pivot rows, a column is D times its coordinates in the
+    Read in the pivot rows, each column is D times its coordinates on the
     pivoted columns: the reduced row echelon form times D.  The rank is
     len(rows), and a square matrix of full rank has determinant sign * D.
     """
@@ -261,68 +272,57 @@ class Elimination(NamedTuple):
     sign: int                 # of the order of the pivot rows
     rows: tuple[int, ...]     # the pivot row of each pivot, in turn
     pivots: tuple[int, ...]   # the pivoted column labels, in turn
-    columns: Mapping[int, Column]
-
-    def entry(self, j: int, i: int) -> int:
-        """Entry i of reduced column j."""
-        y, t = self.columns[j]
-        return y[i] * self.D // t
+    columns: Mapping[int, Sequence[int]]
 
 
 def eliminate(a: Sequence[Sequence[int]]) -> Elimination:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows:
-    the walk below over the one facet (1, ..., m) of their m columns, so
-    a column with no pivot is passed over and kept.  The input is not
-    changed.
+    the walk below over the one facet (1, ..., m) of their m columns.  The
+    input is not changed.
     """
-    m = len(a[0])
-    (e,) = eliminate_prefixes(list(zip(*a)), [range(1, m + 1)], m, len(a),
-                              lambda _, e: e, carry_all=True)
+    (e,) = eliminate_prefixes(list(zip(*a)), [range(1, len(a[0]) + 1)],
+                              lambda _, e: e)
     return e
 
 
 def eliminate_prefixes(
     vectors: Sequence[Sequence[int]],
     facets: Sequence[Sequence[int]],
-    depth: int,
-    pivot_rows: int,
     read: Callable[[Sequence[int], Elimination], T],
-    carry_all: bool = False,
 ) -> list[T]:
     """Eliminate each facet's matrix of columns [vectors[v - 1] for v in
     facet], all facets in one walk; read(facet, state) for each facet, in
-    order.
+    order.  The facets must have one length.
 
-    The first depth columns of a facet are pivoted on in turn, each in
-    the first of the rows 0..pivot_rows-1 not yet pivoted on where it is
-    nonzero.  Facets with a common prefix share its pivots: a depth-first
+    A facet's columns are pivoted on in turn, each in the first row not
+    yet pivoted on where it is nonzero, until the facet or the free rows
+    run out.  Facets with a common prefix share its pivots: a depth-first
     walk over the prefix trie of the sorted facets runs one pivot step per
     trie node and hands the reduced columns to its children.  By Bareiss
     (1968), after k pivots every entry is a minor of the first k columns
     and one more, so the shared state is each facet's own.  A node
-    carries the columns that some facet below it still uses, or with
-    carry_all every column outside its prefix, in increasing vertex
-    order.  No row moves; the pivot rows are listed instead, and sign is
-    the sign of that order, so for a square matrix the determinant is
-    sign * D.  A column with no pivot is passed over: no row moves, no
-    column changes, and it stays among the columns; the facet's rank,
-    len(rows), then falls short of depth.  Each state is read when the
-    walk reaches it and not kept.
+    carries the columns that some facet below it still lists, in
+    increasing vertex order.  No row moves; the pivot rows are listed
+    instead, and sign is the sign of that order, so for a square matrix
+    the determinant is sign * D.  A column with no pivot is passed over and changes nothing;
+    the facet's rank, len(rows), then falls short.  Each state is read
+    when the walk reaches it and not kept.
     """
     n = len(vectors)
+    length = len(facets[0]) if facets else 0
     for facet in facets:
-        if len(facet) < depth:
-            raise ValueError(f"facet {tuple(facet)} has fewer than {depth} "
-                             f"vertices")
         for v in facet:
             if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
                                  f"range 1..{n}")
+        if len(facet) != length:
+            raise ValueError(f"facets {tuple(facets[0])} and {tuple(facet)} "
+                             f"differ in length")
     out: list = [None] * len(facets)
     order = sorted(range(len(facets)), key=lambda i: tuple(facets[i]))
 
     def visit(columns, prev, sign, free, rows, pivots, lo, hi, k):
-        if k == depth:
+        if k == length or not free:
             state = Elimination(prev, sign, rows, pivots, columns)
             for i in order[lo:hi]:
                 out[i] = read(facets[i], state)
@@ -332,30 +332,26 @@ def eliminate_prefixes(
             mid = lo + 1
             while mid < hi and facets[order[mid]][k] == v:
                 mid += 1
-            x = columns[v][0]
+            x = columns[v]
             p = _pivot_position(x, free)
             if p is None:
                 visit(columns, prev, sign, free, rows, pivots, lo, mid, k + 1)
             else:
-                if carry_all:
-                    keep = [w for w in columns if w != v]
-                else:
-                    need = set()
-                    for i in order[lo:mid]:
-                        need.update(facets[i][k + 1:])
-                    keep = sorted(need)
+                need = set()
+                for i in order[lo:mid]:
+                    need.update(facets[i][k + 1:])
+                keep = sorted(need)
                 r = free[p]
-                x = _exact(columns[v], prev)
                 reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
                 visit(dict(zip(keep, reduced)), x[r],
                       -sign if p % 2 else sign, free[:p] + free[p + 1:],
                       rows + (r,), pivots + (v,), lo, mid, k + 1)
             lo = mid
 
-    vertices = (range(1, n + 1) if carry_all
-                else sorted({v for facet in facets for v in facet}))
-    visit({v: (vectors[v - 1], 1) for v in vertices}, 1, 1,
-          list(range(pivot_rows)), (), (), 0, len(facets), 0)
+    vertices = sorted({v for facet in facets for v in facet})
+    visit({v: vectors[v - 1] for v in vertices}, 1, 1,
+          list(range(len(vectors[0]) if vectors else 0)), (), (), 0,
+          len(facets), 0)
     return out
 
 
@@ -395,7 +391,8 @@ def _solution(a: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     e = eliminate(a)
     if e.pivots != tuple(range(1, n + 1)):
         raise RankDeficiencyError("singular matrix in solve")
-    return tuple(Fraction(e.entry(n + 1, r), e.D) for r in e.rows)
+    x = e.columns[n + 1]
+    return tuple(Fraction(x[r], e.D) for r in e.rows)
 
 
 # -- oriented-matrix operations -------------------------------------------
@@ -409,8 +406,8 @@ def _kernel_line(facet: Sequence[int], e: Elimination) -> list[int] | None:
     """
     if e.pivots != tuple(facet[:-1]):
         return None
-    y, t = e.columns[facet[-1]]
-    return [-y[r] * e.D // t for r in e.rows] + [e.D]
+    x = e.columns[facet[-1]]
+    return [-x[r] for r in e.rows] + [e.D]
 
 
 def _one_signed(v: list[int] | None) -> bool:

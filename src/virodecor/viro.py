@@ -26,6 +26,7 @@ from .exactlinalg import (
     common_integer_rows,
     format_rational,
     integer_rows,
+    loads_exact,
     parse_rational,
     positive_kernel_vector,
 )
@@ -83,7 +84,7 @@ class ViroSystem:
 
     @classmethod
     def from_json(cls, s: str) -> "ViroSystem":
-        return cls.from_json_dict(json.loads(s))
+        return cls.from_json_dict(loads_exact(s))
 
 
 def build_viro_system(A: PointConfiguration, C: RationalMatrix,
@@ -183,12 +184,12 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     induces a coarser or a different subdivision than the given complex.
 
     The test reads the table of (A, K.facets) that complexes keeps for
-    the last complex: per facet, each outside point p's barycentric
-    coordinates y_k / t on the facet's vertices v_k, as integers from one
-    elimination of the lifted columns (1, a_p).  The gap at p, h_p minus
-    the facet's affine support at a_p, is then
-    (t * h_p - sum_k y_k * h_{v_k}) / t, so it has the sign of
-    sign(t) * (t * h_p - sum_k y_k * h_{v_k}), with the heights scaled to
+    the last complex: per facet, its last pivot D and each outside point
+    p's barycentric coordinates x_k / D on the facet's vertices v_k, as
+    integers from one elimination of the lifted columns (1, a_p).  The
+    gap at p, h_p minus the facet's affine support at a_p, is then
+    (D * h_p - sum_k x_k * h_{v_k}) / D, so it has the sign of
+    sign(D) * (D * h_p - sum_k x_k * h_{v_k}), with the heights scaled to
     integers by their positive common denominator.  The table does not
     depend on the heights: checks of one (A, K) under many heights, and
     the volumes of the same complex, share one elimination, and a check
@@ -206,11 +207,11 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     for facet, coords in zip(K.facets, _lifted_table(A, K.facets).coords):
         if coords is None:
             raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
-        vertices, pairs = coords
+        D, vertices, pairs = coords
         lift_v = [lift[v - 1] for v in vertices]
-        for p, (y, t) in pairs:
-            gap = t * lift[p - 1] - sum(map(mul, y, lift_v))
-            if t < 0:
+        for p, x in pairs:
+            gap = D * lift[p - 1] - sum(map(mul, x, lift_v))
+            if D < 0:
                 gap = -gap
             (above if gap > 0 else below if gap < 0 else ties).append(
                 (facet, p))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from virodecor import catalog
 from virodecor.cli import main
+from virodecor.exactlinalg import RationalMatrix
 from virodecor.families import snd_subcomplex
 from virodecor.numerics import certified_positive_count
 from virodecor.viro import build_viro_system
@@ -221,6 +222,8 @@ def test_count_invalid_t(runner, tmp_path):
 # to convert: in the exponent, the numerator and the denominator
 LONG_RUNS = ("1e" + "9" * 5000, "1" + "0" * 5000, "1/" + "7" * 5000,
              "-" + "3" * 4301)
+# a bare JSON integer longer than Python will convert to or from a string
+BARE_LONG = "1" * 5000
 
 
 def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
@@ -463,6 +466,21 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     pytest.param("heights", json.dumps(
         {"heights": ["0", "1", "2", "0." + "0" * 4300 + "1", "4", "5"]}),
         id="heights-long-decimal"),
+    # a bare JSON integer of 5000 digits, in each loader
+    pytest.param("heights", '{"heights": [%s, 1, 2, 3, 4, 5]}' % BARE_LONG,
+                 id="heights-bare-integer"),
+    pytest.param("regular", '{"heights": [%s, 1, 2, 3, 4, 5]}' % BARE_LONG,
+                 id="regular-bare-integer"),
+    pytest.param("matrix", '{"rows": 1, "cols": %s, "entries": []}'
+                 % BARE_LONG, id="matrix-bare-integer"),
+    pytest.param("points", '{"dimension": %s, "points": []}' % BARE_LONG,
+                 id="points-bare-integer"),
+    pytest.param("system", '{"points": [[-%s]]}' % BARE_LONG,
+                 id="system-bare-integer"),
+    pytest.param("complex", '{"dimension": 3, "n_vertices": %s, '
+                 '"facets": []}' % BARE_LONG, id="complex-bare-integer"),
+    pytest.param("poset", '{"size": %s, "relations": []}' % BARE_LONG,
+                 id="poset-bare-integer"),
 ])
 def test_unprintable_rationals_are_usage_errors(runner, tmp_path, name,
                                                  text):
@@ -481,6 +499,53 @@ def test_unprintable_rationals_are_usage_errors(runner, tmp_path, name,
     assert "has more than 4300 digits" in result.output
     assert "set_int_max_str_digits" not in result.output
     assert not (tmp_path / "S.json").exists()
+
+
+def test_bare_json_decimals_are_read_exactly(runner, tmp_path):
+    """0.1, 0.2 and 0.3 lie on a line, so the lift of 1, 2, 3 ties at 3 on
+    (1, 2) and at 1 on (2, 3), whether the heights are JSON numbers or
+    strings; as binary doubles they would not tie."""
+    (tmp_path / "K.json").write_text(
+        '{"dimension": 1, "n_vertices": 3, "facets": [[1, 2], [2, 3]]}')
+    (tmp_path / "P.json").write_text(
+        '{"dimension": 1, "points": [["1"], ["2"], ["3"]]}')
+    outputs = []
+    for name, heights in (("bare", "[0.1, 0.2, 0.3]"),
+                          ("strings", '["0.1", "0.2", "0.3"]'),
+                          ("exponents", "[1e-1, 2E-1, 0.3e0]")):
+        (tmp_path / f"{name}.json").write_text(f'{{"heights": {heights}}}')
+        result = runner.invoke(main, [
+            "check", "--complex", str(tmp_path / "K.json"), "--points",
+            str(tmp_path / "P.json"), "--heights", str(tmp_path / f"{name}.json"),
+            "--regular", "--format", "json"])
+        assert result.exit_code == 1, result.output
+        outputs.append(result.output)
+    assert json.loads(outputs[0]) == {"regular": {
+        "ok": False, "violations": [{"facet": [1, 2], "point": 3},
+                                    {"facet": [2, 3], "point": 1}]}}
+    assert outputs[1:] == outputs[:1] * 2
+
+
+def test_a_matrix_of_bare_decimals_reads_as_those_decimals(runner, tmp_path):
+    text = '{"rows": 1, "cols": 3, "entries": [0.1, -2.5e-1, 3]}'
+    expected = RationalMatrix([[Fraction(1, 10), Fraction(-1, 4), 3]])
+    assert RationalMatrix.from_json(text) == expected
+    (tmp_path / "C.json").write_text(text)
+    (tmp_path / "P.json").write_text('{"dimension": 1, "points": [[0], [1], '
+                                     '[2]]}')
+    (tmp_path / "H.json").write_text('{"heights": [0.5, 0, 0.5]}')
+    result = runner.invoke(main, [
+        "viro", "--points", str(tmp_path / "P.json"), "--matrix",
+        str(tmp_path / "C.json"), "--heights", str(tmp_path / "H.json"),
+        "--render"])
+    assert result.exit_code == 0, result.output
+    system, render = result.output.splitlines()
+    assert json.loads(system) == {
+        "points": [["0"], ["1"], ["2"]],
+        "coefficients": {"rows": 1, "cols": 3,
+                         "entries": ["1/10", "-1/4", "3"]},
+        "heights": ["1/2", "0", "1/2"]}
+    assert render == "f1 = 1/10*t^1/2 - 1/4*X + 3*t^1/2*X^2"
 
 
 def test_regular_check_names_an_affinely_degenerate_facet(runner, tmp_path):

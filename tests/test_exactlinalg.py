@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from virodecor.exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
+    _kernel_line,
     determinant,
     eliminate_prefixes,
     format_rational,
@@ -199,7 +200,7 @@ def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
     vectors, facets = inputs
     m = len(vectors[0])
     dets = eliminate_prefixes(
-        vectors, facets, m, m,
+        vectors, facets,
         lambda _, e: e.sign * e.D if len(e.rows) == m else None)
     for facet, det in zip(facets, dets):
         M = RationalMatrix([[vectors[v - 1][i] for v in facet]
@@ -207,6 +208,64 @@ def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
         expected = determinant_cofactor(M)
         assert (det is None) == (expected == 0)
         assert det is None or det == expected
+
+
+@st.composite
+def wide_facets(draw):
+    """m x (m+1) or m x (m+2) facets of n columns of length m, among them
+    zero and repeated columns, so that pivots are passed over and the free
+    rows can run out before the facet does."""
+    m = draw(st.integers(1, 4))
+    extra = draw(st.integers(1, 2))
+    n = draw(st.integers(1, m + 3))
+    vectors = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["draw", "zero", "repeat"]))
+        if kind == "zero":
+            vectors.append([0] * m)
+        elif kind == "repeat" and vectors:
+            vectors.append(list(draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(draw(st.lists(st.integers(-2, 2), min_size=m,
+                                         max_size=m)))
+    facets = draw(st.lists(st.lists(st.integers(1, n), min_size=m + extra,
+                                    max_size=m + extra).map(tuple),
+                           min_size=1, max_size=10))
+    return vectors, facets
+
+
+@given(wide_facets())
+@settings(max_examples=200, deadline=None)
+def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
+    """Facets with more columns than rows: the rank is len(rows), and an
+    m x (m+1) facet whose first m columns are independent has the kernel
+    line of its signed maximal minors."""
+    vectors, facets = inputs
+    m = len(vectors[0])
+    states = eliminate_prefixes(vectors, facets,
+                                lambda facet, e: (e, _kernel_line(facet, e)))
+    for facet, (e, line) in zip(facets, states):
+        M = RationalMatrix([[vectors[v - 1][i] for v in facet]
+                            for i in range(m)])
+        assert len(e.rows) == rank(M)
+        if len(facet) != m + 1:
+            continue
+        signed = [(-1) ** i * minor
+                  for i, minor in enumerate(maximal_minors(M), start=1)]
+        if line is None:
+            # the first m columns are dependent
+            assert signed[-1] == 0 and e.pivots != tuple(facet[:-1])
+            continue
+        # proportional, with nonzero last entries D and the last minor
+        assert line[-1] != 0 and signed[-1] != 0
+        assert all(a * signed[-1] == b * line[-1]
+                   for a, b in zip(line, signed))
+
+
+def test_prefix_walk_refuses_facets_of_unequal_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        eliminate_prefixes([[1, 0], [0, 1], [1, 1]], [(1, 2), (1, 2, 3)],
+                           lambda _, e: e)
 
 
 # -- orientation -----------------------------------------------------------
@@ -331,6 +390,15 @@ def test_parse_rational_reads_every_form_of_a_literal():
     assert parse_rational(" -1_000.5e-3 ") == Fraction(-2001, 2000)
     assert parse_rational(".5E+1") == 5
     assert parse_rational("3" * 4300) == int("3" * 4300)
+
+
+def test_parse_rational_names_an_unprintable_number_by_its_size():
+    for x, what in ((10 ** 5000, "<int of 16610 bits>"),
+                    (Fraction(-1, 10 ** 5000), "<Fraction of 16610 bits>")):
+        with pytest.raises(ValueError) as info:
+            parse_rational(x)
+        assert str(info.value) == (f"rational {what} has more than 4300 "
+                                   f"digits in its numerator or denominator")
 
 
 def test_matrix_json_roundtrip():
