@@ -79,31 +79,55 @@ def _heights_json(heights) -> str:
     return json.dumps({"heights": [format_rational(h) for h in heights]})
 
 
-def _load(path: str, from_dict, what: str):
+def _load(path: str, from_dict, what: str, keys: tuple[str, ...]):
     """from_dict of an input file's JSON, its numbers read exactly
-    (loads_exact); malformed content is a usage error."""
+    (loads_exact); malformed content is a usage error.  A file that is not
+    a JSON object with every one of keys is told what it should hold."""
     try:
-        return from_dict(loads_exact(Path(path).read_text()))
+        data = loads_exact(Path(path).read_text())
+        detail = _lacking(data, keys)
+        if detail is None:
+            return from_dict(data)
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
-        _fail_usage(f"malformed {what} file {path}: {detail}")
+    _fail_usage(f"malformed {what} file {path}: {detail}")
+
+
+def _lacking(data, keys: tuple[str, ...]) -> str | None:
+    """What data lacks of a JSON object with every one of keys, or None."""
+    def listed(names):
+        return " and ".join(filter(None, [", ".join(names[:-1]), names[-1]]))
+
+    names = list(map(json.dumps, keys))
+    want = (f"expected a JSON object with the key{'s' * (len(keys) > 1)} "
+            f"{listed(names)}")
+    if not isinstance(data, dict):
+        return want
+    missing = [name for key, name in zip(keys, names) if key not in data]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        return f"{want}; {listed(missing)} {verb} missing"
+    return None
 
 
 def _load_heights(path: str) -> tuple[Fraction, ...]:
     return _load(path, lambda d: tuple(map(parse_rational, d["heights"])),
-                 "heights")
+                 "heights", ("heights",))
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    return _load(path, SimplicialComplex.from_json_dict, "complex")
+    return _load(path, SimplicialComplex.from_json_dict, "complex",
+                 ("dimension", "n_vertices", "facets"))
 
 
 def _load_matrix(path: str) -> RationalMatrix:
-    return _load(path, RationalMatrix.from_json_dict, "matrix")
+    return _load(path, RationalMatrix.from_json_dict, "matrix",
+                 ("rows", "cols", "entries"))
 
 
 def _load_points(path: str) -> PointConfiguration:
-    return _load(path, PointConfiguration.from_json_dict, "points")
+    return _load(path, PointConfiguration.from_json_dict, "points",
+                 ("dimension", "points"))
 
 
 def _require_fit(K: SimplicialComplex, what: str, path: str, fits: bool,
@@ -153,7 +177,8 @@ def family(kind, n, d, poset_path, out_dir):
     elif kind == "order":
         if poset_path is None:
             _fail_usage("order requires --poset")
-        P = _load(poset_path, Poset.from_json_dict, "poset")
+        P = _load(poset_path, Poset.from_json_dict, "poset",
+                  ("size", "relations"))
         fam = order_polytope_triangulation(P)
         K, A, heights, coloring = (fam.complex, fam.configuration,
                                    fam.heights, fam.coloring)
@@ -321,7 +346,8 @@ def count(system_path, complex_path, t_str, expect, fmt):
         _fail_usage(f"invalid t: {quote_literal(t_str)}: {exc}")
     if t <= 0:
         _fail_usage(f"invalid t: {quote_literal(t_str)}")
-    S = _load(system_path, ViroSystem.from_json_dict, "system")
+    S = _load(system_path, ViroSystem.from_json_dict, "system",
+              ("points", "coefficients", "heights"))
     K = _load_complex(complex_path)
     _require_points_fit(K, S.configuration, "system", system_path)
     try:

@@ -16,8 +16,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, permutations
-from operator import lt
+from operator import lt, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactlinalg import (
@@ -80,6 +81,11 @@ class SimplicialComplex:
     def _dual_graph(self) -> DualGraph:
         # built on first use and kept as long as the complex
         return _ridge_graph(self)
+
+    @functools.cached_property
+    def _listing(self) -> _Listing:
+        # built on the first walk over the facets and kept, like the graph
+        return _shared_order(self.facets)
 
     def skeleton_edges(self) -> set[tuple[int, int]]:
         """Edges of the 1-skeleton (unordered pairs, stored sorted)."""
@@ -193,6 +199,71 @@ def dual_graph(K: SimplicialComplex) -> DualGraph:
     same graph.
     """
     return K._dual_graph
+
+
+class _Listing(NamedTuple):
+    """The facets of a complex, each with its vertices in the shared
+    order, and the sign of the permutation that takes each sorted facet to
+    its listing: a listed facet's determinant is parity times the sorted
+    one's."""
+
+    facets: tuple[tuple[int, ...], ...]
+    parities: tuple[int, ...]
+
+
+def _shared_order(facets: Sequence[tuple[int, ...]]) -> _Listing:
+    """List each facet's vertices so that the facets share long prefixes.
+
+    At each node of the prefix trie, the facets below it branch first on
+    the vertex that most of them contain beyond the node's prefix, the
+    smaller label on ties; the facets left branch on their most common
+    vertex in turn, and so on.  A facet alone below a node lists the rest
+    of its vertices in increasing order, as the rule would.  On cross(8)
+    the decoration walk over the listed facets takes 255 pivot steps,
+    where the sorted facets take 1,024.
+    """
+    listed: list = [None] * len(facets)
+    containing: dict[int, set[int]] = {}   # vertex -> the facets through it
+    for i, f in enumerate(facets):
+        for v in f:
+            containing.setdefault(v, set()).add(i)
+
+    def branch(group: set[int], head: tuple[int, ...]):
+        if len(group) == 1:
+            (i,) = group
+            listed[i] = head + tuple(v for v in facets[i] if v not in head)
+            return
+        # (-count, label) per vertex below the node.  Counts only fall as
+        # the group shrinks, so an entry is a bound: the vertex is taken
+        # when its entry comes first and its recount meets the bound
+        heap = [(-len(group & containing[v]), v) for v in
+                set().union(*[facets[i] for i in group]).difference(head)]
+        heapify(heap)
+        while group:
+            c, v = heappop(heap)
+            below = group & containing[v]
+            if len(below) != -c:
+                if below:
+                    heappush(heap, (-len(below), v))
+                continue
+            group -= below
+            branch(below, head + (v,))
+
+    if facets:
+        branch(set(range(len(facets))), ())
+    return _Listing(tuple(listed), tuple(map(_parity, facets, listed)))
+
+
+def _parity(facet: tuple[int, ...], listed: tuple[int, ...]) -> int:
+    """Sign of the permutation that takes the sorted facet to listed: each
+    vertex passes over the vertices before it in the sorted rest."""
+    rest = list(facet)
+    passed = 0
+    for v in listed:
+        i = rest.index(v)
+        passed += i
+        del rest[i]
+    return -1 if passed % 2 else 1
 
 
 def _ridge_graph(K: SimplicialComplex) -> DualGraph:
@@ -377,18 +448,21 @@ def is_positively_decorated(
     Each column of C is scaled to integers once, by its own lcm.  A facet
     slice C_tau with columns scaled by a positive diagonal L has the kernel
     L^-1 v for each kernel vector v of C_tau, so its orientation is kept.
-    One walk over the facets' prefix trie pivots on each facet's first d
-    columns, sharing the pivots of common prefixes.  The last column x,
-    read in the pivot rows, then spans the kernel as v[last] = D and
-    v[pivot_i] = -x_i, so the facet is oriented iff every x_i * D < 0.
-    A facet whose first d columns are dependent has a zero minor and fails.
+    One walk over the prefix trie of the facets, each listed in the
+    complex's shared order (_shared_order), pivots on each facet's first
+    d listed columns, sharing the pivots of common prefixes.  The last
+    listed column x, read in the pivot rows, then spans the kernel as
+    v[last] = D and v[pivot_i] = -x_i, so the facet is oriented iff every
+    x_i * D < 0.  Listing a facet's columns in another order permutes its
+    kernel line and keeps this verdict.  A facet whose first d listed
+    columns are dependent has a zero minor and fails.
     """
     if C.cols < K.n_vertices:
         raise ValueError("coefficient matrix has fewer columns than vertices")
     if C.rows != K.dimension:
         raise ValueError("coefficient matrix row count must equal dimension")
     columns, _ = integer_rows(zip(*C.to_lists()))
-    oriented = eliminate_prefixes(columns, K.facets, _oriented)
+    oriented = eliminate_prefixes(columns, K._listing.facets, _oriented)
     failing = [facet for facet, ok in zip(K.facets, oriented) if not ok]
     return (not failing, failing)
 
@@ -431,36 +505,41 @@ def _facet_entry(facet: Sequence[int],
 
 
 @functools.lru_cache(maxsize=1)
-def _lifted_table(A: PointConfiguration,
-                  facets: Sequence[Sequence[int]]) -> _LiftedTable:
+def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     """Eliminate the lifted columns (1, a_p) of every facet, in one walk.
 
     The points are scaled to integers by one common denominator P, which
     multiplies every lifted determinant by P^d > 0 and leaves every
-    barycentric coordinate unchanged.  Each facet is listed with the
-    points outside it after its vertices, so one walk over the prefix
-    trie pivots on the facet's d+1 lifted columns and carries every
-    other point's; the determinant is sign times the last pivot.  The
-    table depends on (A, facets) alone, so the last one is kept:
-    regularity under any heights, the volumes and the simplex signs of
-    one complex read one walk.
+    barycentric coordinate unchanged.  Each facet is listed with its
+    vertices in the complex's shared order (_shared_order) and the points
+    outside it after them, in increasing order, so one walk over the
+    prefix trie pivots on the facet's d+1 lifted columns and carries every
+    other point's.  The determinant is the facet's parity times sign
+    times the last pivot; the barycentric coordinates do not depend on
+    the order.  The table does not depend on heights, so the last one is
+    kept, with (A, K) as its key: regularity under any heights, the
+    volumes and the simplex signs of one complex read one walk.
     """
     m = A.dimension + 1
-    if any(len(f) != m for f in facets):
+    if any(len(f) != m for f in K.facets):
         raise ValueError("determinant requires a square matrix")
     points, P = common_integer_rows(A.points)
     every = range(1, len(points) + 1)
+    listing = K._listing
     entries = eliminate_prefixes(
         [(1, *p) for p in points],
-        [(*f, *(p for p in every if p not in f)) for f in facets],
+        [(*f, *(p for p in every if p not in f)) for f in listing.facets],
         lambda listed, e: _facet_entry(listed[:m], e))
-    return _LiftedTable(P ** A.dimension, tuple(det for det, _ in entries),
+    return _LiftedTable(P ** A.dimension,
+                        tuple(parity * det for parity, (det, _)
+                              in zip(listing.parities, entries)),
                         tuple(coords for _, coords in entries))
 
 
 def _determinants(vectors: list[Sequence[int]],
                   facets: Sequence[Sequence[int]]) -> list[int]:
-    """det [vectors[v - 1] for v in facet] of each facet."""
+    """det [vectors[v - 1] for v in facet] of each facet, its columns as
+    listed."""
     m = len(vectors[0])
     if any(len(f) != m for f in facets):
         raise ValueError("determinant requires a square matrix")
@@ -476,10 +555,14 @@ def simplex_signs(
     signs.
     """
     A.require_vertices(K)
-    dets_a = _lifted_table(A, K.facets).dets
-    # the lifted columns (1, c_v), each scaled by its own positive lcm
+    dets_a = _lifted_table(A, K).dets
+    # the lifted columns (1, c_v), each scaled by its own positive lcm, of
+    # each facet in the shared order: the sorted facet's determinant is
+    # the listed one's times its parity
     lifted_c, _ = integer_rows((1, *col) for col in zip(*C.to_lists()))
-    dets_c = _determinants(lifted_c, K.facets)
+    listing = K._listing
+    dets_c = map(mul, listing.parities,
+                 _determinants(lifted_c, listing.facets))
     signs = {}
     for facet, det_a, det_c in zip(K.facets, dets_a, dets_c):
         if det_a == 0:
@@ -501,18 +584,18 @@ def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
 def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:
     """True iff every facet's lifted determinant is +-1.
 
-    Reads the cached table of (A, K.facets), so after a regularity check
+    Reads the cached table of (A, K), so after a regularity check
     of the same complex, under any heights, it runs no elimination.
     """
     A.require_vertices(K)
-    scale, dets, _ = _lifted_table(A, K.facets)
+    scale, dets, _ = _lifted_table(A, K)
     return all(abs(det) == scale for det in dets)
 
 
 def total_normalized_volume(K: SimplicialComplex,
                             A: PointConfiguration) -> Fraction:
     A.require_vertices(K)
-    scale, dets, _ = _lifted_table(A, K.facets)
+    scale, dets, _ = _lifted_table(A, K)
     return Fraction(sum(map(abs, dets)), scale)
 
 

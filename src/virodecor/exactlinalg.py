@@ -195,11 +195,14 @@ def _json_int(s: str) -> int:
 #
 # Callers that test many facets scale their rational input to integers once
 # per call, by positive factors that leave the sign of every minor unchanged.
-# Then one walk over the facets' prefix trie (eliminate_prefixes) pivots on
-# each shared vertex prefix once, not once per facet.  A single matrix is
-# the walk over one facet (eliminate), so every pivot is taken by that one
-# loop, through the one fraction-free step below, on columns kept as their
-# exact integers.
+# Then one walk over the prefix trie of the facets as listed
+# (eliminate_prefixes) pivots on each shared vertex prefix once, not once
+# per facet.  A complex lists each facet's vertices in its shared order,
+# which makes those prefixes long; a listed facet's determinant is its
+# sorted one's times the permutation's parity, and its kernel line is the
+# sorted one's, permuted.  A single matrix is the walk over one facet
+# (eliminate), so every pivot is taken by that one loop, through the one
+# fraction-free step below, on columns kept as their exact integers.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -294,19 +297,22 @@ def eliminate_prefixes(
     facet], all facets in one walk; read(facet, state) for each facet, in
     order.  The facets must have one length.
 
-    A facet's columns are pivoted on in turn, each in the first row not
-    yet pivoted on where it is nonzero, until the facet or the free rows
-    run out.  Facets with a common prefix share its pivots: a depth-first
-    walk over the prefix trie of the sorted facets runs one pivot step per
-    trie node and hands the reduced columns to its children.  By Bareiss
+    A facet's columns are pivoted on in turn, in the order the facet
+    lists them, each in the first row not yet pivoted on where it is
+    nonzero, until the facet or the free rows run out.  Facets that list
+    a common prefix share its pivots: a depth-first walk over the prefix
+    trie of the listed facets runs one pivot step per trie node and hands
+    the reduced columns to its children, so the order in which a caller
+    lists each facet's vertices sets the number of steps.  By Bareiss
     (1968), after k pivots every entry is a minor of the first k columns
     and one more, so the shared state is each facet's own.  A node
     carries the columns that some facet below it still lists, in
     increasing vertex order.  No row moves; the pivot rows are listed
     instead, and sign is the sign of that order, so for a square matrix
-    the determinant is sign * D.  A column with no pivot is passed over and changes nothing;
-    the facet's rank, len(rows), then falls short.  Each state is read
-    when the walk reaches it and not kept.
+    the determinant of the columns as listed is sign * D.  A column with
+    no pivot is passed over and changes nothing; the facet's rank,
+    len(rows), then falls short.  Each state is read when the walk
+    reaches it and not kept.
     """
     n = len(vectors)
     length = len(facets[0]) if facets else 0

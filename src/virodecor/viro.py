@@ -204,7 +204,7 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
         raise ValueError(f"facet {K.facets[0]} does not have {d + 1} vertices")
     (lift,), _ = common_integer_rows([[Fraction(h) for h in heights]])
     above, below, ties = [], [], []
-    for facet, coords in zip(K.facets, _lifted_table(A, K.facets).coords):
+    for facet, coords in zip(K.facets, _lifted_table(A, K).coords):
         if coords is None:
             raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
         D, vertices, pairs = coords

@@ -437,6 +437,31 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     assert "digits" not in result.output
 
 
+@pytest.mark.parametrize("name,text,detail", [
+    ("regular", "[0, 1, 4, 9, 16, 25]",
+     'expected a JSON object with the key "heights"'),
+    ("points", '{"points": [["0", "0", "0"]]}',
+     'expected a JSON object with the keys "dimension" and "points"; '
+     '"dimension" is missing'),
+    ("complex", '"snd"',
+     'expected a JSON object with the keys "dimension", "n_vertices" and '
+     '"facets"'),
+    ("system", '{"points": []}',
+     'expected a JSON object with the keys "points", "coefficients" and '
+     '"heights"; "coefficients" and "heights" are missing'),
+])
+def test_a_file_that_is_no_such_object_is_told_what_it_should_hold(
+        runner, tmp_path, name, text, detail):
+    """A file that is no JSON object, or lacks a key, is a usage error
+    that names the object and keys the file should hold."""
+    file, command = COMMANDS[name]
+    paths = _write_inputs(tmp_path, (file, text))
+    result = runner.invoke(main, [a.format(**paths) for a in command])
+    assert result.exit_code == 2, result.output
+    assert result.output == (
+        f"error: malformed {file} file {paths[file]}: {detail}\n")
+
+
 @pytest.mark.parametrize("name,text", [
     ("heights", json.dumps({"heights": ["0", "1", "2", "1e-5000", "4",
                                         "5"]})),

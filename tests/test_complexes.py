@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virodecor import catalog, completion, complexes
+from virodecor import catalog, completion, complexes, exactlinalg
 from virodecor.cli import main
 from virodecor.complexes import (
     DualGraph,
@@ -27,7 +28,13 @@ from virodecor.complexes import (
     simplex_signs,
     total_normalized_volume,
 )
-from virodecor.exactlinalg import determinant
+from virodecor.exactlinalg import (
+    RationalMatrix,
+    _oriented,
+    determinant,
+    eliminate_prefixes,
+    integer_rows,
+)
 from virodecor.families import (
     Poset,
     cross_polytope_triangulation,
@@ -488,3 +495,164 @@ def test_coloring_json_roundtrip():
     coloring = {1: 0, 2: 1, 3: 2, 4: 1}
     d = coloring_to_json_dict(coloring, 4)
     assert coloring_from_json_dict(d) == coloring
+
+
+# -- the shared order of a complex's walks ---------------------------------
+
+
+def shared_order_by_recount(facets):
+    """The greedy shared-prefix listing, recounted from scratch at every
+    branch: below a prefix, the vertex in most of the facets left comes
+    next (the smaller label on ties), until every facet is listed."""
+    listed = {}
+
+    def branch(group, head):
+        while group:
+            counts = {}
+            for f in group:
+                for v in f:
+                    if v not in head:
+                        counts[v] = counts.get(v, 0) + 1
+            if not counts:
+                (f,) = group
+                listed[f] = head
+                return
+            v = min(counts, key=lambda w: (-counts[w], w))
+            branch([f for f in group if v in f], head + (v,))
+            group = [f for f in group if v not in f]
+
+    branch(list(facets), ())
+    return [listed[f] for f in facets]
+
+
+def relabelled(K, order):
+    """K with vertex v renamed order[v - 1]."""
+    return SimplicialComplex.from_facets(
+        K.dimension, K.n_vertices,
+        [[order[v - 1] for v in f] for f in K.facets])
+
+
+@st.composite
+def relabelled_complexes(draw):
+    """Random complexes, and cross(3) and cross(4) under a random renaming
+    of their vertices."""
+    if draw(st.booleans()):
+        return draw(complexes_up_to_dim_4())
+    K = cross_polytope_triangulation(draw(st.sampled_from([3, 4]))).complex
+    return relabelled(K, draw(st.permutations(range(1, K.n_vertices + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_complexes())
+@example(cross_polytope_triangulation(4).complex)
+@example(RIDGE_IN_THREE)
+@example(POINTS)
+@example(EMPTY)
+def test_shared_order_lists_each_facet_with_its_permutation_sign(K):
+    listing = complexes._shared_order(K.facets)
+    assert list(listing.facets) == shared_order_by_recount(K.facets)
+    assert len(listing.parities) == len(K.facets)
+    for facet, listed, parity in zip(K.facets, listing.facets,
+                                     listing.parities):
+        assert tuple(sorted(listed)) == facet
+        # the permutation matrix taking the sorted facet to its listing
+        moved = RationalMatrix([[int(v == w) for w in facet] for v in listed])
+        assert determinant(moved) == parity
+
+
+def test_shared_order_differs_from_the_sorted_one_on_cross_polytopes():
+    """cross(d) lists the origin first, then each +e_i or -e_i as the
+    facets split; so the listing leaves the sorted order, with odd
+    permutations among them."""
+    K = cross_polytope_triangulation(3).complex
+    assert K._listing.facets == (
+        (1, 2, 3, 4), (1, 2, 3, 7), (1, 2, 6, 4), (1, 2, 6, 7),
+        (1, 5, 3, 4), (1, 5, 3, 7), (1, 5, 6, 4), (1, 5, 6, 7))
+    assert K._listing.parities == (1, 1, -1, 1, 1, -1, 1, 1)
+
+
+def _counting_bareiss_steps(monkeypatch):
+    steps = []
+    step = exactlinalg._bareiss_step
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss_step", counted)
+    return steps
+
+
+def _generic_decoration(K, seed):
+    rng = random.Random(seed)
+    return RationalMatrix([[rng.choice([-1, 1]) * rng.randint(1, 9)
+                            for _ in range(K.n_vertices)]
+                           for _ in range(K.dimension)])
+
+
+@pytest.mark.parametrize("K, sorted_steps, shared_steps", [
+    (cross_polytope_triangulation(3).complex, 12, 7),
+    (cross_polytope_triangulation(4).complex, 32, 15),
+    (cross_polytope_triangulation(5).complex, 80, 31),
+    (cross_polytope_triangulation(6).complex, 192, 63),
+    (cross_polytope_triangulation(7).complex, 448, 127),
+    (cross_polytope_triangulation(8).complex, 1024, 255),
+    (snd_subcomplex(11, 5), 74, 49),
+    (snd_subcomplex(15, 7), 382, 255),
+    (cyclic_minimal_triangulation(12, 5), 154, 101),
+], ids=["cross3", "cross4", "cross5", "cross6", "cross7", "cross8",
+        "snd11-5", "snd15-7", "cyclic12-5"])
+def test_decoration_walk_takes_no_more_pivot_steps_than_sorted_facets(
+        monkeypatch, K, sorted_steps, shared_steps):
+    """One Bareiss step per trie node: the shared order's trie is never
+    larger than the sorted facets' one."""
+    C = _generic_decoration(K, 0)
+    steps = _counting_bareiss_steps(monkeypatch)
+    columns, _ = integer_rows(zip(*C.to_lists()))
+    by_sorted = eliminate_prefixes(columns, K.facets, _oriented)
+    assert len(steps) == sorted_steps
+    steps.clear()
+    ok, failing = is_positively_decorated(K, C)
+    assert len(steps) == shared_steps <= sorted_steps
+    assert failing == [f for f, good in zip(K.facets, by_sorted) if not good]
+
+
+def test_cross8_decoration_takes_255_pivot_steps(monkeypatch):
+    """2^k trie nodes at depth k + 1 for k < 8: the origin, then each
+    +e_i or -e_i in turn; the sorted facets take 1,024 steps."""
+    f = cross_polytope_triangulation(8)
+    C = decoration_from_coloring(f.coloring, f.complex.n_vertices, 8)
+    f.complex._listing    # the order is built once, with no pivot
+    steps = _counting_bareiss_steps(monkeypatch)
+    assert is_positively_decorated(f.complex, C) == (True, [])
+    assert len(steps) == 255
+
+
+def test_shared_order_is_built_by_the_first_walk_and_kept(monkeypatch):
+    """Constructing a complex, its dual graph and its colorings build no
+    order; the first decoration check builds it, and every later walk
+    of the complex reads the same one."""
+    builds = []
+    shared_order = complexes._shared_order
+
+    def counted(facets):
+        builds.append(facets)
+        return shared_order(facets)
+
+    monkeypatch.setattr(complexes, "_shared_order", counted)
+    fam = cross_polytope_triangulation(4)
+    K, A = fam.complex, fam.configuration
+    is_bipartite(dual_graph(K))
+    balanced_coloring(K)
+    snd_subcomplex(15, 7)
+    assert builds == []
+    C = decoration_from_coloring(fam.coloring, K.n_vertices, 4)
+    assert is_positively_decorated(K, C) == (True, [])
+    assert builds == [K.facets]
+    complexes._lifted_table.cache_clear()
+    simplex_signs(K, A, C)
+    is_unimodular(K, A)
+    total_normalized_volume(K, A)
+    normalized_volume(A, K.facets[0])
+    is_positively_decorated(K, C)
+    assert builds == [K.facets]

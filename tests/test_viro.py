@@ -28,7 +28,11 @@ from virodecor.exactlinalg import (
     eliminate_prefixes,
     solve,
 )
-from virodecor.families import Poset, order_polytope_triangulation
+from virodecor.families import (
+    Poset,
+    cross_polytope_triangulation,
+    order_polytope_triangulation,
+)
 from virodecor.viro import (
     RegularityReport,
     ViroSystem,
@@ -320,6 +324,82 @@ def test_shared_prefixes_match_fraction_oracles(inputs):
 
 
 @st.composite
+def relabelled_cross_polytopes(draw):
+    """(A, heights, K, C) for cross(3) or cross(4) with its vertices renamed
+    at random, so that the walks list most facets out of sorted order and
+    some by odd permutations.  The points are scaled by 1, 2/3 or -1/2;
+    the heights are the squared norms or of one of HEIGHT_KINDS; C is the
+    coloring decoration with positive column scales and perhaps one column
+    negated (every facet through it fails), or zero-heavy."""
+    fam = cross_polytope_triangulation(draw(st.sampled_from([3, 4])))
+    d, n = fam.complex.dimension, fam.complex.n_vertices
+    order = draw(st.permutations(range(1, n + 1)))  # v is renamed order[v-1]
+    at = {w: v for v, w in enumerate(order, 1)}   # the old name of w
+    scale = draw(st.sampled_from([Fraction(1), Fraction(2, 3),
+                                  Fraction(-1, 2)]))
+    points = [tuple(scale * x for x in fam.configuration.points[at[w] - 1])
+              for w in range(1, n + 1)]
+    kind = draw(st.sampled_from(("squared norms",) + HEIGHT_KINDS))
+    heights = ([fam.heights[at[w] - 1] for w in range(1, n + 1)]
+               if kind == "squared norms"
+               else draw(heights_over(points, kind)))
+    K = SimplicialComplex.from_facets(
+        d, n, [[order[v - 1] for v in f] for f in fam.complex.facets])
+    if draw(st.booleans()):
+        colors = [fam.coloring[at[w]] for w in range(1, n + 1)]
+        scales = draw(st.lists(st.fractions(Fraction(1, 9), 5), min_size=n,
+                               max_size=n).filter(all))
+        negated = draw(st.sampled_from([None, *range(n)]))
+        scales = [-x if k == negated else x for k, x in enumerate(scales)]
+        C = RationalMatrix([[s * (-1 if c == d else int(c == i))
+                             for c, s in zip(colors, scales)]
+                            for i in range(d)])
+    else:
+        C = RationalMatrix(draw(st.lists(st.lists(
+            zero_heavy, min_size=n, max_size=n), min_size=d, max_size=d)))
+    return PointConfiguration.from_rows(points), heights, K, C
+
+
+@given(st.one_of(relabelled_cross_polytopes(), shared_prefix_complexes()))
+@settings(max_examples=150, deadline=None)
+def test_shared_order_matches_fraction_oracles(inputs):
+    """Walks in the complex's shared order keep every report, in the order
+    of K.facets, and every signed determinant: the lifted table's is
+    P^d times the facet's own, with the parity of its listing."""
+    assert_matches_fraction_oracles(*inputs)
+    A, _, K, _ = inputs
+    table = _lifted_table(A, K)
+    assert table.dets == tuple(table.scale * determinant(lifted_matrix(A, f))
+                               for f in K.facets)
+
+
+def test_cold_lifted_table_takes_fewer_pivot_steps_than_sorted_facets(
+        monkeypatch):
+    """cross(8): the table pivots on each of the 511 nodes of the shared
+    order's trie, where the sorted facets, each followed by the points
+    outside it, take 1,280 steps."""
+    fam = cross_polytope_triangulation(8)
+    A, K = fam.configuration, fam.complex
+    steps = []
+    step = exactlinalg._bareiss_step
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss_step", counted)
+    every = range(1, A.n_points + 1)
+    eliminate_prefixes([(1, *p) for p in A.points],
+                       [(*f, *(p for p in every if p not in f))
+                        for f in K.facets], lambda facet, e: None)
+    assert len(steps) == 1280
+    steps.clear()
+    _lifted_table.cache_clear()
+    assert is_unimodular(K, A)
+    assert len(steps) == 511
+
+
+@st.composite
 def two_complexes_under_many_heights(draw):
     """Two (A, K) of one strategy, each with heights of every kind."""
     complexes_ = draw(st.sampled_from([lifted_complexes(),
@@ -359,9 +439,11 @@ def test_one_walk_of_the_lifted_points_serves_every_check(monkeypatch):
     walks = []
 
     def counting(vectors, facets, *args, **kwargs):
-        # a facet's vertices, without the outside points listed after them
+        # a facet's vertex set, without the outside points listed after
+        # them: the walk lists the vertices in the complex's shared order
         walks.append(([tuple(v) for v in vectors],
-                      [tuple(facet[:K.dimension + 1]) for facet in facets]))
+                      [tuple(sorted(facet[:K.dimension + 1]))
+                       for facet in facets]))
         return eliminate_prefixes(vectors, facets, *args, **kwargs)
 
     for module in (complexes, exactlinalg):
