@@ -23,6 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .exactlinalg import (
     Elimination,
+    PrefixTrie,
     RationalMatrix,
     _determinant,
     _oriented,
@@ -32,6 +33,7 @@ from .exactlinalg import (
     integer_rows,
     loads_exact,
     parse_rational,
+    prefix_trie,
 )
 
 
@@ -86,6 +88,11 @@ class SimplicialComplex:
     def _listing(self) -> _Listing:
         # built on the first walk over the facets and kept, like the graph
         return _shared_order(self.facets)
+
+    @functools.cached_property
+    def _balanced_coloring(self) -> dict[int, int] | None:
+        # built on first use and kept; balanced_coloring hands out copies
+        return _balance(self)
 
     def skeleton_edges(self) -> set[tuple[int, int]]:
         """Edges of the 1-skeleton (unordered pairs, stored sorted)."""
@@ -176,6 +183,11 @@ class DualGraph:
     n_nodes: int
     adjacency: Mapping[int, frozenset[int]]
 
+    @functools.cached_property
+    def _two_coloring(self) -> BipartitenessCheck:
+        # built on first use and kept; is_bipartite hands out copies
+        return _two_color(self)
+
     @property
     def edges(self) -> list[tuple[int, int]]:
         return sorted(
@@ -201,7 +213,8 @@ def dual_graph(K: SimplicialComplex) -> DualGraph:
     return K._dual_graph
 
 
-class _Listing(NamedTuple):
+@dataclass(frozen=True)
+class _Listing:
     """The facets of a complex, each with its vertices in the shared
     order, and the sign of the permutation that takes each sorted facet to
     its listing: a listed facet's determinant is parity times the sorted
@@ -209,6 +222,12 @@ class _Listing(NamedTuple):
 
     facets: tuple[tuple[int, ...], ...]
     parities: tuple[int, ...]
+
+    @functools.cached_property
+    def trie(self) -> PrefixTrie:
+        # the prefix trie of the listed facets, which every decoration
+        # check of the complex walks: built by the first one and kept
+        return prefix_trie(self.facets)
 
 
 def _shared_order(facets: Sequence[tuple[int, ...]]) -> _Listing:
@@ -287,7 +306,19 @@ def _ridge_graph(K: SimplicialComplex) -> DualGraph:
 
 
 def is_bipartite(G: DualGraph) -> BipartitenessCheck:
-    """Two-color the dual graph, or return an odd cycle as witness."""
+    """Two-color the dual graph, or return an odd cycle as witness.
+
+    Built on the first call and kept by the graph; each call returns a
+    copy, which the caller may change.
+    """
+    check = G._two_coloring
+    return BipartitenessCheck(
+        None if check.colors is None else dict(check.colors),
+        None if check.odd_cycle is None else list(check.odd_cycle))
+
+
+def _two_color(G: DualGraph) -> BipartitenessCheck:
+    """Breadth-first 2-coloring from each uncolored facet in turn."""
     colors: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for start in range(G.n_nodes):
@@ -365,6 +396,16 @@ def _component_coloring(K: SimplicialComplex, G: DualGraph, start: int,
 
 def balanced_coloring(K: SimplicialComplex) -> dict[int, int] | None:
     """Proper (d+1)-coloring of the 1-skeleton, or None if none exists.
+
+    Built on the first call and kept by the complex; each call returns a
+    copy, which the caller may change.
+    """
+    coloring = K._balanced_coloring
+    return None if coloring is None else dict(coloring)
+
+
+def _balance(K: SimplicialComplex) -> dict[int, int] | None:
+    """The balanced coloring of K, or None.
 
     Each dual-graph component has an essentially unique candidate coloring,
     rainbow on each of its facets, so a connected complex's coloring is
@@ -450,19 +491,21 @@ def is_positively_decorated(
     L^-1 v for each kernel vector v of C_tau, so its orientation is kept.
     One walk over the prefix trie of the facets, each listed in the
     complex's shared order (_shared_order), pivots on each facet's first
-    d listed columns, sharing the pivots of common prefixes.  The last
-    listed column x, read in the pivot rows, then spans the kernel as
-    v[last] = D and v[pivot_i] = -x_i, so the facet is oriented iff every
-    x_i * D < 0.  Listing a facet's columns in another order permutes its
-    kernel line and keeps this verdict.  A facet whose first d listed
-    columns are dependent has a zero minor and fails.
+    d listed columns, sharing the pivots of common prefixes.  The trie is
+    the complex's own, built by its first check and kept, so a check
+    under another C only pivots.  The last listed column x, read in the
+    pivot rows, then spans the kernel as v[last] = D and v[pivot_i] =
+    -x_i, so the facet is oriented iff every x_i * D < 0.  Listing a
+    facet's columns in another order permutes its kernel line and keeps
+    this verdict.  A facet whose first d listed columns are dependent has
+    a zero minor and fails.
     """
     if C.cols < K.n_vertices:
         raise ValueError("coefficient matrix has fewer columns than vertices")
     if C.rows != K.dimension:
         raise ValueError("coefficient matrix row count must equal dimension")
     columns, _ = integer_rows(zip(*C.to_lists()))
-    oriented = eliminate_prefixes(columns, K._listing.facets, _oriented)
+    oriented = eliminate_prefixes(columns, K._listing.trie, _oriented)
     failing = [facet for facet, ok in zip(K.facets, oriented) if not ok]
     return (not failing, failing)
 
@@ -513,12 +556,13 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     barycentric coordinate unchanged.  Each facet is listed with its
     vertices in the complex's shared order (_shared_order) and the points
     outside it after them, in increasing order, so one walk over the
-    prefix trie pivots on the facet's d+1 lifted columns and carries every
-    other point's.  The determinant is the facet's parity times sign
-    times the last pivot; the barycentric coordinates do not depend on
-    the order.  The table does not depend on heights, so the last one is
-    kept, with (A, K) as its key: regularity under any heights, the
-    volumes and the simplex signs of one complex read one walk.
+    prefix trie of these lists, built here, pivots on the facet's d+1
+    lifted columns and carries every other point's.  The determinant is
+    the facet's parity times sign times the last pivot; the barycentric
+    coordinates do not depend on the order.  The table does not depend on
+    heights, so the last one is kept, with (A, K) as its key: regularity
+    under any heights, the volumes and the simplex signs of one complex
+    read one walk.
     """
     m = A.dimension + 1
     if any(len(f) != m for f in K.facets):
@@ -528,7 +572,8 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     listing = K._listing
     entries = eliminate_prefixes(
         [(1, *p) for p in points],
-        [(*f, *(p for p in every if p not in f)) for f in listing.facets],
+        prefix_trie((*f, *(p for p in every if p not in f))
+                    for f in listing.facets),
         lambda listed, e: _facet_entry(listed[:m], e))
     return _LiftedTable(P ** A.dimension,
                         tuple(parity * det for parity, (det, _)
@@ -543,7 +588,7 @@ def _determinants(vectors: list[Sequence[int]],
     m = len(vectors[0])
     if any(len(f) != m for f in facets):
         raise ValueError("determinant requires a square matrix")
-    return eliminate_prefixes(vectors, facets, _determinant)
+    return eliminate_prefixes(vectors, prefix_trie(facets), _determinant)
 
 
 def simplex_signs(

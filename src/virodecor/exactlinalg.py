@@ -14,6 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import lt
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 
@@ -197,12 +198,16 @@ def _json_int(s: str) -> int:
 # per call, by positive factors that leave the sign of every minor unchanged.
 # Then one walk over the prefix trie of the facets as listed
 # (eliminate_prefixes) pivots on each shared vertex prefix once, not once
-# per facet.  A complex lists each facet's vertices in its shared order,
-# which makes those prefixes long; a listed facet's determinant is its
-# sorted one's times the permutation's parity, and its kernel line is the
-# sorted one's, permuted.  A single matrix is the walk over one facet
-# (eliminate), so every pivot is taken by that one loop, through the one
-# fraction-free step below, on columns kept as their exact integers.
+# per facet.  The trie depends on the facet list alone (prefix_trie), so it
+# is built once per list: a complex keeps its dual graph, its listing with
+# the listing's trie, its 2-coloring and its balanced coloring, and each
+# decoration check of it only pivots.  A complex lists each facet's
+# vertices in its shared order, which makes those prefixes long; a listed
+# facet's determinant is its sorted one's times the permutation's parity,
+# and its kernel line is the sorted one's, permuted.  A single matrix is
+# the walk over the trie of one facet (eliminate), so every pivot is taken
+# by that one loop, through the one fraction-free step below, on columns
+# kept as their exact integers.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -255,14 +260,6 @@ def _bareiss_step(columns: Iterable[Sequence[int]], r: int, x: Sequence[int],
     return out
 
 
-def _pivot_position(x: Sequence[int], free: Sequence[int]) -> int | None:
-    """Position in free of the first row where x is nonzero, if any."""
-    for p, i in enumerate(free):
-        if x[i]:
-            return p
-    return None
-
-
 class Elimination(NamedTuple):
     """A fraction-free Gauss-Jordan elimination after some pivots.
 
@@ -278,87 +275,165 @@ class Elimination(NamedTuple):
     columns: Mapping[int, Sequence[int]]
 
 
+class PrefixTrie(NamedTuple):
+    """The prefix trie of a list of facets of one length.
+
+    order holds the facet indices in sorted facet order, so the facets
+    below each node are one run order[lo:hi] of it.  A node is a tuple
+    (vertex, keep, lo, hi, children): the last vertex of its path, the
+    vertices that the facets below it list after the path, in increasing
+    order, their run, and the nodes one vertex further, by increasing
+    vertex; a node at full length has none.  The root is the empty path,
+    with vertex 0, and keeps every vertex.  Facets of unequal lengths get
+    a root without children and uniform False, and eliminate_prefixes
+    refuses them.  Nodes are plain tuples because a single solve and the
+    lifted table build a trie for one walk, and a NamedTuple per node
+    made that build about 1.6 times as slow.
+    """
+
+    facets: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    root: tuple
+    uniform: bool
+
+
+def prefix_trie(facets: Iterable[Sequence[int]]) -> PrefixTrie:
+    """The prefix trie of the facets as listed.  It depends on nothing
+    else, so a caller that walks one facet list under many inputs builds
+    it once."""
+    facets = tuple(map(tuple, facets))
+    length = len(facets[0]) if facets else 0
+    order = tuple(sorted(range(len(facets)), key=facets.__getitem__))
+    uniform = all(len(facet) == length for facet in facets)
+
+    def branch(lo: int, hi: int, k: int) -> tuple[tuple, ...]:
+        """The nodes at depth k + 1 below the run order[lo:hi]."""
+        nodes = []
+        while lo < hi:
+            first = facets[order[lo]]
+            v = first[k]
+            mid = lo + 1
+            while mid < hi and facets[order[mid]][k] == v:
+                mid += 1
+            if mid - lo == 1:
+                nodes.append(_chain(first, k, lo))
+            elif k + 1 < length:
+                children = branch(lo, mid, k + 1)
+                keep = set()
+                for w, after, *_ in children:
+                    keep.add(w)
+                    keep.update(after)
+                nodes.append((v, tuple(sorted(keep)), lo, mid, children))
+            else:   # a facet listed more than once
+                nodes.append((v, (), lo, mid, ()))
+            lo = mid
+        return tuple(nodes)
+
+    every = tuple(sorted({v for facet in facets for v in facet}))
+    children = branch(0, len(facets), 0) if uniform and length else ()
+    return PrefixTrie(facets, order, (0, every, 0, len(facets), children),
+                      uniform)
+
+
+def _chain(facet: tuple[int, ...], k: int, i: int) -> tuple:
+    """The trie nodes of facet i alone, from depth k + 1 to its end.
+
+    Built from the end, each keep a slice of the facet when its rest is
+    increasing: the trie of one matrix, and the lifted table's below the
+    facets' own vertices, are such chains.
+    """
+    rest = facet[k + 1:]
+    increasing = all(map(lt, rest, rest[1:]))
+    nodes = ()
+    for j in range(len(facet) - 1, k - 1, -1):
+        after = facet[j + 1:]
+        nodes = ((facet[j], after if increasing else tuple(sorted(set(after))),
+                  i, i + 1, nodes),)
+    return nodes[0]
+
+
 def eliminate(a: Sequence[Sequence[int]]) -> Elimination:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows:
     the walk below over the one facet (1, ..., m) of their m columns.  The
     input is not changed.
     """
-    (e,) = eliminate_prefixes(list(zip(*a)), [range(1, len(a[0]) + 1)],
+    (e,) = eliminate_prefixes(list(zip(*a)),
+                              prefix_trie([range(1, len(a[0]) + 1)]),
                               lambda _, e: e)
     return e
 
 
 def eliminate_prefixes(
     vectors: Sequence[Sequence[int]],
-    facets: Sequence[Sequence[int]],
+    trie: PrefixTrie,
     read: Callable[[Sequence[int], Elimination], T],
 ) -> list[T]:
     """Eliminate each facet's matrix of columns [vectors[v - 1] for v in
-    facet], all facets in one walk; read(facet, state) for each facet, in
-    order.  The facets must have one length.
+    facet], all facets of the trie in one walk; read(facet, state) for
+    each facet, in the order of trie.facets.  The facets must have one
+    length.
 
     A facet's columns are pivoted on in turn, in the order the facet
     lists them, each in the first row not yet pivoted on where it is
     nonzero, until the facet or the free rows run out.  Facets that list
     a common prefix share its pivots: a depth-first walk over the prefix
-    trie of the listed facets runs one pivot step per trie node and hands
-    the reduced columns to its children, so the order in which a caller
-    lists each facet's vertices sets the number of steps.  By Bareiss
-    (1968), after k pivots every entry is a minor of the first k columns
-    and one more, so the shared state is each facet's own.  A node
-    carries the columns that some facet below it still lists, in
-    increasing vertex order.  No row moves; the pivot rows are listed
-    instead, and sign is the sign of that order, so for a square matrix
-    the determinant of the columns as listed is sign * D.  A column with
-    no pivot is passed over and changes nothing; the facet's rank,
+    trie (prefix_trie, built once per facet list) runs one pivot step per
+    node and hands the reduced columns to its children, so the order in
+    which a caller lists each facet's vertices sets the number of steps.
+    By Bareiss (1968), after k pivots every entry is a minor of the first
+    k columns and one more, so the shared state is each facet's own.  A
+    node carries its keep: the columns that some facet below it still
+    lists, in increasing vertex order.  No row moves; the pivot rows are
+    listed instead, and sign is the sign of that order, so for a square
+    matrix the determinant of the columns as listed is sign * D.  A column
+    with no pivot is passed over and changes nothing; the facet's rank,
     len(rows), then falls short.  Each state is read when the walk
     reaches it and not kept.
     """
     n = len(vectors)
-    length = len(facets[0]) if facets else 0
-    for facet in facets:
-        for v in facet:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
-                                 f"range 1..{n}")
-        if len(facet) != length:
-            raise ValueError(f"facets {tuple(facets[0])} and {tuple(facet)} "
-                             f"differ in length")
+    facets, order, root = trie.facets, trie.order, trie.root
+    every = root[1]
+    if not trie.uniform or every and not 1 <= every[0] <= every[-1] <= n:
+        _refuse(facets, n)
     out: list = [None] * len(facets)
-    order = sorted(range(len(facets)), key=lambda i: tuple(facets[i]))
 
-    def visit(columns, prev, sign, free, rows, pivots, lo, hi, k):
-        if k == length or not free:
+    def visit(children, lo, hi, columns, prev, sign, free, rows, pivots):
+        if not children or not free:
             state = Elimination(prev, sign, rows, pivots, columns)
             for i in order[lo:hi]:
                 out[i] = read(facets[i], state)
             return
-        while lo < hi:
-            v = facets[order[lo]][k]
-            mid = lo + 1
-            while mid < hi and facets[order[mid]][k] == v:
-                mid += 1
+        for v, keep, start, end, below in children:
             x = columns[v]
-            p = _pivot_position(x, free)
-            if p is None:
-                visit(columns, prev, sign, free, rows, pivots, lo, mid, k + 1)
-            else:
-                need = set()
-                for i in order[lo:mid]:
-                    need.update(facets[i][k + 1:])
-                keep = sorted(need)
-                r = free[p]
-                reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
-                visit(dict(zip(keep, reduced)), x[r],
-                      -sign if p % 2 else sign, free[:p] + free[p + 1:],
-                      rows + (r,), pivots + (v,), lo, mid, k + 1)
-            lo = mid
+            for p, r in enumerate(free):
+                if x[r]:
+                    break
+            else:   # no free row where x is nonzero: x is passed over
+                visit(below, start, end, columns, prev, sign, free, rows,
+                      pivots)
+                continue
+            reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
+            visit(below, start, end, dict(zip(keep, reduced)), x[r],
+                  -sign if p % 2 else sign, free[:p] + free[p + 1:],
+                  rows + (r,), pivots + (v,))
 
-    vertices = sorted({v for facet in facets for v in facet})
-    visit({v: vectors[v - 1] for v in vertices}, 1, 1,
-          list(range(len(vectors[0]) if vectors else 0)), (), (), 0,
-          len(facets), 0)
+    _, _, lo, hi, children = root
+    visit(children, lo, hi, {v: vectors[v - 1] for v in every}, 1, 1,
+          list(range(len(vectors[0]) if vectors else 0)), (), ())
     return out
+
+
+def _refuse(facets: Sequence[tuple[int, ...]], n: int) -> None:
+    """Raise for the first facet, in order, with a vertex outside 1..n or
+    a length other than the first facet's."""
+    for facet in facets:
+        for v in facet:
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex {v} of facet {facet} out of "
+                                 f"range 1..{n}")
+        if len(facet) != len(facets[0]):
+            raise ValueError(f"facets {facets[0]} and {facet} "
+                             f"differ in length")
 
 
 def _determinant(facet: Sequence[int], e: Elimination) -> int:

@@ -34,6 +34,7 @@ from virodecor.exactlinalg import (
     determinant,
     eliminate_prefixes,
     integer_rows,
+    prefix_trie,
 )
 from virodecor.families import (
     Poset,
@@ -609,7 +610,7 @@ def test_decoration_walk_takes_no_more_pivot_steps_than_sorted_facets(
     C = _generic_decoration(K, 0)
     steps = _counting_bareiss_steps(monkeypatch)
     columns, _ = integer_rows(zip(*C.to_lists()))
-    by_sorted = eliminate_prefixes(columns, K.facets, _oriented)
+    by_sorted = eliminate_prefixes(columns, prefix_trie(K.facets), _oriented)
     assert len(steps) == sorted_steps
     steps.clear()
     ok, failing = is_positively_decorated(K, C)
@@ -656,3 +657,93 @@ def test_shared_order_is_built_by_the_first_walk_and_kept(monkeypatch):
     normalized_volume(A, K.facets[0])
     is_positively_decorated(K, C)
     assert builds == [K.facets]
+
+
+def test_returned_colorings_are_copies():
+    """Changing a returned 2-coloring, odd cycle or balanced coloring
+    leaves the next call's answer as it was."""
+    K = cross_polytope_triangulation(3).complex
+    G = dual_graph(K)
+    check = is_bipartite(G)
+    colors = dict(check.colors)
+    check.colors[0] = -check.colors[0]
+    check.colors[len(K.facets)] = 1
+    assert is_bipartite(G).colors == colors
+    assert is_bipartite(G).colors is not is_bipartite(G).colors
+
+    odd = is_bipartite(dual_graph(O63))
+    cycle = list(odd.odd_cycle)
+    odd.odd_cycle[0] = -1
+    odd.odd_cycle.append(0)
+    again = is_bipartite(dual_graph(O63))
+    assert again.colors is None and again.odd_cycle == cycle
+
+    coloring = balanced_coloring(K)
+    expected = dict(coloring)
+    coloring[1] = 99
+    del coloring[2]
+    assert balanced_coloring(K) == expected
+    twin = SimplicialComplex(K.dimension, K.n_vertices, K.facets)
+    assert balanced_coloring(twin) == expected
+    assert is_bipartite(dual_graph(twin)).colors == colors
+
+
+def test_decoration_checks_of_one_complex_build_its_trie_once(monkeypatch):
+    """The complex's first decoration check builds the prefix trie of its
+    listed facets; every later check, under any coefficient matrix, walks
+    that same trie."""
+    builds, walked = [], []
+    trie = complexes.prefix_trie
+    walk = complexes.eliminate_prefixes
+
+    def counted(facets):
+        builds.append(tuple(facets))
+        return trie(facets)
+
+    def walking(vectors, facet_trie, read):
+        walked.append(facet_trie)
+        return walk(vectors, facet_trie, read)
+
+    monkeypatch.setattr(complexes, "prefix_trie", counted)
+    monkeypatch.setattr(complexes, "eliminate_prefixes", walking)
+    fam = cross_polytope_triangulation(5)
+    K = fam.complex
+    C = decoration_from_coloring(fam.coloring, K.n_vertices, 5)
+    for seed in range(3):
+        assert is_positively_decorated(K, C) == (True, [])
+        is_positively_decorated(K, _generic_decoration(K, seed))
+    assert builds == [K._listing.facets]
+    assert len(walked) == 6 and all(t is walked[0] for t in walked)
+
+
+@pytest.mark.parametrize("K", [
+    cross_polytope_triangulation(4).complex,
+    relabelled(cross_polytope_triangulation(5).complex,
+               [3, 11, 1, 7, 5, 9, 2, 10, 4, 8, 6]),
+    snd_subcomplex(11, 5),
+    cyclic_minimal_triangulation(12, 5),
+    O63,
+], ids=["cross4", "cross5-relabelled", "snd11-5", "cyclic12-5", "cyclic6-3"])
+def test_equal_complexes_give_equal_verdicts(K):
+    """Two equal but distinct complexes, checked in turn under several
+    matrices, each walk their own kept trie to the same verdicts and
+    failing facets, which are those of the sorted facets' walk."""
+    twin = SimplicialComplex(K.dimension, K.n_vertices, K.facets)
+    assert twin == K and twin is not K
+    matrices = [_generic_decoration(K, seed) for seed in range(4)]
+    coloring = balanced_coloring(K)
+    if coloring is not None:
+        C = decoration_from_coloring(coloring, K.n_vertices, K.dimension)
+        rows = C.to_lists()
+        for row in rows:
+            row[1] = -row[1]
+        matrices += [C, RationalMatrix(rows)]
+    for C in matrices:
+        columns, _ = integer_rows(zip(*C.to_lists()))
+        oriented = eliminate_prefixes(columns, prefix_trie(K.facets),
+                                      _oriented)
+        failing = [f for f, ok in zip(K.facets, oriented) if not ok]
+        for L in (K, twin, K):
+            assert is_positively_decorated(L, C) == (not failing, failing)
+    assert K._listing.trie == twin._listing.trie
+    assert K._listing.trie is not twin._listing.trie

@@ -17,6 +17,7 @@ from virodecor.exactlinalg import (
     is_oriented,
     parse_rational,
     positive_kernel_vector,
+    prefix_trie,
     rank,
     solve,
 )
@@ -200,7 +201,7 @@ def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
     vectors, facets = inputs
     m = len(vectors[0])
     dets = eliminate_prefixes(
-        vectors, facets,
+        vectors, prefix_trie(facets),
         lambda _, e: e.sign * e.D if len(e.rows) == m else None)
     for facet, det in zip(facets, dets):
         M = RationalMatrix([[vectors[v - 1][i] for v in facet]
@@ -242,7 +243,7 @@ def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
     line of its signed maximal minors."""
     vectors, facets = inputs
     m = len(vectors[0])
-    states = eliminate_prefixes(vectors, facets,
+    states = eliminate_prefixes(vectors, prefix_trie(facets),
                                 lambda facet, e: (e, _kernel_line(facet, e)))
     for facet, (e, line) in zip(facets, states):
         M = RationalMatrix([[vectors[v - 1][i] for v in facet]
@@ -264,8 +265,24 @@ def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
 
 def test_prefix_walk_refuses_facets_of_unequal_length():
     with pytest.raises(ValueError, match="differ in length"):
-        eliminate_prefixes([[1, 0], [0, 1], [1, 1]], [(1, 2), (1, 2, 3)],
+        eliminate_prefixes([[1, 0], [0, 1], [1, 1]],
+                           prefix_trie([(1, 2), (1, 2, 3)]), lambda _, e: e)
+
+
+@pytest.mark.parametrize("facets, message", [
+    ([(0, 1), (1, 2, 3)], "vertex 0 of facet (0, 1) out of range 1..3"),
+    ([(1, 2), (1, 2, 9)], "vertex 9 of facet (1, 2, 9) out of range 1..3"),
+    ([(1, 2), (2, 3, 1), (1, 7)],
+     "facets (1, 2) and (2, 3, 1) differ in length"),
+    ([(2, 3), (1, 4)], "vertex 4 of facet (1, 4) out of range 1..3"),
+])
+def test_prefix_walk_names_the_first_bad_facet(facets, message):
+    """Facets are checked in their order, each for its vertex range and
+    then its length, whatever order the trie keeps them in."""
+    with pytest.raises(ValueError) as refused:
+        eliminate_prefixes([[1, 0], [0, 1], [1, 1]], prefix_trie(facets),
                            lambda _, e: e)
+    assert str(refused.value) == message
 
 
 # -- orientation -----------------------------------------------------------

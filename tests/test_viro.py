@@ -26,6 +26,7 @@ from virodecor.exactlinalg import (
     RationalMatrix,
     determinant,
     eliminate_prefixes,
+    prefix_trie,
     solve,
 )
 from virodecor.families import (
@@ -390,8 +391,8 @@ def test_cold_lifted_table_takes_fewer_pivot_steps_than_sorted_facets(
     monkeypatch.setattr(exactlinalg, "_bareiss_step", counted)
     every = range(1, A.n_points + 1)
     eliminate_prefixes([(1, *p) for p in A.points],
-                       [(*f, *(p for p in every if p not in f))
-                        for f in K.facets], lambda facet, e: None)
+                       prefix_trie((*f, *(p for p in every if p not in f))
+                                   for f in K.facets), lambda facet, e: None)
     assert len(steps) == 1280
     steps.clear()
     _lifted_table.cache_clear()
@@ -438,13 +439,13 @@ def test_one_walk_of_the_lifted_points_serves_every_check(monkeypatch):
     A, K, C = f.configuration, f.complex, f.coefficients
     walks = []
 
-    def counting(vectors, facets, *args, **kwargs):
+    def counting(vectors, trie, *args, **kwargs):
         # a facet's vertex set, without the outside points listed after
         # them: the walk lists the vertices in the complex's shared order
         walks.append(([tuple(v) for v in vectors],
                       [tuple(sorted(facet[:K.dimension + 1]))
-                       for facet in facets]))
-        return eliminate_prefixes(vectors, facets, *args, **kwargs)
+                       for facet in trie.facets]))
+        return eliminate_prefixes(vectors, trie, *args, **kwargs)
 
     for module in (complexes, exactlinalg):
         monkeypatch.setattr(module, "eliminate_prefixes", counting)
