@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -226,7 +226,8 @@ class _Listing:
     @functools.cached_property
     def trie(self) -> PrefixTrie:
         # the prefix trie of the listed facets, which every decoration
-        # check of the complex walks: built by the first one and kept
+        # check and simplex_signs of the complex walk: built by the first
+        # one and kept
         return prefix_trie(self.facets)
 
 
@@ -431,6 +432,13 @@ def _balance(K: SimplicialComplex) -> dict[int, int] | None:
         return partials[0]
 
     edges = K.skeleton_edges()
+    # A vertex in one component only decides no conflict: its edges lie in
+    # facets of that component, on which every candidate is rainbow.  So
+    # candidates that agree on the shared vertices fare alike, and only the
+    # first of them is tried.
+    components = Counter(chain.from_iterable(partials))
+    shared = [[(v, c) for v, c in base.items() if components[v] > 1]
+              for base in partials]
 
     def consistent(assigned: dict[int, int]) -> bool:
         for a, b in edges:
@@ -442,14 +450,18 @@ def _balance(K: SimplicialComplex) -> dict[int, int] | None:
     def backtrack(idx: int, assigned: dict[int, int]) -> dict[int, int] | None:
         if idx == len(partials):
             return dict(assigned)
-        base = partials[idx]
+        # the colors that the vertices assigned so far fix
+        fixed = [(c, assigned[v]) for v, c in shared[idx] if v in assigned]
+        tried = set()
         for perm in permutations(range(d + 1)):
-            candidate = {v: perm[c] for v, c in base.items()}
-            if any(v in assigned and assigned[v] != c
-                   for v, c in candidate.items()):
+            if any(perm[c] != color for c, color in fixed):
                 continue
+            key = tuple([perm[c] for _, c in shared[idx]])
+            if key in tried:
+                continue
+            tried.add(key)
             merged = dict(assigned)
-            merged.update(candidate)
+            merged.update({v: perm[c] for v, c in partials[idx].items()})
             # 7.9 s on 4,000 seeded random complexes, and 48 s without it
             if not consistent(merged):
                 continue
@@ -557,15 +569,17 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     vertices in the complex's shared order (_shared_order) and the points
     outside it after them, in increasing order, so one walk over the
     prefix trie of these lists, built here, pivots on the facet's d+1
-    lifted columns and carries every other point's.  The determinant is
-    the facet's parity times sign times the last pivot; the barycentric
-    coordinates do not depend on the order.  The table does not depend on
-    heights, so the last one is kept, with (A, K) as its key: regularity
-    under any heights, the volumes and the simplex signs of one complex
-    read one walk.
+    lifted columns and carries every other point's.  The facets part
+    within their own vertices, so each is one run from there on, and the
+    trie has the nodes of the listing's.  The determinant is the facet's
+    parity times sign times the last pivot; the barycentric coordinates
+    do not depend on the order.  The table does not depend on heights,
+    so the last one is kept, with (A, K) as its key: regularity under
+    any heights, the volumes and the simplex signs of one complex read
+    one walk.
     """
     m = A.dimension + 1
-    if any(len(f) != m for f in K.facets):
+    if K.facets and K.dimension != A.dimension:
         raise ValueError("determinant requires a square matrix")
     points, P = common_integer_rows(A.points)
     every = range(1, len(points) + 1)
@@ -581,33 +595,26 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
                         tuple(coords for _, coords in entries))
 
 
-def _determinants(vectors: list[Sequence[int]],
-                  facets: Sequence[Sequence[int]]) -> list[int]:
-    """det [vectors[v - 1] for v in facet] of each facet, its columns as
-    listed."""
-    m = len(vectors[0])
-    if any(len(f) != m for f in facets):
-        raise ValueError("determinant requires a square matrix")
-    return eliminate_prefixes(vectors, prefix_trie(facets), _determinant)
-
-
 def simplex_signs(
     K: SimplicialComplex, A: PointConfiguration, C: RationalMatrix
 ) -> dict[tuple[int, ...], int]:
     """Per-facet sign: sign(det lifted A_tau) * sign(det lifted C_tau).
 
     For a positively decorated complex, adjacent facets receive opposite
-    signs.
+    signs.  The lifted C columns are walked over the complex's kept trie,
+    as the decoration check walks C's, so no trie is built here.
     """
     A.require_vertices(K)
     dets_a = _lifted_table(A, K).dets
+    if K.facets and C.rows != K.dimension:
+        raise ValueError("determinant requires a square matrix")
     # the lifted columns (1, c_v), each scaled by its own positive lcm, of
     # each facet in the shared order: the sorted facet's determinant is
     # the listed one's times its parity
     lifted_c, _ = integer_rows((1, *col) for col in zip(*C.to_lists()))
     listing = K._listing
     dets_c = map(mul, listing.parities,
-                 _determinants(lifted_c, listing.facets))
+                 eliminate_prefixes(lifted_c, listing.trie, _determinant))
     signs = {}
     for facet, det_a, det_c in zip(K.facets, dets_a, dets_c):
         if det_a == 0:
@@ -620,9 +627,13 @@ def simplex_signs(
 
 def normalized_volume(A: PointConfiguration, facet: Sequence[int]) -> Fraction:
     """|det| of the lifted facet matrix: Euclidean volume times d!, from a
-    one-facet walk of its own, so a complex's cached table is kept."""
+    walk over the facet's one-node trie, so a complex's cached table is
+    kept."""
+    if len(facet) != A.dimension + 1:
+        raise ValueError("determinant requires a square matrix")
     points, P = common_integer_rows(A.points)
-    (det,) = _determinants([(1, *p) for p in points], [facet])
+    (det,) = eliminate_prefixes([(1, *p) for p in points],
+                                prefix_trie([facet]), _determinant)
     return Fraction(abs(det), P ** A.dimension)
 
 

@@ -14,7 +14,6 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
-from operator import lt
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 
@@ -198,16 +197,17 @@ def _json_int(s: str) -> int:
 # per call, by positive factors that leave the sign of every minor unchanged.
 # Then one walk over the prefix trie of the facets as listed
 # (eliminate_prefixes) pivots on each shared vertex prefix once, not once
-# per facet.  The trie depends on the facet list alone (prefix_trie), so it
-# is built once per list: a complex keeps its dual graph, its listing with
-# the listing's trie, its 2-coloring and its balanced coloring, and each
-# decoration check of it only pivots.  A complex lists each facet's
-# vertices in its shared order, which makes those prefixes long; a listed
-# facet's determinant is its sorted one's times the permutation's parity,
-# and its kernel line is the sorted one's, permuted.  A single matrix is
-# the walk over the trie of one facet (eliminate), so every pivot is taken
-# by that one loop, through the one fraction-free step below, on columns
-# kept as their exact integers.
+# per facet.  The trie (prefix_trie) has one node per run of vertices that
+# the facets below it share, and depends on the facet list alone, so it is
+# built once per list: a complex keeps its dual graph, its listing with the
+# listing's trie, its 2-coloring and its balanced coloring, and each
+# decoration check or simplex-sign check of it only pivots.  A complex
+# lists each facet's vertices in its shared order, which makes those
+# prefixes long; a listed facet's determinant is its sorted one's times the
+# permutation's parity, and its kernel line is the sorted one's, permuted.
+# A single matrix is the walk over the trie of one facet, a single node
+# (eliminate), so every pivot is taken by that one loop, through the one
+# fraction-free step below, on columns kept as their exact integers.
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -276,19 +276,20 @@ class Elimination(NamedTuple):
 
 
 class PrefixTrie(NamedTuple):
-    """The prefix trie of a list of facets of one length.
+    """The prefix trie of a list of facets of one length, one node per
+    shared run.
 
     order holds the facet indices in sorted facet order, so the facets
-    below each node are one run order[lo:hi] of it.  A node is a tuple
-    (vertex, keep, lo, hi, children): the last vertex of its path, the
-    vertices that the facets below it list after the path, in increasing
-    order, their run, and the nodes one vertex further, by increasing
-    vertex; a node at full length has none.  The root is the empty path,
-    with vertex 0, and keeps every vertex.  Facets of unequal lengths get
-    a root without children and uniform False, and eliminate_prefixes
-    refuses them.  Nodes are plain tuples because a single solve and the
-    lifted table build a trie for one walk, and a NamedTuple per node
-    made that build about 1.6 times as slow.
+    below each node are one slice order[lo:hi] of it.  A node is a tuple
+    (run, keep, lo, hi, children): run is the vertices that every facet
+    below it lists next, keep the vertices that they list after the run,
+    in increasing order, and children the nodes where they part, by
+    increasing first vertex; a node whose run reaches full length has
+    none.  The root's run is the prefix that every facet lists, often
+    empty, and a lone facet, or one listed more than once, is one node.
+    Facets of unequal lengths get a root without children and uniform
+    False, and eliminate_prefixes refuses them.  Nodes are plain tuples,
+    since a single solve and the lifted table build a trie for one walk.
     """
 
     facets: tuple[tuple[int, ...], ...]
@@ -298,58 +299,38 @@ class PrefixTrie(NamedTuple):
 
 
 def prefix_trie(facets: Iterable[Sequence[int]]) -> PrefixTrie:
-    """The prefix trie of the facets as listed.  It depends on nothing
-    else, so a caller that walks one facet list under many inputs builds
-    it once."""
+    """The prefix trie of the facets as listed, one node per run that the
+    facets below it share.  It depends on nothing else, so a caller that
+    walks one facet list under many inputs builds it once."""
     facets = tuple(map(tuple, facets))
     length = len(facets[0]) if facets else 0
     order = tuple(sorted(range(len(facets)), key=facets.__getitem__))
     uniform = all(len(facet) == length for facet in facets)
 
-    def branch(lo: int, hi: int, k: int) -> tuple[tuple, ...]:
-        """The nodes at depth k + 1 below the run order[lo:hi]."""
-        nodes = []
-        while lo < hi:
-            first = facets[order[lo]]
-            v = first[k]
-            mid = lo + 1
-            while mid < hi and facets[order[mid]][k] == v:
+    def node(lo: int, hi: int, k: int) -> tuple:
+        """The node of the facets order[lo:hi], which agree before k.
+
+        They are sorted, so they agree at a position iff the first and
+        the last do: the run goes on while those two agree."""
+        first, last = facets[order[lo]], facets[order[hi - 1]]
+        end = k
+        while end < length and first[end] == last[end]:
+            end += 1
+        children, keep, start = [], set(), lo
+        while end < length and start < hi:
+            v = facets[order[start]][end]
+            mid = start + 1
+            while mid < hi and facets[order[mid]][end] == v:
                 mid += 1
-            if mid - lo == 1:
-                nodes.append(_chain(first, k, lo))
-            elif k + 1 < length:
-                children = branch(lo, mid, k + 1)
-                keep = set()
-                for w, after, *_ in children:
-                    keep.add(w)
-                    keep.update(after)
-                nodes.append((v, tuple(sorted(keep)), lo, mid, children))
-            else:   # a facet listed more than once
-                nodes.append((v, (), lo, mid, ()))
-            lo = mid
-        return tuple(nodes)
+            child = node(start, mid, end)
+            children.append(child)
+            keep.update(child[0], child[1])
+            start = mid
+        return first[k:end], tuple(sorted(keep)), lo, hi, tuple(children)
 
-    every = tuple(sorted({v for facet in facets for v in facet}))
-    children = branch(0, len(facets), 0) if uniform and length else ()
-    return PrefixTrie(facets, order, (0, every, 0, len(facets), children),
-                      uniform)
-
-
-def _chain(facet: tuple[int, ...], k: int, i: int) -> tuple:
-    """The trie nodes of facet i alone, from depth k + 1 to its end.
-
-    Built from the end, each keep a slice of the facet when its rest is
-    increasing: the trie of one matrix, and the lifted table's below the
-    facets' own vertices, are such chains.
-    """
-    rest = facet[k + 1:]
-    increasing = all(map(lt, rest, rest[1:]))
-    nodes = ()
-    for j in range(len(facet) - 1, k - 1, -1):
-        after = facet[j + 1:]
-        nodes = ((facet[j], after if increasing else tuple(sorted(set(after))),
-                  i, i + 1, nodes),)
-    return nodes[0]
+    root = (node(0, len(facets), 0) if uniform and facets
+            else ((), (), 0, len(facets), ()))
+    return PrefixTrie(facets, order, root, uniform)
 
 
 def eliminate(a: Sequence[Sequence[int]]) -> Elimination:
@@ -377,48 +358,53 @@ def eliminate_prefixes(
     lists them, each in the first row not yet pivoted on where it is
     nonzero, until the facet or the free rows run out.  Facets that list
     a common prefix share its pivots: a depth-first walk over the prefix
-    trie (prefix_trie, built once per facet list) runs one pivot step per
-    node and hands the reduced columns to its children, so the order in
-    which a caller lists each facet's vertices sets the number of steps.
-    By Bareiss (1968), after k pivots every entry is a minor of the first
-    k columns and one more, so the shared state is each facet's own.  A
-    node carries its keep: the columns that some facet below it still
-    lists, in increasing vertex order.  No row moves; the pivot rows are
-    listed instead, and sign is the sign of that order, so for a square
-    matrix the determinant of the columns as listed is sign * D.  A column
-    with no pivot is passed over and changes nothing; the facet's rank,
-    len(rows), then falls short.  Each state is read when the walk
-    reaches it and not kept.
+    trie (prefix_trie, built once per facet list) pivots on a node's run
+    in turn and hands the reduced columns to its children, so the order
+    in which a caller lists each facet's vertices sets the number of
+    steps.  By Bareiss (1968), after k pivots every entry is a minor of
+    the first k columns and one more, so the shared state is each
+    facet's own.  A pivot on run[j] carries the columns run[j+1:] + keep:
+    those that some facet below still lists.  No row moves; the pivot
+    rows are listed instead, and sign is the sign of that order, so for a
+    square matrix the determinant of the columns as listed is sign * D.
+    A column with no pivot is passed over and changes nothing; the
+    facet's rank, len(rows), then falls short.  When the free rows run
+    out, mid-run or not, the facets below are read.  Each state is read
+    when the walk reaches it and not kept.
     """
     n = len(vectors)
     facets, order, root = trie.facets, trie.order, trie.root
-    every = root[1]
-    if not trie.uniform or every and not 1 <= every[0] <= every[-1] <= n:
+    every = (*root[0], *root[1])
+    if not trie.uniform or every and not 1 <= min(every) <= max(every) <= n:
         _refuse(facets, n)
     out: list = [None] * len(facets)
 
-    def visit(children, lo, hi, columns, prev, sign, free, rows, pivots):
-        if not children or not free:
-            state = Elimination(prev, sign, rows, pivots, columns)
-            for i in order[lo:hi]:
-                out[i] = read(facets[i], state)
-            return
-        for v, keep, start, end, below in children:
+    def visit(node, columns, prev, sign, free, rows, pivots):
+        run, keep, lo, hi, children = node
+        for j, v in enumerate(run):
+            if not free:
+                break
             x = columns[v]
             for p, r in enumerate(free):
                 if x[r]:
                     break
             else:   # no free row where x is nonzero: x is passed over
-                visit(below, start, end, columns, prev, sign, free, rows,
-                      pivots)
                 continue
-            reduced = _bareiss_step([columns[w] for w in keep], r, x, prev)
-            visit(below, start, end, dict(zip(keep, reduced)), x[r],
-                  -sign if p % 2 else sign, free[:p] + free[p + 1:],
-                  rows + (r,), pivots + (v,))
+            carried = run[j + 1:] + keep
+            columns = dict(zip(carried, _bareiss_step(
+                [columns[w] for w in carried], r, x, prev)))
+            prev, sign = x[r], -sign if p % 2 else sign
+            free = free[:p] + free[p + 1:]
+            rows, pivots = rows + (r,), pivots + (v,)
+        if children and free:
+            for child in children:
+                visit(child, columns, prev, sign, free, rows, pivots)
+            return
+        state = Elimination(prev, sign, rows, pivots, columns)
+        for i in order[lo:hi]:
+            out[i] = read(facets[i], state)
 
-    _, _, lo, hi, children = root
-    visit(children, lo, hi, {v: vectors[v - 1] for v in every}, 1, 1,
+    visit(root, {v: vectors[v - 1] for v in every}, 1, 1,
           list(range(len(vectors[0]) if vectors else 0)), (), ())
     return out
 

@@ -179,6 +179,16 @@ THREE_TRIANGLES = SimplicialComplex.from_facets(2, 6, [
     (1, 2, 4), (2, 3, 5), (1, 3, 6)])
 
 
+def complete_graph_in_lone_facets(d, k):
+    """One d-facet {a, b, ...} for each pair a < b of 1..k, its other d - 1
+    vertices its own: the skeleton holds K_k, and no facets are adjacent."""
+    facets = []
+    for a, b in combinations(range(1, k + 1), 2):
+        first = k + 1 + len(facets) * (d - 1)
+        facets.append((a, b, *range(first, first + d - 1)))
+    return SimplicialComplex.from_facets(d, k + len(facets) * (d - 1), facets)
+
+
 def test_complex_validation():
     with pytest.raises(ValueError):
         SimplicialComplex(1, 3, ((1, 2), (2, 1)))
@@ -268,6 +278,8 @@ def test_colorings_match_those_on_the_oracle_graph(K):
 @example(RIDGE_IN_THREE)
 @example(POINTS)
 @example(EMPTY)
+@example(complete_graph_in_lone_facets(3, 5))
+@example(complete_graph_in_lone_facets(4, 5))
 def test_balanced_coloring_matches_the_skeleton_pass_algorithm(K):
     coloring = balanced_coloring(K)
     expected = balanced_coloring_with_skeleton_pass(K)
@@ -282,6 +294,31 @@ def test_balanced_coloring_reconciles_isolated_facets():
     assert balanced_coloring(K4_IN_SIX) is None
     assert balanced_coloring(THREE_TRIANGLES) == {
         1: 0, 2: 1, 4: 2, 3: 2, 6: 1, 5: 0}
+
+
+def test_balanced_coloring_tries_each_coloring_of_the_shared_vertices_once(
+        monkeypatch):
+    """K6 in 15 lone 4-facets: five colors cannot color K6.  Two of the
+    120 permutations of a facet's colors that agree on its vertices in
+    1..6 fare alike, since its other vertices lie in no other facet, so
+    the search tries one of them; trying every permutation of each facet
+    in turn did not end within 100 s."""
+    K = complete_graph_in_lone_facets(4, 6)
+    assert (len(K.facets), K.n_vertices) == (15, 51)
+    assert not any(dual_graph(K).adjacency.values())
+    drawn = []
+    permutations_ = complexes.permutations
+
+    def counted(*args):
+        for perm in permutations_(*args):
+            drawn.append(perm)
+            if len(drawn) > 100_000:
+                raise AssertionError("more than 100,000 permutations drawn")
+            yield perm
+
+    monkeypatch.setattr(complexes, "permutations", counted)
+    assert balanced_coloring(K) is None
+    assert len(drawn) == 38_520
 
 
 def test_dual_graph_is_built_once_and_read_only(monkeypatch, tmp_path):
@@ -477,6 +514,29 @@ def test_normalized_volume_unit_simplex():
     A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
     assert normalized_volume(A, (1, 2, 3)) == 1
     assert is_unimodular(SimplicialComplex.from_facets(2, 3, [(1, 2, 3)]), A)
+
+
+def test_lifted_determinants_refuse_a_matrix_that_is_not_square():
+    """simplex_signs and normalized_volume read one walk each; a lifted C
+    of the wrong height or a facet of the wrong length is refused before
+    it, and an empty C or configuration by the walk's vertex range."""
+    from virodecor.complexes import PointConfiguration
+
+    K = SimplicialComplex.from_facets(1, 2, [(1, 2)])
+    A = PointConfiguration.from_rows([(0,), (1,)])
+    for call in (lambda: simplex_signs(K, A, RationalMatrix([[1, 2]] * 2)),
+                 lambda: normalized_volume(A, (1, 2, 1))):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == "determinant requires a square matrix"
+    empty = SimplicialComplex.from_facets(1, 2, [])
+    assert simplex_signs(empty, A, RationalMatrix([[]])) == {}
+    for call in (lambda: simplex_signs(K, A, RationalMatrix([[]])),
+                 lambda: normalized_volume(PointConfiguration(1, ()), (1, 2))):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == ("vertex 1 of facet (1, 2) out of "
+                                      "range 1..0")
 
 
 def test_total_normalized_volume_of_cyclic_triangulation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from virodecor.exactlinalg import (
@@ -178,8 +178,23 @@ def test_solve_rejects_rhs_of_wrong_length(rhs):
 
 
 @st.composite
+def with_shared_runs(draw, facets, n):
+    """The facets, then copies of some of them, each keeping its first k
+    labels, k >= 2 or all of them, and drawing the rest from 1..n anew:
+    facets that share a run of two or more labels, and facets listed
+    more than once."""
+    out = list(facets)
+    for facet in draw(st.lists(st.sampled_from(facets), max_size=4)):
+        k = draw(st.integers(min(2, len(facet)), len(facet)))
+        rest = draw(st.lists(st.integers(1, n), min_size=len(facet) - k,
+                             max_size=len(facet) - k))
+        out.append(facet[:k] + tuple(rest))
+    return out
+
+
+@st.composite
 def vectors_and_facets(draw):
-    """n integer vectors of length m and up to 12 facets of m labels each,
+    """n integer vectors of length m and up to 16 facets of m labels each,
     in any order and with repeats, over so few labels that they share
     prefixes."""
     m = draw(st.integers(1, 4))
@@ -189,10 +204,12 @@ def vectors_and_facets(draw):
     facets = draw(st.lists(st.lists(st.integers(1, n), min_size=m,
                                     max_size=m).map(tuple),
                            min_size=1, max_size=12))
-    return vectors, facets
+    return vectors, draw(with_shared_runs(facets, n))
 
 
 @given(vectors_and_facets())
+@example(([[1, 0, 2], [0, 1, 1], [2, 1, 0], [1, 1, 1]],
+          [(1, 2, 3), (1, 2, 4), (1, 2, 3), (2, 1, 4), (1, 2, 3)]))
 @settings(max_examples=200, deadline=None)
 def test_prefix_walk_determinants_match_cofactor_expansion(inputs):
     """sign * D of the walk is each facet's determinant, and the rank
@@ -232,10 +249,12 @@ def wide_facets(draw):
     facets = draw(st.lists(st.lists(st.integers(1, n), min_size=m + extra,
                                     max_size=m + extra).map(tuple),
                            min_size=1, max_size=10))
-    return vectors, facets
+    return vectors, draw(with_shared_runs(facets, n))
 
 
 @given(wide_facets())
+@example(([[1, 0], [0, 1], [1, 1], [0, 0]],
+          [(1, 2, 3), (1, 2, 4), (1, 2, 3), (1, 3, 2), (4, 1, 3)]))
 @settings(max_examples=200, deadline=None)
 def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
     """Facets with more columns than rows: the rank is len(rows), and an
@@ -261,6 +280,21 @@ def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
         assert line[-1] != 0 and signed[-1] != 0
         assert all(a * signed[-1] == b * line[-1]
                    for a, b in zip(line, signed))
+
+
+def test_trie_has_one_node_per_shared_run():
+    """A lone facet is one node; facets that agree on a run share one
+    node, which parts where they do."""
+    assert prefix_trie([(3, 1, 2)]).root == ((3, 1, 2), (), 0, 1, ())
+    trie = prefix_trie([(1, 2, 5, 7), (1, 2, 3, 4), (1, 2, 5, 6)])
+    assert trie.order == (1, 2, 0)
+    assert trie.root == ((1, 2), (3, 4, 5, 6, 7), 0, 3, (
+        ((3, 4), (), 0, 1, ()),
+        ((5,), (6, 7), 1, 3, (((6,), (), 1, 2, ()), ((7,), (), 2, 3, ()))),
+    ))
+    # no common first vertex: an empty root run; a repeat is one node
+    assert prefix_trie([(2, 1), (1, 2), (2, 1)]).root == ((), (1, 2), 0, 3, (
+        ((1, 2), (), 0, 1, ()), ((2, 1), (), 1, 3, ())))
 
 
 def test_prefix_walk_refuses_facets_of_unequal_length():

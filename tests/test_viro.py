@@ -32,7 +32,9 @@ from virodecor.exactlinalg import (
 from virodecor.families import (
     Poset,
     cross_polytope_triangulation,
+    cyclic_points,
     order_polytope_triangulation,
+    snd_subcomplex,
 )
 from virodecor.viro import (
     RegularityReport,
@@ -398,6 +400,36 @@ def test_cold_lifted_table_takes_fewer_pivot_steps_than_sorted_facets(
     _lifted_table.cache_clear()
     assert is_unimodular(K, A)
     assert len(steps) == 511
+
+
+def _nodes(node):
+    return 1 + sum(map(_nodes, node[4]))
+
+
+@pytest.mark.parametrize("A, K, nodes", [
+    (cross_polytope_triangulation(8).configuration,
+     cross_polytope_triangulation(8).complex, 511),
+    # no vertex lies in every facet, so the root's run is empty
+    (cyclic_points(15, 7), snd_subcomplex(15, 7), 363),
+])
+def test_lifted_trie_has_the_nodes_of_the_listing_trie(monkeypatch, A, K,
+                                                       nodes):
+    """Each facet, followed by the points outside it, parts from every
+    other within its own d+1 vertices, and the rest of it is one run: so
+    the lifted table's trie has one node where the listing trie has one."""
+    assert _nodes(K._listing.trie.root) == nodes
+    built = []
+    trie = complexes.prefix_trie
+
+    def recorded(facets):
+        built.append(trie(facets))
+        return built[-1]
+
+    monkeypatch.setattr(complexes, "prefix_trie", recorded)
+    _lifted_table.cache_clear()
+    _lifted_table(A, K)
+    (lifted,) = built
+    assert _nodes(lifted.root) == nodes
 
 
 @st.composite
