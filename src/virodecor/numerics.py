@@ -3,11 +3,20 @@
 Points live as u = log X, so positivity is structural.  Every row is
 evaluated with its largest exponent factored out, which keeps residuals
 representable even when heights reach 10^6; an evaluation takes one exp
-per monomial and one per row, and accumulates each residual and each
-Jacobian entry exactly (fsum, dot) before rounding it once.  Newton
-evaluates each iterate once, and forms the Jacobian from the weights of
-that evaluation only for the iterates it accepts.  Newton's steps and
-the condition numbers are solved with the LU of `viro`, on Python lists.
+per monomial and one per distinct row support, and accumulates each
+residual and each Jacobian entry exactly (fsum, dot) before rounding it
+once.  Newton evaluates each iterate once, and forms the Jacobian from
+the weights of that evaluation only for the iterates it accepts.
+Newton's steps and the condition numbers are solved with the LU of
+`viro`, on Python lists.
+
+Work that cannot change a bit is left out: the compiled system drops the
+zero coordinates of the points and the zero entries of the Jacobian
+columns, rows with one support share one scale, the unit columns of a
+condition number start their forward substitution at their 1, and the
+deduplication sweeps the kept points in the order of their first
+coordinate instead of comparing every pair.  Each is argued exact where
+it is made.  A non-finite coordinate of a log-point is refused.
 
 The evaluation, the Jacobian, the LU, Newton, the condition numbers and
 the deduplication run on raw mpmath values with the operations of
@@ -57,45 +66,69 @@ def _compile(S: ViroSystem, t: Fraction, bits: int):
     forms the Jacobian in log coordinates under the same row scaling, as
     a list of rows, from the weights of this evaluation; a point whose
     Jacobian is never asked for costs none.  Each call takes one exp per
-    monomial and one per row: term j of row i weighs w_ij = c_ij *
-    exp(e_j), the residual is fsum(w_i) * exp(-scale_i) and Jacobian
-    entry (i, k) is dot(w_i, a_.k) * exp(-scale_i), so every sum is
-    accumulated exactly and rounded once.  Exponents are unbounded, so
+    monomial and one per distinct row support: term j of row i weighs
+    w_ij = c_ij * exp(e_j), the residual is fsum(w_i) * exp(-scale_i) and
+    Jacobian entry (i, k) is dot(w_i, a_.k) * exp(-scale_i), so every sum
+    is accumulated exactly and rounded once.  Exponents are unbounded, so
     exp(e_j) cannot overflow however large the heights.  Every value in
     and out is a raw mpmath value, computed with `Arithmetic(bits)`.
     The last build is kept: a count refines every facet of one system.
+
+    Structural zeros are dropped here, and no bit changes.  Each point
+    keeps only its nonzero coordinates for its exponent e_j: a product
+    0 * u_k of a finite u_k is an exact 0, and adding an exact 0 to the
+    running sum, which is already rounded, returns it unchanged.  Each
+    Jacobian column keeps only its nonzero entries: mpf_sum skips zero
+    terms.  (0 * inf is NaN, so a non-finite u is refused before it gets
+    here.)  Rows with one support share one scale: its max and exp(-max)
+    are the same values for each of them, so they are formed once.
     """
     ops = Arithmetic(bits)
     add, mul, exp, neg = ops.add, ops.mul, ops.exp, ops.neg
     total, fsum, dot, max_ = ops.total, ops.fsum, ops.dot, ops.max
     with mp.workprec(bits):
         lnt = log_fraction(t)
-        points = [[mpf_fraction(a)._mpf_ for a in p]
-                  for p in S.configuration.points]
+        A = S.configuration.points
+        points = [[(k, mpf_fraction(a)._mpf_) for k, a in enumerate(p) if a]
+                  for p in A]
         offsets = [(mpf_fraction(h) * lnt)._mpf_ for h in S.heights]
+        supports: dict[tuple, int] = {}
         rows = []
         for row in S.coefficients.to_lists():
-            support = [j for j, c in enumerate(row) if c != 0]
-            rows.append((support, [mpf_fraction(row[j])._mpf_
-                                   for j in support],
-                         [[points[j][k] for j in support]
-                          for k in range(S.dimension)]))
+            support = tuple(j for j, c in enumerate(row) if c != 0)
+            columns = []
+            for k in range(S.dimension):
+                # the positions in the support whose point has a_k != 0;
+                # None when that is all of them
+                keep = [i for i, j in enumerate(support) if A[j][k]]
+                columns.append((None if len(keep) == len(support) else keep,
+                                [mpf_fraction(A[support[i]][k])._mpf_
+                                 for i in keep]))
+            rows.append((supports.setdefault(support, len(supports)),
+                         [mpf_fraction(row[j])._mpf_ for j in support],
+                         columns))
+    supports = list(supports)
 
     def system(u):
-        exps = [add(off, total([mul(a, uk) for a, uk in zip(p, u)]))
+        exps = [add(off, total([mul(a, u[k]) for k, a in p]))
                 for off, p in zip(offsets, points)]
         powers = [exp(e) for e in exps]
-        residuals, scales, weights = [], [], []
-        for support, coefficients, _ in rows:
+        scaled = []
+        for support in supports:
             m = max_([exps[j] for j in support])
-            s = exp(neg(m))
-            w = [mul(c, powers[j]) for j, c in zip(support, coefficients)]
+            scaled.append((m, exp(neg(m))))
+        residuals, scales, weights = [], [], []
+        for g, coefficients, _ in rows:
+            m, s = scaled[g]
+            w = [mul(c, powers[j]) for j, c in zip(supports[g], coefficients)]
             residuals.append(mul(fsum(w), s))
             scales.append(m)
             weights.append((w, s))
 
         def jacobian():
-            return [[mul(dot(w, column), s) for column in columns]
+            return [[mul(dot(w if keep is None else [w[i] for i in keep],
+                             column), s)
+                     for keep, column in columns]
                     for (w, s), (_, _, columns) in zip(weights, rows)]
 
         return residuals, scales, jacobian
@@ -117,6 +150,7 @@ def _evaluate(S: ViroSystem, t: Fraction, u: Sequence, prec: int | None):
     bits = prec or default_precision()
     with mp.workprec(bits):
         u = [x._mpf_ if hasattr(x, "_mpf_") else mp.mpf(x)._mpf_ for x in u]
+    _require_finite(u)
     return _compile(S, Fraction(t), bits)(u)
 
 
@@ -142,6 +176,18 @@ def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
 
 def _matrix(rows) -> mp.matrix:
     return mp.matrix([[mp.make_mpf(x) for x in row] for row in rows])
+
+
+def _finite(x) -> bool:
+    """Whether the raw value x is finite: zero or with a mantissa."""
+    return bool(x[1]) or not x[2]
+
+
+def _require_finite(u: Sequence) -> None:
+    for k, x in enumerate(u):
+        if not _finite(x):
+            raise ValueError(f"log-point coordinate {k} is "
+                             f"{mp.make_mpf(x)}; it must be finite")
 
 
 def _in_range(x, bits: int) -> bool:
@@ -194,9 +240,10 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     ops = Arithmetic(bits)
     add, mul, lt, max_abs = ops.add, ops.mul, ops.lt, ops.max_abs
     tol = mpf_shift(ops.one, -(bits // 2))
-    system = _compile(S, Fraction(t), bits)
     with mp.workprec(bits):
         u = [mp.mpf(x)._mpf_ for x in u0]
+    _require_finite(u)
+    system = _compile(S, Fraction(t), bits)
     res, _, jacobian = system(u)
     halvings = 0
     for it in range(1, max_iter + 1):
@@ -241,7 +288,11 @@ def condition_estimate(J) -> object:
 
     ||J||_1 times the largest column 1-norm of J^-1, whose columns are
     solved from one LU factorization; inf when J is singular.  Runs on
-    the raw values of J at the context's working precision.
+    the raw values of J at the context's working precision.  When J is
+    finite, each unit column's forward substitution starts at the row
+    where its 1 lands: the rows above it hold exact zeros, every product
+    of a finite multiplier with an exact zero is an exact zero, and a
+    left-to-right sum from 0 is unchanged by leading zero terms.
     """
     ops = Arithmetic(mp.mp.prec)
     rows = [[x._mpf_ for x in row] for row in J.tolist()]
@@ -250,13 +301,69 @@ def condition_estimate(J) -> object:
     except ZeroDivisionError:
         return mp.inf
     n = len(rows)
-    units = ([ops.one if i == k else ops.zero for i in range(n)]
-             for k in range(n))
-    inverse_norm = ops.max(ops.fsum(_lu_solve(factors, e, ops), True)
-                           for e in units)
+    perm = factors[1]
+    # the permuted unit column e_k holds its 1 in row perm.index(k); a
+    # finite J has finite multipliers
+    finite = all(_finite(x) for row in rows for x in row)
+    inverse_norm = ops.max(
+        ops.fsum(_lu_solve(factors, [ops.one if i == k else ops.zero
+                                     for i in range(n)], ops,
+                           perm.index(k) if finite else 0), True)
+        for k in range(n))
     norm = ops.max(ops.fsum([row[k] for row in rows], True)
                    for k in range(n))
     return mp.make_mpf(ops.mul(norm, inverse_norm))
+
+
+def _deduplicate(points: list[list], ops: Arithmetic) -> tuple[list, object]:
+    """Which log-points, taken in order, are new, and the least separation.
+
+    A point is a duplicate when its max-norm distance sep to a point kept
+    before it is below DEDUP_LOG_DISTANCE; min_sep is the least sep over
+    the pairs of a point and a point kept before it, or None when there
+    is no such pair.  Every value is raw and rounded in `ops`.
+
+    The answer is that of comparing each point with every kept one, made
+    by a sweep: the kept points are held in the order of their first
+    coordinate, compared through `ops`, and the comparisons run outward
+    from where the new point's first coordinate falls.  The rounded gap
+    |sub(u_0, k_0)| is the first term of sep's max, so sep >= gap; once
+    gap >= max(threshold, min_sep), that pair can neither be a duplicate
+    nor lower min_sep, and since rounding is monotone, the gap only grows
+    further out on that side, so the walk stops there.  Until min_sep
+    exists, every kept point is compared.
+    """
+    sub, lt, abs_ = ops.sub, ops.lt, ops.abs
+    threshold = DEDUP_LOG_DISTANCE._mpf_
+    keep = []
+    kept: list[list] = []        # by first coordinate, ties in facet order
+    min_sep = None
+    for point in points:
+        first = point[0]
+        lo, hi = 0, len(kept)    # kept[:lo] have first coordinate <= first
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if lt(first, kept[mid][0]):
+                hi = mid
+            else:
+                lo = mid + 1
+        dup = False
+        for side in (range(lo - 1, -1, -1), range(lo, len(kept))):
+            for i in side:
+                other = kept[i]
+                if min_sep is not None:
+                    gap = abs_(sub(first, other[0]))
+                    if not (lt(gap, threshold) or lt(gap, min_sep)):
+                        break
+                sep = ops.max_abs(map(sub, point, other))
+                if min_sep is None or lt(sep, min_sep):
+                    min_sep = sep
+                if lt(sep, threshold):
+                    dup = True
+        keep.append(not dup)
+        if not dup:
+            kept.insert(lo, point)
+    return keep, min_sep
 
 
 @dataclass
@@ -307,6 +414,10 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
 
     Survivors must converge, have a nonsingular Jacobian, and be pairwise
     separated by more than the deduplication threshold in log distance.
+    Duplicates are found in facet order by the sweep of `_deduplicate`,
+    which compares only the pairs whose first coordinates lie closer than
+    max(threshold, min_separation) and answers as comparing every pair
+    would, bit for bit.
     """
     t = Fraction(t)
     bits = prec or default_precision()
@@ -331,26 +442,11 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
             witnesses.append(Witness(result.log_point, result.residual,
                                      cond, start.facet))
         # deterministic single-threaded deduplication in facet order
-        ops = Arithmetic(bits)
-        sub, lt = ops.sub, ops.lt
-        threshold = DEDUP_LOG_DISTANCE._mpf_
-        distinct: list[Witness] = []
-        kept_points: list[list] = []
-        min_sep = None
-        for w in witnesses:
-            point = [x._mpf_ for x in w.log_point]
-            dup = False
-            for kept in kept_points:
-                sep = ops.max_abs(map(sub, point, kept))
-                if min_sep is None or lt(sep, min_sep):
-                    min_sep = sep
-                if lt(sep, threshold):
-                    dup = True
-            if dup:
-                failures.append((w.facet, "duplicate root"))
-            else:
-                distinct.append(w)
-                kept_points.append(point)
+        keep, min_sep = _deduplicate([[x._mpf_ for x in w.log_point]
+                                      for w in witnesses], Arithmetic(bits))
+        distinct = [w for w, new in zip(witnesses, keep) if new]
+        failures += [(w.facet, "duplicate root")
+                     for w, new in zip(witnesses, keep) if not new]
         if min_sep is not None:
             min_sep = mp.make_mpf(min_sep)
         return CertifiedCount(len(distinct), distinct, min_sep, failures,

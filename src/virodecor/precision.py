@@ -63,7 +63,11 @@ class Arithmetic:
     mp.exp.  total(xs) is Python's sum() of mpfs: a left-to-right sum
     from 0, rounded at every step.  fsum(xs) is mp.fsum, exact and
     rounded once; with absolute=True it sums the magnitudes.  dot(xs, ys)
-    is mp.fdot, exact products summed exactly and rounded once.  lt and
+    is mp.fdot, exact products summed exactly and rounded once; it forms
+    each product of two nonzero finite values directly as the tuple
+    (sx ^ sy, mx * my, ex + ey, bit length) that mpf_mul returns at
+    prec = 0, the product of two odd mantissas being odd and so already
+    normalized, and leaves a zero or special factor to mpf_mul.  lt and
     le compare, max and max_abs keep the first of equal maxima as
     Python's max() does, and one, zero and eps are 1, 0 and mp.eps at
     `prec`.
@@ -103,8 +107,11 @@ class Arithmetic:
             return mpf_sum(xs, prec, rnd, absolute)
 
         def dot(xs, ys):
-            return mpf_sum([mpf_mul(x, y) for x, y in zip(xs, ys)], prec,
-                           rnd)
+            # each product is the tuple mpf_mul(x, y) returns at prec = 0,
+            # made directly; a zero or special factor goes through mpf_mul
+            return mpf_sum([(x[0] ^ y[0], m, x[2] + y[2], m.bit_length())
+                            if (m := x[1] * y[1]) else mpf_mul(x, y)
+                            for x, y in zip(xs, ys)], prec, rnd)
 
         def max_(xs):
             it = iter(xs)

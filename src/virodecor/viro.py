@@ -296,15 +296,19 @@ def _lu_factor(rows: Sequence[Sequence],
 
 
 def _lu_solve(factors: tuple[list[list], list[int]], b: Sequence,
-              ops: Arithmetic) -> list:
-    """Solve A x = b from _lu_factor(A, ops), in the same arithmetic."""
+              ops: Arithmetic, first: int = 0) -> list:
+    """Solve A x = b from _lu_factor(A, ops), in the same arithmetic.
+
+    The forward substitution starts at row `first` of the permuted b,
+    whose rows above it the caller knows to stay exact zeros.
+    """
     a, perm = factors
     sub, mul, total = ops.sub, ops.mul, ops.total
     n = len(a)
     x = [b[p] for p in perm]
-    for i in range(1, n):
+    for i in range(first + 1, n):
         row = a[i]
-        x[i] = sub(x[i], total([mul(row[k], x[k]) for k in range(i)]))
+        x[i] = sub(x[i], total([mul(row[k], x[k]) for k in range(first, i)]))
     for i in range(n - 1, -1, -1):
         row = a[i]
         x[i] = ops.div(sub(x[i], total([mul(row[k], x[k])

@@ -296,16 +296,8 @@ def test_balanced_coloring_reconciles_isolated_facets():
         1: 0, 2: 1, 4: 2, 3: 2, 6: 1, 5: 0}
 
 
-def test_balanced_coloring_tries_each_coloring_of_the_shared_vertices_once(
-        monkeypatch):
-    """K6 in 15 lone 4-facets: five colors cannot color K6.  Two of the
-    120 permutations of a facet's colors that agree on its vertices in
-    1..6 fare alike, since its other vertices lie in no other facet, so
-    the search tries one of them; trying every permutation of each facet
-    in turn did not end within 100 s."""
-    K = complete_graph_in_lone_facets(4, 6)
-    assert (len(K.facets), K.n_vertices) == (15, 51)
-    assert not any(dual_graph(K).adjacency.values())
+def count_drawn(monkeypatch):
+    """The candidates drawn from complexes.permutations, listed as drawn."""
     drawn = []
     permutations_ = complexes.permutations
 
@@ -317,8 +309,37 @@ def test_balanced_coloring_tries_each_coloring_of_the_shared_vertices_once(
             yield perm
 
     monkeypatch.setattr(complexes, "permutations", counted)
+    return drawn
+
+
+def test_balanced_coloring_tries_each_coloring_of_the_shared_vertices_once(
+        monkeypatch):
+    """K6 in 15 lone 4-facets: five colors cannot color K6.  Two of the
+    120 permutations of a facet's colors that agree on its vertices in
+    1..6 fare alike, since its other vertices lie in no other facet, so
+    the search tries one of them: at most the 5 * 4 colorings of those two
+    vertices per search node.  Trying every permutation of each facet in
+    turn did not end within 100 s, and drawing all 120 per node and
+    skipping the repeats drew 38,520."""
+    K = complete_graph_in_lone_facets(4, 6)
+    assert (len(K.facets), K.n_vertices) == (15, 51)
+    assert not any(dual_graph(K).adjacency.values())
+    drawn = count_drawn(monkeypatch)
     assert balanced_coloring(K) is None
-    assert len(drawn) == 38_520
+    assert len(drawn) == 1_300
+
+
+def test_balanced_coloring_of_k7_in_lone_facets_draws_only_shared_colorings(
+        monkeypatch):
+    """K7 in 21 lone 5-facets: six colors cannot color K7.  Each search
+    node draws at most the 6 * 5 colorings of its facet's two vertices in
+    1..7; drawing all 720 permutations per node drew 1,404,720."""
+    K = complete_graph_in_lone_facets(5, 7)
+    assert (len(K.facets), K.n_vertices) == (21, 91)
+    drawn = count_drawn(monkeypatch)
+    assert balanced_coloring(K) is None
+    assert len(drawn) == 9_780
+    assert all(len(image) <= 2 for image in drawn)
 
 
 def test_dual_graph_is_built_once_and_read_only(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Log-space numerics: evaluation, Jacobians, Newton, root counting."""
 
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,7 +16,11 @@ from virodecor.complexes import (
     decoration_from_coloring,
 )
 from virodecor.exactlinalg import RationalMatrix, positive_kernel_vector
-from virodecor.families import cross_polytope_triangulation
+from virodecor.families import (
+    Poset,
+    cross_polytope_triangulation,
+    order_polytope_triangulation,
+)
 from virodecor.numerics import (
     DEDUP_LOG_DISTANCE,
     NewtonResult,
@@ -842,6 +847,140 @@ def test_singular_jacobian_is_bit_identical_to_the_mpf_oracle(bits):
     with mp.workprec(bits):
         J = jacobian(S, Fraction(1, 10), u, prec=bits)
         assert condition_estimate(J) == oracle_condition(J) == mp.inf
+
+
+def n_poset_system():
+    """The order polytope of the N poset 1 < 3 > 2 < 4, decorated by its
+    coloring: five facets, 0/1 points, four rows of unequal supports."""
+    fam = order_polytope_triangulation(
+        Poset.from_relations(4, [(1, 3), (2, 3), (2, 4)]))
+    C = decoration_from_coloring(fam.coloring, fam.complex.n_vertices, 4)
+    return build_viro_system(fam.configuration, C, fam.heights), fam.complex
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_sparse_counts_are_bit_identical_to_the_mpf_oracle(bits):
+    """Systems with zero coordinates and unequal row supports, whose
+    compiled form drops zero coordinates and Jacobian entries and forms
+    one scale per support: cross(4) under its coloring decoration, 16
+    roots, and the N poset's order polytope, whose convex lift counts
+    all 5 roots at t = 100 and, at t = 1/1000, one root and failures
+    that are singular and diverged."""
+    for (S, K), t, count in ((cross_system(4), Fraction(1, 1000), 16),
+                             (n_poset_system(), Fraction(100), 5),
+                             (n_poset_system(), Fraction(1, 1000), 1)):
+        supports = {tuple(c != 0 for c in row)
+                    for row in S.coefficients.to_lists()}
+        assert len(supports) == S.dimension
+        assert any(0 in p for p in S.configuration.points)
+        got = certified_positive_count(S, K, t, prec=bits)
+        assert count_bits(got) == count_bits(oracle_count(S, K, t, bits))
+        assert got.count == count
+
+
+def test_an_evaluation_takes_one_exp_per_monomial_and_one_per_support(
+        monkeypatch):
+    """snd-11-5 has 11 monomials and one support shared by its 5 rows: 12
+    exps per evaluation, and none to form the Jacobian."""
+    calls = []
+
+    class Counted(Arithmetic):
+        def __init__(self, prec):
+            super().__init__(prec)
+            exp = self.exp
+
+            def counted(x):
+                calls.append(x)
+                return exp(x)
+
+            self.exp = counted
+
+    f, S = snd115_system()
+    t = Fraction(1, 100)
+    u = predicted_solutions(S, f.complex, t)[0].log_point
+    monkeypatch.setattr(numerics, "Arithmetic", Counted)
+    numerics._compile.cache_clear()
+    try:
+        evaluate(S, t, u)
+        assert len(calls) == 12
+        residuals, _, jacobian_ = numerics._evaluate(S, t, u, None)
+        jacobian_()
+        assert len(calls) == 24
+    finally:
+        numerics._compile.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, float("inf"),
+                                 float("nan")])
+def test_a_non_finite_log_point_is_refused(bad, monkeypatch):
+    """Before any work, naming the coordinate: evaluate(S, t, [inf, 0, 0,
+    0, 0]) once returned NaN residuals, and Newton from there reported
+    divergence with a NaN residual."""
+    f, S = snd115_system()
+    u = [mp.mpf(0), mp.mpf(1), bad, mp.mpf(0), mp.mpf(0)]
+
+    def no_work(*args):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(numerics, "_compile", no_work)
+    message = f"log-point coordinate 2 is {mp.mpf(bad)}; it must be finite"
+    for call in (evaluate, jacobian, newton_refine):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(S, Fraction(1, 100), u)
+
+
+def all_pairs_deduplication(points, ops):
+    """The deduplication before the sweep: each point against every kept
+    one, in facet order."""
+    threshold = DEDUP_LOG_DISTANCE._mpf_
+    keep, kept, min_sep = [], [], None
+    for point in points:
+        dup = False
+        for other in kept:
+            sep = ops.max_abs(map(ops.sub, point, other))
+            if min_sep is None or ops.lt(sep, min_sep):
+                min_sep = sep
+            if ops.lt(sep, threshold):
+                dup = True
+        keep.append(not dup)
+        if not dup:
+            kept.append(point)
+    return keep, min_sep
+
+
+@st.composite
+def clustered_points(draw):
+    """Up to 40 log-points of dimension 1 to 4, and a precision.  Each
+    coordinate is one of a few bases moved by an offset near the
+    deduplication threshold T, or by none, so exact duplicates,
+    near-duplicates on either side of T and equal first coordinates are
+    common."""
+    bits = draw(st.sampled_from(ORACLE_BITS))
+    d = draw(st.integers(1, 4))
+    T = DEDUP_LOG_DISTANCE
+    with mp.workprec(bits):
+        bases = [mp.mpf(0), mp.mpf(1), mp.mpf(-7) / 2, mp.mpf(10) ** 5]
+        offsets = [mp.mpf(0), T, T * (1 + mp.ldexp(1, -40)),
+                   T * (1 - mp.ldexp(1, -40)), T / 2, 2 * T, mp.mpf(1) / 1000]
+        coordinate = st.tuples(st.sampled_from(bases),
+                               st.sampled_from(offsets),
+                               st.sampled_from([1, -1]))
+        points = [[(b + sign * off)._mpf_
+                   for b, off, sign in draw(st.lists(coordinate, min_size=d,
+                                                     max_size=d))]
+                  for _ in range(draw(st.integers(0, 40)))]
+    return points, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_points())
+def test_the_sweep_deduplicates_as_all_pairs_do(case):
+    """The same points kept, so the same distinct list and the same
+    duplicates in the same order, and min_separation bit for bit."""
+    points, bits = case
+    ops = Arithmetic(bits)
+    keep, min_sep = numerics._deduplicate(points, ops)
+    assert (keep, min_sep) == all_pairs_deduplication(points, ops)
 
 
 @st.composite
