@@ -340,6 +340,8 @@ def viro(points_path, matrix_path, heights_path, out_path, render):
 def count(system_path, complex_path, t_str, expect, fmt):
     """Count distinct positive roots reachable from the per-facet starts."""
     bits = _precision()
+    if expect is not None and expect < 0:
+        _fail_usage(f"expect must be >= 0, got {expect}")
     try:
         t = parse_rational(t_str)
     except (ValueError, ZeroDivisionError) as exc:

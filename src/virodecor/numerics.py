@@ -20,11 +20,15 @@ it is made.  A non-finite coordinate of a log-point is refused.
 
 The evaluation, the Jacobian, the LU, Newton, the condition numbers and
 the deduplication run on raw mpmath values with the operations of
-`precision.Arithmetic`, each the libmp call its mpf operator makes, so
-every value is bit-identical to mpf-class code at every precision.
-Values become mpfs only at the public edges: `evaluate`, `jacobian`,
-`NewtonResult`, `Witness` and `condition_estimate`, which takes and
-returns mpfs.
+`precision.Arithmetic`.  Each returns the tuple its mpf operator's libmp
+call returns: on finite nonzero operands it rounds half-even at the
+working precision directly on the tuple, which gives the same bits
+because libmp rounds correctly (and fsum and dot take mpf_sum's loop
+step for step); exp, le and any zero or non-finite operand go to libmp
+itself.  So every value is bit-identical to mpf-class code at every
+precision.  Values become mpfs only at the public edges: `evaluate`,
+`jacobian`, `NewtonResult`, `Witness` and `condition_estimate`, which
+takes and returns mpfs.
 
 Counts produced here are floating-point certificates (residual +
 nonsingular Jacobian + pairwise separation), not interval-arithmetic
@@ -78,10 +82,11 @@ def _compile(S: ViroSystem, t: Fraction, bits: int):
     keeps only its nonzero coordinates for its exponent e_j: a product
     0 * u_k of a finite u_k is an exact 0, and adding an exact 0 to the
     running sum, which is already rounded, returns it unchanged.  Each
-    Jacobian column keeps only its nonzero entries: mpf_sum skips zero
-    terms.  (0 * inf is NaN, so a non-finite u is refused before it gets
-    here.)  Rows with one support share one scale: its max and exp(-max)
-    are the same values for each of them, so they are formed once.
+    Jacobian column keeps only its nonzero entries: dot, like mpf_sum,
+    skips zero terms.  (0 * inf is NaN, so a non-finite u is refused
+    before it gets here.)  Rows with one support share one scale: its
+    max and exp(-max) are the same values for each of them, so they are
+    formed once.
     """
     ops = Arithmetic(bits)
     add, mul, exp, neg = ops.add, ops.mul, ops.exp, ops.neg

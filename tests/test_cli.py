@@ -206,6 +206,22 @@ def test_count_expect_failure_exit_code(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_count_refuses_a_negative_expect_before_counting(runner, tmp_path,
+                                                         monkeypatch):
+    f = catalog.snd63_fixture()
+    S = build_viro_system(f.configuration, f.coefficients, f.heights)
+    sp = tmp_path / "S.json"
+    kp = tmp_path / "K.json"
+    sp.write_text(S.to_json())
+    kp.write_text(f.complex.to_json())
+    monkeypatch.setattr("virodecor.cli.certified_positive_count",
+                        lambda *a, **k: pytest.fail("counted"))
+    result = runner.invoke(main, ["count", "--system", str(sp),
+                                  "--complex", str(kp), "--expect", "-1"])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: expect must be >= 0, got -1\n"
+
+
 def test_count_invalid_t(runner, tmp_path):
     f = catalog.snd63_fixture()
     S = build_viro_system(f.configuration, f.coefficients, f.heights)
