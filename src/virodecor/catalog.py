@@ -1,30 +1,18 @@
 """Built-in reference fixtures used by the verification suite and the CLI.
 
-Each fixture bundles a point configuration, triangulation, lift, and a
+Each fixture is a families.Fixture, the record that the family
+constructors return too: a point configuration, triangulation, lift, and a
 decorating coefficient matrix or balanced coloring whose expected behavior
 is frozen in the test suite.  Data is stored exactly, as rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import PointConfiguration, SimplicialComplex
 from .exactlinalg import RationalMatrix, parse_rational
-from .families import cyclic_heights, cyclic_points
-
-
-@dataclass(frozen=True)
-class Fixture:
-    """One named reference instance."""
-
-    name: str
-    configuration: PointConfiguration
-    complex: SimplicialComplex
-    heights: tuple[Fraction, ...]
-    coefficients: RationalMatrix | None
-    coloring: dict[int, int] | None
+from .families import Fixture, cyclic_heights, cyclic_points
 
 
 def _parse_rows(rows: list[str]) -> RationalMatrix:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, permutations
 from operator import lt, mul
 from typing import Mapping, NamedTuple, Sequence
@@ -243,29 +242,16 @@ def _shared_order(facets: Sequence[tuple[int, ...]]) -> _Listing:
     where the sorted facets take 1,024.
     """
     listed: list = [None] * len(facets)
-    containing: dict[int, set[int]] = {}   # vertex -> the facets through it
-    for i, f in enumerate(facets):
-        for v in f:
-            containing.setdefault(v, set()).add(i)
 
     def branch(group: set[int], head: tuple[int, ...]):
         if len(group) == 1:
             (i,) = group
             listed[i] = head + tuple(v for v in facets[i] if v not in head)
             return
-        # (-count, label) per vertex below the node.  Counts only fall as
-        # the group shrinks, so an entry is a bound: the vertex is taken
-        # when its entry comes first and its recount meets the bound
-        heap = [(-len(group & containing[v]), v) for v in
-                set().union(*[facets[i] for i in group]).difference(head)]
-        heapify(heap)
         while group:
-            c, v = heappop(heap)
-            below = group & containing[v]
-            if len(below) != -c:
-                if below:
-                    heappush(heap, (-len(below), v))
-                continue
+            counts = Counter(chain.from_iterable(facets[i] for i in group))
+            v = min(counts.keys() - head, key=lambda w: (-counts[w], w))
+            below = {i for i in group if v in facets[i]}
             group -= below
             branch(below, head + (v,))
 

@@ -33,7 +33,7 @@ def _frac(x) -> Fraction:
 class RationalMatrix:
     """Dense matrix of exact rationals, row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "_data", "_hash")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Sequence[Sequence]):
         data = tuple(tuple(_frac(x) for x in row) for row in entries)
@@ -66,13 +66,7 @@ class RationalMatrix:
         )
 
     def __hash__(self):
-        # kept after the first call: caches keyed on a matrix would
-        # otherwise rehash every entry on each lookup
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._data)
-            return self._hash
+        return hash(self._data)
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self._data]})"
@@ -240,10 +234,11 @@ def _bareiss_step(columns: Iterable[Sequence[int]], r: int, x: Sequence[int],
     new one.  Each column y, with f = y[r], becomes z with
     z[i] = (pv * y[i] - f * x[i]) // prev for i != r and z[r] = f: D times
     its coordinates on the pivoted columns, now at D = pv.  With f = 0,
-    as for most columns of sparse input, z is y * pv // prev, or y itself
-    when pv = prev.  Every division is exact because each result is a
-    minor of the input.  Columns are replaced, never mutated, so callers
-    may share them.
+    as for most columns of sparse input, z is y * pv // prev: y itself
+    when pv = prev, and -y when pv = -prev, as on every other pivot of
+    cross(d).  Every division is exact because each result is a minor of
+    the input.  Columns are replaced, never mutated, so callers may share
+    them.
     """
     pv = x[r]
     out = []
@@ -254,6 +249,8 @@ def _bareiss_step(columns: Iterable[Sequence[int]], r: int, x: Sequence[int],
             z[r] = f
         elif pv == prev:
             z = y
+        elif pv == -prev:
+            z = [-a for a in y]
         else:
             z = [pv * a // prev for a in y]
         out.append(z)
@@ -448,13 +445,6 @@ def solve(M: RationalMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("shape mismatch in solve")
     a, _ = integer_rows(
         [list(row) + [_frac(b)] for row, b in zip(M.to_lists(), rhs)])
-    return _solution(a)
-
-
-def _solution(a: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """x with M x = b, for the integer rows a of [M | b], M square; the
-    rows may carry any positive scales."""
-    n = len(a)
     e = eliminate(a)
     if e.pivots != tuple(range(1, n + 1)):
         raise RankDeficiencyError("singular matrix in solve")

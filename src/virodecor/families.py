@@ -3,7 +3,10 @@
 Moment-curve (cyclic polytope) minimal triangulations and their bipartite
 subcomplexes with exact counting and asymptotics, order-polytope canonical
 triangulations, cross-polytope slicings, and the multilinear totally
-positive construction.
+positive construction.  The order-polytope and cross-polytope
+constructors return a Fixture, the one record of a named instance
+(configuration, triangulation, lift, coefficients, coloring), which
+catalog's reference fixtures are too.
 """
 
 from __future__ import annotations
@@ -282,16 +285,19 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class TriangulatedFamily:
-    """A configuration with a distinguished triangulation, lift and coloring."""
+class Fixture:
+    """A named configuration with a triangulation, a lift, and a
+    decorating coefficient matrix or a balanced coloring."""
 
+    name: str
     configuration: PointConfiguration
     complex: SimplicialComplex
     heights: tuple[Fraction, ...]
-    coloring: dict[int, int]
+    coefficients: RationalMatrix | None
+    coloring: dict[int, int] | None
 
 
-def order_polytope_triangulation(P: Poset) -> TriangulatedFamily:
+def order_polytope_triangulation(P: Poset) -> Fixture:
     """Canonical triangulation of the order polytope of P.
 
     One facet per linear extension; facet vertices are the zero vector and
@@ -317,15 +323,12 @@ def order_polytope_triangulation(P: Poset) -> TriangulatedFamily:
               for verts in facet_vertex_lists]
     heights = tuple(Fraction(sum(v)) ** 2 for v in ordered)
     coloring = {index[v]: sum(v) % (d + 1) for v in ordered}
-    return TriangulatedFamily(
-        config,
-        SimplicialComplex.from_facets(d, len(ordered), facets),
-        heights,
-        coloring,
-    )
+    return Fixture(f"order-{d}", config,
+                   SimplicialComplex.from_facets(d, len(ordered), facets),
+                   heights, None, coloring)
 
 
-def cross_polytope_triangulation(d: int) -> TriangulatedFamily:
+def cross_polytope_triangulation(d: int) -> Fixture:
     """Slicing of the cross polytope along the coordinate hyperplanes.
 
     Vertices: origin then +-e_i (2d+1 points); one facet per orthant
@@ -353,12 +356,9 @@ def cross_polytope_triangulation(d: int) -> TriangulatedFamily:
     for i in range(d):
         coloring[2 + i] = i
         coloring[2 + d + i] = i
-    return TriangulatedFamily(
-        PointConfiguration(d, tuple(points)),
-        SimplicialComplex.from_facets(d, 2 * d + 1, facets),
-        heights,
-        coloring,
-    )
+    return Fixture(f"cross-{d}", PointConfiguration(d, tuple(points)),
+                   SimplicialComplex.from_facets(d, 2 * d + 1, facets),
+                   heights, None, coloring)
 
 
 # -- multilinear totally positive systems ----------------------------------

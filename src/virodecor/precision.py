@@ -17,21 +17,20 @@ operator returns, rounding to nearest at `prec`.
 
 When every operand is finite and nonzero, add, sub, mul, div, total,
 fsum, dot, neg, abs, lt, max and max_abs work on the tuples themselves:
-they form the exact result, or mpf_add's and mpf_div's perturbed stand-in
-for it, and round it half-even at `prec` in place, with int.bit_length
-for the bit count and (man & -man).bit_length() - 1 for the trailing
-zeros.  libmp's mpf_add, mpf_mul and mpf_div round correctly, and each
-value has exactly one normalized tuple (odd mantissa, exact bit count),
-so any correct half-even rounding of the same number at the same
-precision gives the same tuple: MPFR's argument (Fousse et al., ACM TOMS
-2007).  Where libmp does not round the exact value, the same
-operation is done here step for step: mpf_add's far-operand shortcut
-(offsets above 100 bits with the smaller operand more than prec + 4 bits
-below) adds a sticky 1 prec + 4 bits down; mpf_div rounds the quotient
-extended by at least 5 bits and a sticky 1; and mpf_sum, which fsum and
-dot follow, drops terms beyond 2 * prec bits of the running sum.  A zero,
-±inf or nan operand goes to the libmp function the mpf operator calls,
-as do exp and le, so the special cases are libmp's own.
+they form the exact result, or mpf_div's perturbed stand-in for it, and
+round it half-even at `prec` in place, with int.bit_length for the bit
+count and (man & -man).bit_length() - 1 for the trailing zeros.  libmp's
+mpf_add, mpf_mul and mpf_div round correctly, and each value has exactly
+one normalized tuple (odd mantissa, exact bit count), so any correct
+half-even rounding of the same number at the same precision gives the
+same tuple: MPFR's argument (Fousse et al., ACM TOMS 2007).  Only two
+steps where libmp does not round the exact value are copied: mpf_div
+rounds the quotient extended by at least 5 bits and a sticky 1, and
+mpf_sum, which fsum and dot follow, drops terms beyond 2 * prec bits of
+the running sum.  An add or sub of operands whose exponents lie more
+than 100 bits apart, where mpf_add may stand a sticky 1 in for the
+smaller one, goes to libmp, as do exp, le and any zero, ±inf or nan
+operand, so those cases are libmp's own.
 """
 
 from __future__ import annotations
@@ -85,13 +84,14 @@ class Arithmetic:
 
     Each result is the tuple libmp gives.  Finite nonzero operands are
     rounded here, half-even, directly on the tuples (see the module
-    docstring for why the bits cannot move); a zero, infinite or nan
-    operand, exp and le go to libmp.
+    docstring for why the bits cannot move); only mpf_div's extended
+    quotient and mpf_sum's loop are copied from libmp.  An add or sub
+    whose operands' exponents lie more than 100 bits apart, a zero,
+    infinite or nan operand, exp and le go to libmp.
     """
 
     def __init__(self, prec: int):
         rnd = round_nearest
-        far = prec + 4               # mpf_add's sticky position
         wide = 2 * prec              # mpf_sum's max_extra_prec
 
         def rounded(sign, man, exp):
@@ -123,23 +123,17 @@ class Arithmetic:
             return rounded(sign, man >> z, exp + z)
 
         def adder(flip, libmp):
-            """add (flip = 0) or sub (flip = 1): mpf_add on finite
-            nonzero operands, which are normalized, so odd."""
+            """add (flip = 0) or sub (flip = 1): the exact sum of finite
+            nonzero operands, which are normalized, so odd, rounded once."""
             def op(x, y):
-                sx, mx, ex, bx = x
-                sy, my, ey, by = y
-                if not (mx and my):
+                sx, mx, ex, _ = x
+                sy, my, ey, _ = y
+                d = ex - ey
+                # past 100 bits, mpf_add may stand a sticky 1 in for the
+                # smaller operand: such offsets go to libmp itself
+                if not (mx and my) or d > 100 or d < -100:
                     return libmp(x, y, prec, rnd)
                 sy ^= flip
-                d = ex - ey
-                # an operand more than prec + 4 bits below the other's top
-                # bit, and over 100 bits to the right, is a sticky 1 there
-                if d > 100 and bx + d - by > far:
-                    return rounded(sx, (mx << far) + (1 if sx == sy else -1),
-                                   ex - far)
-                if d < -100 and by - d - bx > far:
-                    return rounded(sy, (my << far) + (1 if sx == sy else -1),
-                                   ey - far)
                 if d > 0:
                     mx <<= d
                     ex = ey

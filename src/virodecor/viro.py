@@ -22,13 +22,12 @@ from .complexes import PointConfiguration, SimplicialComplex, _lifted_table
 from .exactlinalg import (
     RationalMatrix,
     RankDeficiencyError,
-    _solution,
     common_integer_rows,
     format_rational,
-    integer_rows,
     loads_exact,
     parse_rational,
     positive_kernel_vector,
+    solve,
 )
 from .precision import Arithmetic, default_precision
 
@@ -160,11 +159,10 @@ def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
     if A.dimension + 1 != len(facet):
         raise ValueError(f"facet {tuple(facet)} does not have "
                          f"{A.dimension + 1} vertices")
-    # the integer rows (1, a_v, h_v), each scaled by its own positive lcm
-    rows, _ = integer_rows([(1, *A.points[v - 1], Fraction(heights[v - 1]))
-                            for v in facet])
     try:
-        offset, *gradient = _solution(rows)
+        offset, *gradient = solve(
+            RationalMatrix([(1, *A.points[v - 1]) for v in facet]),
+            [heights[v - 1] for v in facet])
     except RankDeficiencyError:
         raise RankDeficiencyError(
             f"facet {tuple(facet)} is affinely degenerate") from None
@@ -231,15 +229,9 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
 
 @dataclass
 class TruncatedSolution:
-    """Positive solution of one facet's truncated system, in log coordinates."""
-
-    facet: tuple[int, ...]
-    log_point: tuple[mp.mpf, ...]
-
-
-@dataclass
-class PredictedStart:
-    """Log-space Newton starting point for one facet at a given t."""
+    """A point in log coordinates for one facet: the positive solution of
+    its truncated system (truncated_solution), or its Newton start at a
+    given t (predicted_solutions)."""
 
     facet: tuple[int, ...]
     log_point: tuple[mp.mpf, ...]
@@ -365,7 +357,7 @@ def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
 
 
 def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
-                        prec: int | None = None) -> list[PredictedStart]:
+                        prec: int | None = None) -> list[TruncatedSolution]:
     """Starting points u - log(t) * gradient, one per facet of K."""
     t = Fraction(t)
     if t <= 0:
@@ -373,6 +365,6 @@ def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
     bits = prec or default_precision()
     with mp.workprec(bits):
         lnt = log_fraction(t)
-        return [PredictedStart(facet, tuple(x - lnt * g
-                                            for x, g in zip(u, grad)))
+        return [TruncatedSolution(facet, tuple(x - lnt * g
+                                               for x, g in zip(u, grad)))
                 for facet, u, grad in _facet_solutions(S, K, bits)]

@@ -304,12 +304,44 @@ def test_viro_roundtrip(runner, tmp_path):
     assert out.read_text() == S.to_json() + "\n"
 
 
-@pytest.mark.parametrize("case", ["table1", "appendixA", "prism",
-                                  "ex3.6", "ex5.8"])
-def test_verify_reference_cases_pass(runner, case):
+TABLE1 = [2, 8, 38, 192, 1002, 5336, 28814, 157184, 864146, 4780008,
+          26572086]
+VERIFY_LINES = {
+    "table1": [f"pass d={d}: expected {n}, recurrence={n}, series={n}, "
+               f"diagonal={n}" for d, n in zip(range(1, 22, 2), TABLE1)],
+    "appendixA": ["pass snd-11-5: 38/38 facets exactly decorated"],
+    "prism": [
+        "pass prism: 3 facets (need 3)",
+        "pass prism: unimodular",
+        "pass prism: regular under squared-coordinate-sum heights",
+        "pass prism: deformation exponents (0, 1, 1, 4, 4, 9)",
+        "pass prism: coordinate-sum coloring decorates the triangulation",
+        "pass prism: 3 distinct positive roots at t=100, 256 bits "
+        "(need >= 3)",
+    ],
+    "ex3.6": [
+        "pass planar-hexagon: coloring decoration exactly verified",
+        "pass planar-hexagon: heights induce the triangulation",
+        "pass planar-hexagon: 6 distinct positive roots at t=1/1000, "
+        "256 bits (need >= 6)",
+    ],
+    "ex5.8": [
+        "pass snd-6-3: 5/5 facets exactly decorated",
+        "pass snd-6-3: heights induce the triangulation",
+        "pass snd-6-3: 5 distinct positive roots at t=1/100, 256 bits "
+        "(need >= 5)",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_LINES))
+def test_verify_reference_cases_pass(runner, monkeypatch, case):
+    """Each case prints exactly its reference lines at the default
+    precision."""
+    monkeypatch.delenv("VIRODECOR_PRECISION_BITS", raising=False)
     result = runner.invoke(main, ["verify-paper", case])
     assert result.exit_code == 0, result.output
-    assert "FAIL" not in result.output
+    assert result.output.splitlines() == VERIFY_LINES[case]
 
 
 def test_verify_unknown_case(runner):

@@ -3,7 +3,7 @@
 import dataclasses
 import pickle
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -640,6 +640,26 @@ def test_shared_order_lists_each_facet_with_its_permutation_sign(K):
         # the permutation matrix taking the sorted facet to its listing
         moved = RationalMatrix([[int(v == w) for w in facet] for v in listed])
         assert determinant(moved) == parity
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_complexes())
+@example(cross_polytope_triangulation(4).complex)
+@example(RIDGE_IN_THREE)
+def test_shared_order_branches_on_the_most_common_vertex(K):
+    """Read off the listing itself: at every node, the prefix p that some
+    listed facets share, the facets left branch in turn on the vertex
+    that most of them contain beyond p, the smaller label on ties, and
+    those that contain it are exactly the ones that list it next."""
+    listed = complexes._shared_order(K.facets).facets
+    for p in {f[:k] for f in listed for k in range(len(f))}:
+        left = [f for f in listed if f[:len(p)] == p]
+        while left:
+            counts = Counter(v for f in left for v in f if v not in p)
+            v = min(counts, key=lambda w: (-counts[w], w))
+            assert ([f for f in left if v in f]
+                    == [f for f in left if f[len(p)] == v])
+            left = [f for f in left if v not in f]
 
 
 def test_shared_order_differs_from_the_sorted_one_on_cross_polytopes():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from virodecor.exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
+    _bareiss_step,
     _kernel_line,
     determinant,
     eliminate_prefixes,
@@ -280,6 +281,47 @@ def test_prefix_walk_on_wide_facets_finds_the_rank_and_the_kernel(inputs):
         assert line[-1] != 0 and signed[-1] != 0
         assert all(a * signed[-1] == b * line[-1]
                    for a, b in zip(line, signed))
+
+
+@st.composite
+def bareiss_steps(draw):
+    """Columns of the form prev * (small integers), a pivot entry r, and a
+    pivot column x whose entry pv = x[r] is prev, -prev or another
+    nonzero multiple of prev, with many zeros at r: every branch of one
+    step, each division exact."""
+    m = draw(st.integers(1, 4))
+    prev = draw(st.sampled_from([1, -1, 2, -3, 6]))
+    r = draw(st.integers(0, m - 1))
+    entries = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]),
+                       min_size=m, max_size=m)
+    x = draw(entries)
+    x[r] = draw(st.sampled_from([1, -1, 1, -1, 2, -5]))
+    columns = draw(st.lists(entries, max_size=5))
+    return ([[prev * a for a in y] for y in columns], r,
+            [prev * a for a in x], prev)
+
+
+@given(bareiss_steps())
+@example(([[0, 5, -2], [3, 1, 0], [0, 0, 0]], 0, [-1, 2, 4], 1))
+@example(([[0, -4, 6], [2, 2, 2]], 1, [1, -2, 0], -2))
+@settings(max_examples=300, deadline=None)
+def test_bareiss_step_is_exact_and_leaves_its_inputs(inputs):
+    """z[r] = f and prev * z[i] = pv * y[i] - f * x[i] elsewhere, for
+    each column y with f = y[r]; a column with f = 0 under pv = -prev is
+    negated, and no input column changes."""
+    columns, r, x, prev = inputs
+    before = [list(y) for y in columns], list(x)
+    pv = x[r]
+    out = _bareiss_step(columns, r, x, prev)
+    assert ([list(y) for y in columns], list(x)) == before
+    assert len(out) == len(columns)
+    for y, z in zip(columns, out):
+        f = y[r]
+        assert z[r] == f
+        assert all(prev * c == pv * a - f * b
+                   for i, (a, b, c) in enumerate(zip(y, x, z)) if i != r)
+        if not f and pv == -prev:
+            assert list(z) == [-a for a in y] and z is not y
 
 
 def test_trie_has_one_node_per_shared_run():
