@@ -36,6 +36,7 @@ from .exactlinalg import (
     quote_literal,
 )
 from .families import (
+    Fixture,
     Poset,
     count_snd,
     count_snd_series,
@@ -163,7 +164,6 @@ def family(kind, n, d, poset_path, out_dir):
     """Generate a named family instance as JSON files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    coloring = None
     if kind in ("cyclic", "snd"):
         if n is None or d is None:
             _fail_usage(f"{kind} requires --n and --d")
@@ -172,16 +172,14 @@ def family(kind, n, d, poset_path, out_dir):
                  else snd_subcomplex(n, d))
         except ValueError as exc:
             _fail_usage(str(exc))
-        A = cyclic_points(n, d)
-        heights = cyclic_heights(n, d)
+        fam = Fixture(f"{kind}-{n}-{d}", cyclic_points(n, d), K,
+                      cyclic_heights(n, d), None, None)
     elif kind == "order":
         if poset_path is None:
             _fail_usage("order requires --poset")
-        P = _load(poset_path, Poset.from_json_dict, "poset",
-                  ("size", "relations"))
-        fam = order_polytope_triangulation(P)
-        K, A, heights, coloring = (fam.complex, fam.configuration,
-                                   fam.heights, fam.coloring)
+        fam = order_polytope_triangulation(
+            _load(poset_path, Poset.from_json_dict, "poset",
+                  ("size", "relations")))
     else:
         if d is None:
             _fail_usage("cross requires --d")
@@ -189,14 +187,13 @@ def family(kind, n, d, poset_path, out_dir):
             fam = cross_polytope_triangulation(d)
         except ValueError as exc:
             _fail_usage(str(exc))
-        K, A, heights, coloring = (fam.complex, fam.configuration,
-                                   fam.heights, fam.coloring)
+    K = fam.complex
     _write(out / "complex.json", K.to_json())
-    _write(out / "points.json", json.dumps(A.to_json_dict()))
-    _write(out / "heights.json", _heights_json(heights))
-    if coloring is not None:
+    _write(out / "points.json", json.dumps(fam.configuration.to_json_dict()))
+    _write(out / "heights.json", _heights_json(fam.heights))
+    if fam.coloring is not None:
         _write(out / "coloring.json",
-               json.dumps(coloring_to_json_dict(coloring, K.n_vertices)))
+               json.dumps(coloring_to_json_dict(fam.coloring, K.n_vertices)))
     click.echo(f"{kind}: {len(K.facets)} facets on {K.n_vertices} vertices")
 
 
@@ -395,24 +392,26 @@ def _verify_decoration(fixture) -> list[str]:
             f"facets exactly decorated"]
 
 
+def _count_line(name: str, fixture, C, t: Fraction, minimum: int,
+                bits: int) -> str:
+    S = build_viro_system(fixture.configuration, C, fixture.heights)
+    result = certified_positive_count(S, fixture.complex, t, prec=bits)
+    return (f"{'pass' if result.count >= minimum else 'FAIL'} {name}: "
+            f"{result.count} distinct positive roots at t={t}, "
+            f"{result.precision} bits (need >= {minimum})")
+
+
 def _verify_count(fixture, C, t: Fraction, minimum: int,
                   bits: int) -> list[str]:
-    S = build_viro_system(fixture.configuration, C, fixture.heights)
     reg = regularity_check(fixture.configuration, fixture.heights,
                            fixture.complex)
-    lines = [f"{'pass' if reg.ok else 'FAIL'} {fixture.name}: heights induce "
-             f"the triangulation"]
-    result = certified_positive_count(S, fixture.complex, t, prec=bits)
-    ok = result.count >= minimum
-    lines.append(f"{'pass' if ok else 'FAIL'} {fixture.name}: "
-                 f"{result.count} distinct positive roots at t={t}, "
-                 f"{result.precision} bits (need >= {minimum})")
-    return lines
+    return [f"{'pass' if reg.ok else 'FAIL'} {fixture.name}: heights induce "
+            f"the triangulation",
+            _count_line(fixture.name, fixture, C, t, minimum, bits)]
 
 
 def _verify_prism(bits: int) -> list[str]:
-    P = Poset.from_relations(3, [(1, 2)])
-    fam = order_polytope_triangulation(P)
+    fam = order_polytope_triangulation(Poset.from_relations(3, [(1, 2)]))
     lines = []
     ok = len(fam.complex.facets) == 3
     lines.append(f"{'pass' if ok else 'FAIL'} prism: "
@@ -430,14 +429,8 @@ def _verify_prism(bits: int) -> list[str]:
     ok, _ = is_positively_decorated(fam.complex, C)
     lines.append(f"{'pass' if ok else 'FAIL'} prism: coordinate-sum coloring "
                  f"decorates the triangulation")
-    S = build_viro_system(fam.configuration, C, fam.heights)
     # concave lift: the asymptotic regime is large t
-    result = certified_positive_count(S, fam.complex, Fraction(100),
-                                      prec=bits)
-    ok = result.count >= 3
-    lines.append(f"{'pass' if ok else 'FAIL'} prism: {result.count} distinct "
-                 f"positive roots at t=100, {result.precision} bits "
-                 f"(need >= 3)")
+    lines.append(_count_line("prism", fam, C, Fraction(100), 3, bits))
     return lines
 
 

@@ -167,7 +167,12 @@ class PointConfiguration:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PointConfiguration":
-        return cls(d["dimension"],
+        dim = d["dimension"]
+        # bool, a subclass of int, is refused
+        if type(dim) is not int or dim < 0:
+            raise ValueError(
+                f"dimension must be a non-negative integer, got {dim!r}")
+        return cls(dim,
                    tuple(tuple(parse_rational(x) for x in p) for p in d["points"]))
 
 

@@ -86,6 +86,11 @@ class RationalMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalMatrix":
         r, c = d["rows"], d["cols"]
+        # bool, a subclass of int, is refused; decorate writes 0 columns
+        for name, value, least in (("rows", r, 1), ("cols", c, 0)):
+            if type(value) is not int or value < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         flat = [parse_rational(s) for s in d["entries"]]
         if len(flat) != r * c:
             raise ValueError("entries length does not match rows*cols")
@@ -117,6 +122,9 @@ def parse_rational(s: str) -> Fraction:
     where 0 means no limit): such a value could be read but never
     printed, so it fails here, before any work.  An error quotes a long
     literal by its first characters and its length (quote_literal)."""
+    if isinstance(s, bool):
+        # Fraction(True) is 1: a JSON true is no number
+        raise TypeError(f"a boolean is not a rational: {s!r}")
     limit = sys.get_int_max_str_digits()
     if limit and isinstance(s, str) and (len(s) > limit or "e" in s
                                          or "E" in s):

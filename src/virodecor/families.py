@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .complexes import PointConfiguration, SimplicialComplex
@@ -228,15 +228,12 @@ class Poset:
 
     @staticmethod
     def _transitive_closure(size, rels):
+        # Warshall: after the pass for k, a reaches b through elements <= k
         closed = set(rels)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closed):
-                for c, e in list(closed):
-                    if b == c and (a, e) not in closed:
-                        closed.add((a, e))
-                        changed = True
+        for k in range(1, size + 1):
+            into = [a for a, b in closed if b == k]
+            out = [b for a, b in closed if a == k]
+            closed.update((a, b) for a in into for b in out)
         return closed
 
     def less(self, a: int, b: int) -> bool:
@@ -380,11 +377,6 @@ class MultilinearSystem:
     solutions: tuple[tuple[Fraction, ...], ...]
 
 
-def _vandermonde(nodes: Sequence[Fraction], cols: int) -> RationalMatrix:
-    return RationalMatrix([[Fraction(x) ** j for j in range(cols)]
-                           for x in nodes])
-
-
 def _set_partitions(universe: tuple[int, ...],
                     sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     if not sizes:
@@ -397,61 +389,44 @@ def _set_partitions(universe: tuple[int, ...],
             yield (block,) + tail
 
 
-# node perturbations multilinear_tp_system tries before it gives up
-_TP_RETRIES = 8
-
-
 def multilinear_tp_system(parts: Sequence[int]) -> MultilinearSystem:
     """Build the system for a partition of d and solve all its branches exactly.
 
-    Totally positive matrices are realized as Vandermonde matrices over
-    distinct positive nodes.  Each set partition yields one block-decoupled
-    linear system solved by exact kernel computation; the solution is
-    guaranteed positive.  On (measure-zero) coincidences the nodes are
-    perturbed and the construction retried.
+    Block u's matrix is the Vandermonde matrix on the next parts[u] + 1 of
+    the nodes 1, 2, ...: totally positive (Karlin, Total Positivity, 1968),
+    so each block's kernel is positive, and two distinct blocks span a
+    nonsingular generalized Vandermonde matrix, so no two branches share a
+    solution.  Each set partition yields one block-decoupled linear system
+    solved by exact kernel computation; both facts are checked exactly and
+    raise ArithmeticError if they fail.
     """
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError("partition parts must be positive")
     d = sum(parts)
-    k = len(parts)
     partitions = tuple(_set_partitions(tuple(range(1, d + 1)), parts))
-
-    for attempt in range(_TP_RETRIES):
-        matrices = []
-        offset = Fraction(attempt, attempt + 1)
-        node = Fraction(1)
-        for u, du in enumerate(parts):
-            nodes = []
-            for _ in range(du + 1):
-                nodes.append(node + offset / (u + 2))
-                node += 1
-            matrices.append(_vandermonde(nodes, d))
-        solutions = []
-        ok = True
-        for blocks in partitions:
-            flat: list[Fraction] = []
-            for u, block in enumerate(blocks):
-                T = matrices[u]
-                du = parts[u]
-                # rows: equations i in the block; columns j=1..du are the
-                # variable coefficients (-1)^j T_{j,i}, column du+1 the
-                # constant (-1)^(du+1) T_{du+1,i}
-                M = RationalMatrix(
-                    [[(-1) ** (j + 1) * T[j, i - 1] for j in range(du + 1)]
-                     for i in block]
-                )
-                v = positive_kernel_vector(M)
-                if v is None:
-                    ok = False
-                    break
-                flat.extend(x / v[du] for x in v[:du])
-            if not ok:
-                break
-            solutions.append(tuple(flat))
-        if ok and len(set(solutions)) == len(solutions):
-            return MultilinearSystem(parts, tuple(matrices),
-                                     partitions, tuple(solutions))
-    raise ArithmeticError(
-        f"could not build distinct positive solutions after {_TP_RETRIES} retries"
-    )
+    starts = accumulate((du + 1 for du in parts), initial=1)
+    matrices = tuple(RationalMatrix([[Fraction(x) ** j for j in range(d)]
+                                     for x in range(s, s + du + 1)])
+                     for s, du in zip(starts, parts))
+    solutions = []
+    for blocks in partitions:
+        flat: list[Fraction] = []
+        for block, du, T in zip(blocks, parts, matrices):
+            # rows: equations i in the block; columns j=1..du are the
+            # variable coefficients (-1)^j T_{j,i}, column du+1 the
+            # constant (-1)^(du+1) T_{du+1,i}
+            M = RationalMatrix(
+                [[(-1) ** (j + 1) * T[j, i - 1] for j in range(du + 1)]
+                 for i in block]
+            )
+            v = positive_kernel_vector(M)
+            if v is None:
+                raise ArithmeticError(
+                    f"block {block} of parts {parts} has no positive kernel "
+                    f"vector")
+            flat.extend(x / v[du] for x in v[:du])
+        solutions.append(tuple(flat))
+    if len(set(solutions)) != len(solutions):
+        raise ArithmeticError(f"two branches of parts {parts} share a solution")
+    return MultilinearSystem(parts, matrices, partitions, tuple(solutions))

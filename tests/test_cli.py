@@ -485,6 +485,65 @@ def test_malformed_input_is_usage_error(runner, tmp_path, name, text):
     assert "digits" not in result.output
 
 
+# the path 1 - 2 - 3: with true read as 1, each of these files passes its
+# check (or, for a misshapen matrix, fails with the wrong message)
+PATH_INPUTS = {
+    "complex": '{"dimension": 1, "n_vertices": 3, "facets": [[1, 2], [2, 3]]}',
+    "points": '{"dimension": 1, "points": [["0"], ["1"], ["2"]]}',
+    "heights": '{"heights": [0, 0, 1]}',
+    "matrix": '{"rows": 1, "cols": 3, "entries": [-1, 1, -1]}',
+}
+PATH_CHECKS = {
+    "matrix": ["--matrix", "{matrix}", "--decorated"],
+    "heights": ["--points", "{points}", "--heights", "{heights}",
+                "--regular"],
+    "points": ["--points", "{points}", "--unimodular"],
+}
+
+
+@pytest.mark.parametrize("file,text,detail", [
+    ("matrix", '{"rows": 1, "cols": 3, "entries": [-1, true, -1]}',
+     "TypeError: a boolean is not a rational: True"),
+    ("heights", '{"heights": [0, 0, true]}',
+     "TypeError: a boolean is not a rational: True"),
+    ("points", '{"dimension": true, "points": [["0"], ["1"], ["2"]]}',
+     "ValueError: dimension must be a non-negative integer, got True"),
+    ("points", '{"dimension": -1, "points": []}',
+     "ValueError: dimension must be a non-negative integer, got -1"),
+    ("matrix", '{"rows": true, "cols": 3, "entries": [-1, 1, -1]}',
+     "ValueError: rows must be an integer >= 1, got True"),
+    ("matrix", '{"rows": 2.5, "cols": 2, "entries": [-1, 1, -1, 1, 1]}',
+     "ValueError: rows must be an integer >= 1, got Fraction(5, 2)"),
+    ("matrix", '{"rows": -2, "cols": 3, "entries": []}',
+     "ValueError: rows must be an integer >= 1, got -2"),
+    ("matrix", '{"rows": 1, "cols": -3, "entries": []}',
+     "ValueError: cols must be an integer >= 0, got -3"),
+], ids=["matrix-true-entry", "heights-true", "points-true-dimension",
+        "points-negative-dimension", "matrix-true-rows",
+        "matrix-fractional-rows", "matrix-negative-rows",
+        "matrix-negative-cols"])
+def test_json_booleans_and_misshapen_matrices_are_usage_errors(
+        runner, tmp_path, file, text, detail):
+    """JSON true is no number and a matrix's shape is a count: each file
+    fails its loader with exit 2 and names what is wrong."""
+    files = dict(PATH_INPUTS, **{file: text})
+    paths = {}
+    for key, body in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(body)
+    args = ["check", "--complex", paths["complex"]]
+    args += [a.format(**paths) for a in PATH_CHECKS[file]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        f"error: malformed {file} file {paths[file]}: {detail}\n")
+    # the well-formed files pass the same check
+    for key, body in PATH_INPUTS.items():
+        (tmp_path / f"{key}.json").write_text(body)
+    assert runner.invoke(main, args).exit_code == 0
+
+
 @pytest.mark.parametrize("name,text,detail", [
     ("regular", "[0, 1, 4, 9, 16, 25]",
      'expected a JSON object with the key "heights"'),

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from virodecor import families
 from virodecor.catalog import DIAGONAL_COUNTS
 from virodecor.complexes import (
     SimplicialComplex,
@@ -286,13 +287,46 @@ def multinomial(parts):
     return out
 
 
-@pytest.mark.parametrize("parts", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def compositions(d):
+    """Every ordered tuple of positive parts summing to d."""
+    if d == 0:
+        yield ()
+    for first in range(1, d + 1):
+        for rest in compositions(d - first):
+            yield (first,) + rest
+
+
+def product_equations(system, sol):
+    """Equation i at sol: the product over u of the block-u alternating
+    form (-1)^1 T_u[0, i] x_1 + ... + (-1)^du T_u[du-1, i] x_du
+    + (-1)^(du+1) T_u[du, i], each block reading its own du variables."""
+    values = []
+    for i in range(sum(system.parts)):
+        value = Fraction(1)
+        offset = 0
+        for du, T in zip(system.parts, system.matrices):
+            X = sol[offset:offset + du]
+            value *= (sum((-1) ** (j + 1) * T[j, i] * x
+                          for j, x in enumerate(X))
+                      + (-1) ** (du + 1) * T[du, i])
+            offset += du
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("parts", [p for d in range(1, 6)
+                                   for p in compositions(d)])
 def test_multilinear_solution_counts(parts):
+    """Every composition of d <= 5: multinomially many distinct positive
+    branch solutions, each solving the product equations exactly."""
     system = multilinear_tp_system(parts)
+    assert system.parts == parts
     assert len(system.solutions) == multinomial(parts)
     assert len(set(system.solutions)) == len(system.solutions)
     for sol in system.solutions:
+        assert len(sol) == sum(parts)
         assert all(x > 0 for x in sol)
+        assert product_equations(system, sol) == [0] * sum(parts)
 
 
 def test_multilinear_solutions_satisfy_block_equations():
@@ -318,3 +352,14 @@ def test_generated_matrices_are_strictly_totally_positive():
             assert all_minors_positive(
                 RationalMatrix([[T[i, j] for j in range(min(T.cols, 4))]
                                 for i in range(T.rows)]))
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (lambda M: None, "no positive kernel vector"),
+    # every branch at x = 1
+    (lambda M: (Fraction(1),) * M.cols, "share a solution"),
+])
+def test_multilinear_failed_exact_check_raises(monkeypatch, kernel, message):
+    monkeypatch.setattr(families, "positive_kernel_vector", kernel)
+    with pytest.raises(ArithmeticError, match=message):
+        multilinear_tp_system((1, 1))
