@@ -50,7 +50,13 @@ from .families import (
 )
 from .numerics import certified_positive_count
 from .precision import default_precision
-from .viro import ViroSystem, build_viro_system, regularity_check, render_system
+from .viro import (
+    ViroSystem,
+    build_viro_system,
+    regularity_check,
+    render_system,
+    require_rows,
+)
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -94,6 +100,14 @@ def _load(path: str, from_dict, what: str, keys: tuple[str, ...]):
     _fail_usage(f"malformed {what} file {path}: {detail}")
 
 
+def _as_usage_error(check, *args):
+    """check(*args), a ValueError it raises a usage error with its message."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        _fail_usage(str(exc))
+
+
 def _lacking(data, keys: tuple[str, ...]) -> str | None:
     """What data lacks of a JSON object with every one of keys, or None."""
     def listed(names):
@@ -121,9 +135,11 @@ def _load_complex(path: str) -> SimplicialComplex:
                  ("dimension", "n_vertices", "facets"))
 
 
-def _load_matrix(path: str) -> RationalMatrix:
-    return _load(path, RationalMatrix.from_json_dict, "matrix",
-                 ("rows", "cols", "entries"))
+def _load_matrix(path: str, require) -> RationalMatrix:
+    """The matrix file at path; require(rows, cols) refuses a shape that
+    does not fit the reader before any row is built."""
+    return _load(path, lambda d: RationalMatrix.from_json_dict(d, require),
+                 "matrix", ("rows", "cols", "entries"))
 
 
 def _load_points(path: str) -> PointConfiguration:
@@ -225,10 +241,10 @@ def check(complex_path, matrix_path, points_path, heights_path,
     if decorated:
         _require_fit(K, "complex", complex_path, K.dimension > 0,
                      "--decorated needs a matrix with one row per dimension")
-        C = _load_matrix(matrix_path)
-        _require_fit(K, "matrix", matrix_path,
-                     C.rows == K.dimension and C.cols >= K.n_vertices,
-                     f"{C.rows} rows and {C.cols} columns")
+        C = _load_matrix(matrix_path, lambda rows, cols: _require_fit(
+            K, "matrix", matrix_path,
+            rows == K.dimension and cols >= K.n_vertices,
+            f"{rows} rows and {cols} columns"))
     if regular or unimodular:
         A = _load_points(points_path)
         _require_points_fit(K, A, "points", points_path)
@@ -310,12 +326,10 @@ def decorate(complex_path, restarts, seed, out_path):
 @click.option("--render", is_flag=True, help="print the equations")
 def viro(points_path, matrix_path, heights_path, out_path, render):
     """Assemble a deformed system from points, coefficients and heights."""
-    try:
-        S = build_viro_system(_load_points(points_path),
-                              _load_matrix(matrix_path),
-                              _load_heights(heights_path))
-    except ValueError as exc:
-        _fail_usage(str(exc))
+    A = _load_points(points_path)
+    C = _load_matrix(matrix_path,
+                     lambda rows, _: _as_usage_error(require_rows, A, rows))
+    S = _as_usage_error(build_viro_system, A, C, _load_heights(heights_path))
     if out_path is not None:
         _write(Path(out_path), S.to_json())
     else:

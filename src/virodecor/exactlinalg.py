@@ -84,7 +84,15 @@ class RationalMatrix:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "RationalMatrix":
+    def from_json_dict(cls, d: dict,
+                       require: Callable[[int, int], None] | None = None
+                       ) -> "RationalMatrix":
+        """The matrix of {"rows", "cols", "entries"}, entries row by row.
+
+        require(rows, cols), when given, runs once the entries are read and
+        before any row is built, and raises to refuse the shape: with no
+        columns, a header alone can ask for any number of rows.
+        """
         r, c = d["rows"], d["cols"]
         # bool, a subclass of int, is refused; decorate writes 0 columns
         for name, value, least in (("rows", r, 1), ("cols", c, 0)):
@@ -94,6 +102,8 @@ class RationalMatrix:
         flat = [parse_rational(s) for s in d["entries"]]
         if len(flat) != r * c:
             raise ValueError("entries length does not match rows*cols")
+        if require is not None:
+            require(r, c)
         return cls([flat[i * c:(i + 1) * c] for i in range(r)])
 
     @classmethod

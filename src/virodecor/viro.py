@@ -74,10 +74,12 @@ class ViroSystem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ViroSystem":
-        pts = [[parse_rational(x) for x in p] for p in d["points"]]
+        A = PointConfiguration.from_rows(
+            [[parse_rational(x) for x in p] for p in d["points"]])
         return build_viro_system(
-            PointConfiguration.from_rows(pts),
-            RationalMatrix.from_json_dict(d["coefficients"]),
+            A,
+            RationalMatrix.from_json_dict(
+                d["coefficients"], lambda rows, _: require_rows(A, rows)),
             [parse_rational(h) for h in d["heights"]],
         )
 
@@ -86,10 +88,15 @@ class ViroSystem:
         return cls.from_json_dict(loads_exact(s))
 
 
+def require_rows(A: PointConfiguration, rows: int) -> None:
+    """Refuse a coefficient matrix without one row per dimension of A."""
+    if rows != A.dimension:
+        raise ValueError("coefficient matrix must have d rows")
+
+
 def build_viro_system(A: PointConfiguration, C: RationalMatrix,
                       heights: Sequence[Fraction]) -> ViroSystem:
-    if C.rows != A.dimension:
-        raise ValueError("coefficient matrix must have d rows")
+    require_rows(A, C.rows)
     if C.cols != A.n_points:
         raise ValueError("coefficient matrix must have one column per point")
     if len(heights) != A.n_points:

@@ -2,9 +2,11 @@
 package's exact layer is checked against.
 
 Matrices are `RationalMatrix` values; the helpers are plain functions of
-them and use only Fraction arithmetic and `determinant`.
+them and use only Fraction arithmetic and `determinant`.  The one graph
+helper, `two_coloring`, reads a dual graph's adjacency only.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from virodecor.exactlinalg import RationalMatrix, determinant
@@ -78,3 +80,40 @@ def lifted_matrix(A, facet):
     rows = [[Fraction(1)] * len(cols)]
     rows += [[c[i] for c in cols] for i in range(A.dimension)]
     return RationalMatrix(rows)
+
+
+def two_coloring(G):
+    """(colors, odd_cycle) of the dual graph G by a breadth-first search
+    from each uncolored node in turn, each node's neighbours taken in
+    increasing order from a deque: colors maps each node to +1 or -1 in
+    the order the search reaches them, or is None once the search meets a
+    neighbour w of v with v's color; odd_cycle then runs from v up the
+    search tree to where w's path to the root joins it, and back down to
+    w."""
+    colors, parent = {}, {}
+    for start in range(G.n_nodes):
+        if start in colors:
+            continue
+        colors[start], parent[start] = 1, None
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(G.adjacency[v]):
+                if w not in colors:
+                    colors[w], parent[w] = -colors[v], v
+                    queue.append(w)
+                elif colors[w] == colors[v]:
+                    return None, _tree_cycle(parent, v, w)
+    return colors, None
+
+
+def _tree_cycle(parent, v, w):
+    """The cycle that the edge (v, w) closes in the search tree."""
+    up_v = [v]
+    while parent[up_v[-1]] is not None:
+        up_v.append(parent[up_v[-1]])
+    depth = {u: k for k, u in enumerate(up_v)}
+    up_w = [w]
+    while up_w[-1] not in depth:
+        up_w.append(parent[up_w[-1]])
+    return up_v[:depth[up_w[-1]] + 1] + up_w[-2::-1]

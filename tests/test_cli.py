@@ -544,6 +544,46 @@ def test_json_booleans_and_misshapen_matrices_are_usage_errors(
     assert runner.invoke(main, args).exit_code == 0
 
 
+# with no columns, no entries check bounds the rows a header asks for
+TALL_MATRIX = {"rows": 1_000_000, "cols": 0, "entries": []}
+
+
+@pytest.mark.parametrize("command,file,message", [
+    (["check", "--complex", "{complex}", "--matrix", "{matrix}",
+      "--decorated"], "matrix",
+     "error: malformed matrix file {matrix}: 1000000 rows and 0 columns; "
+     "the complex has dimension 3 and 6 vertices\n"),
+    (["viro", "--points", "{points}", "--matrix", "{matrix}", "--heights",
+      "{heights}"], "matrix",
+     "error: coefficient matrix must have d rows\n"),
+    (["count", "--system", "{system}", "--complex", "{complex}"], "system",
+     "error: malformed system file {system}: ValueError: coefficient "
+     "matrix must have d rows\n"),
+], ids=["check", "viro", "system"])
+def test_a_matrix_header_that_does_not_fit_is_refused_before_any_row(
+        runner, tmp_path, monkeypatch, command, file, message):
+    """A matrix whose header asks for rows that its reader cannot use is
+    refused with today's message, and RationalMatrix is never built: its
+    constructor fails loudly here, and a fitting header reaches it."""
+    valid = _valid_inputs()[file]
+    text = json.dumps(TALL_MATRIX)
+    if file == "system":
+        text = json.dumps(dict(json.loads(valid), coefficients=TALL_MATRIX))
+    paths = _write_inputs(tmp_path, (file, text))
+    args = [a.format(**paths) for a in command]
+
+    def built(*_):
+        raise AssertionError("a RationalMatrix was built")
+
+    monkeypatch.setattr(RationalMatrix, "__init__", built)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output == message.format(**paths)
+    (tmp_path / f"{file}.json").write_text(valid)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, AssertionError), result.output
+
+
 @pytest.mark.parametrize("name,text,detail", [
     ("regular", "[0, 1, 4, 9, 16, 25]",
      'expected a JSON object with the key "heights"'),

@@ -45,7 +45,7 @@ from virodecor.families import (
     snd_subcomplex,
 )
 
-from exact_oracles import column
+from exact_oracles import column, two_coloring
 
 
 O63 = cyclic_minimal_triangulation(6, 3)
@@ -253,6 +253,89 @@ def test_dual_graph_joins_every_facet_through_a_ridge():
                          ids=["snd-13-5", "cyclic-12-5"])
 def test_dual_graph_matches_pairwise_oracle_on_families(K):
     assert dual_graph(K).adjacency == dual_graph_pairwise(K).adjacency
+
+
+MASK_VERTICES = complexes._MASK_VERTICES
+
+
+def sparse_complex(seed, d, n, m):
+    """m facets over the vertices 1..n, each after the first an earlier
+    one with a seeded vertex swapped for another, so that the facets
+    share ridges though n is large."""
+    rng = random.Random(seed)
+    facets = [tuple(sorted(rng.sample(range(1, n + 1), d + 1)))]
+    while len(facets) < m:
+        f = rng.choice(facets)
+        new = rng.randint(1, n)
+        g = tuple(sorted({*f, new} - {rng.choice(f)}))
+        if new not in f and g not in facets:
+            facets.append(g)
+    return SimplicialComplex.from_facets(d, n, facets)
+
+
+def top_ridge_in_three(n):
+    """Triangles on the top vertex n, three of them through the ridge {1, n}."""
+    return SimplicialComplex.from_facets(
+        2, n, [(1, 2, n), (1, 3, n), (1, 4, n), (2, 3, n), (4, 5, n)])
+
+
+def cyclic_up_to(n):
+    """cyclic(12, 5)'s facets moved up to the vertices n - 11..n."""
+    K = cyclic_minimal_triangulation(12, 5)
+    return SimplicialComplex.from_facets(
+        5, n, [[v + n - 12 for v in f] for f in K.facets])
+
+
+@pytest.mark.parametrize("K", [
+    complete_graph_in_lone_facets(5, 7),
+    sparse_complex(0, 3, 2_000, 400),
+    top_ridge_in_three(MASK_VERTICES - 1),
+    top_ridge_in_three(MASK_VERTICES + 1),
+    cyclic_up_to(MASK_VERTICES - 1),
+    cyclic_up_to(MASK_VERTICES),
+], ids=["k7-in-lone-5-facets", "sparse-n2000", "ridge-in-three-below",
+        "ridge-in-three-above", "cyclic-below", "cyclic-at-bound"])
+def test_dual_graph_matches_pairwise_oracle_on_both_key_paths(K):
+    """Ridges are keyed by vertex bitmasks below MASK_VERTICES vertices
+    and by vertex tuples from there on: each way gives the pairwise
+    graph and the reference 2-coloring."""
+    G = dual_graph(K)
+    assert G.adjacency == dual_graph_pairwise(K).adjacency
+    check = is_bipartite(G)
+    assert (check.colors, check.odd_cycle) == two_coloring(G)
+
+
+@pytest.mark.parametrize("n, tuples", [(MASK_VERTICES - 1, False),
+                                       (MASK_VERTICES, True)])
+def test_ridges_are_keyed_by_masks_only_below_the_bound(monkeypatch, n,
+                                                        tuples):
+    calls = []
+    combinations_ = complexes.combinations
+
+    def counted(*args):
+        calls.append(args)
+        return combinations_(*args)
+
+    monkeypatch.setattr(complexes, "combinations", counted)
+    K = cyclic_up_to(n)
+    assert dual_graph(K).adjacency == dual_graph_pairwise(K).adjacency
+    assert len(calls) == (len(K.facets) if tuples else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_up_to_dim_4())
+@example(RIDGE_IN_THREE)
+@example(POINTS)
+@example(cyclic_minimal_triangulation(20, 7))
+@example(cyclic_minimal_triangulation(19, 9))
+def test_two_coloring_matches_the_deque_reference(K):
+    """The same colors in the same dict order, and the same odd cycle."""
+    check = is_bipartite(dual_graph(K))
+    colors, odd_cycle = two_coloring(dual_graph(K))
+    assert check.odd_cycle == odd_cycle
+    assert check.colors == colors
+    if colors is not None:
+        assert list(check.colors.items()) == list(colors.items())
 
 
 @settings(max_examples=150, deadline=None)
