@@ -277,42 +277,32 @@ def _parity(facet: tuple[int, ...], listed: tuple[int, ...]) -> int:
     return -1 if passed % 2 else 1
 
 
-# ridges are keyed by vertex bitmasks below this many vertices (_ridge_graph)
-_MASK_VERTICES = 30
-
-
 def _ridge_graph(K: SimplicialComplex) -> DualGraph:
     """Join the facets through each ridge that lies in more than one facet.
 
     Each ridge is keyed by an int: its facet's vertex bitmask, the sum of
     1 << v over the facet's vertices v, with the bit of the vertex it
-    leaves out cleared.  Such a key is n_vertices bits wide, and it costs
-    more to build and to hash with every 30-bit digit of a CPython int,
-    so masks key the ridges only below _MASK_VERTICES vertices, where a
-    mask is one digit.  From there on a ridge is keyed by its vertex
-    tuple, as itertools.combinations(facet, d) gives it.  On 2,000-facet
-    random complexes with d = 7 the masks took 0.83-0.94 times the
-    tuples' time for n <= 30, 0.99 times at n = 40 and 1.05-1.18 times
-    from n = 59 to 128; at d = 3 they were no faster at any n.
+    leaves out cleared.  The index holds the first and the second facet
+    through each ridge, and a list only for a ridge in three or more
+    facets.
 
-    The index holds the first and the second facet through each ridge,
-    and a list only for a ridge in three or more facets.
+    A key is n_vertices bits wide, so its cost grows with the vertex
+    count: every complex the benchmark builds has at most 22 vertices,
+    but cyclic(200, 3) takes about twice as long as with vertex-tuple
+    keys, and cyclic(20000, 2) about 15 times as long and 6 times the
+    memory.
     """
-    d = K.dimension
-    masked = K.n_vertices < _MASK_VERTICES
     first: dict = {}    # ridge -> the first facet through it
     second: dict = {}   # ridge -> the second
     more: dict = {}     # ridge -> every facet through it, if three or more
     # two facets share at most one ridge, so no neighbour is listed twice
     neighbours: list[list[int]] = [[] for _ in K.facets]
     for i, f in enumerate(K.facets):
-        if masked:
-            bits = [1 << v for v in f]
-            mask = sum(bits)
+        bits = [1 << v for v in f]
+        mask = sum(bits)
         mine = neighbours[i]
-        for ridge in bits if masked else combinations(f, d):
-            if masked:
-                ridge ^= mask   # the facet's mask less that vertex's bit
+        for ridge in bits:
+            ridge ^= mask   # the facet's mask less that vertex's bit
             j = first.setdefault(ridge, i)
             if j == i:
                 continue

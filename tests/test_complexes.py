@@ -255,9 +255,6 @@ def test_dual_graph_matches_pairwise_oracle_on_families(K):
     assert dual_graph(K).adjacency == dual_graph_pairwise(K).adjacency
 
 
-MASK_VERTICES = complexes._MASK_VERTICES
-
-
 def sparse_complex(seed, d, n, m):
     """m facets over the vertices 1..n, each after the first an earlier
     one with a seeded vertex swapped for another, so that the facets
@@ -289,37 +286,17 @@ def cyclic_up_to(n):
 @pytest.mark.parametrize("K", [
     complete_graph_in_lone_facets(5, 7),
     sparse_complex(0, 3, 2_000, 400),
-    top_ridge_in_three(MASK_VERTICES - 1),
-    top_ridge_in_three(MASK_VERTICES + 1),
-    cyclic_up_to(MASK_VERTICES - 1),
-    cyclic_up_to(MASK_VERTICES),
-], ids=["k7-in-lone-5-facets", "sparse-n2000", "ridge-in-three-below",
-        "ridge-in-three-above", "cyclic-below", "cyclic-at-bound"])
-def test_dual_graph_matches_pairwise_oracle_on_both_key_paths(K):
-    """Ridges are keyed by vertex bitmasks below MASK_VERTICES vertices
-    and by vertex tuples from there on: each way gives the pairwise
+    top_ridge_in_three(31),
+    cyclic_up_to(61),
+], ids=["k7-in-lone-5-facets", "sparse-n2000", "ridge-in-three-n31",
+        "cyclic-n61"])
+def test_dual_graph_matches_pairwise_oracle_on_wide_masks(K):
+    """Ridge keys wider than one 30-bit CPython digit give the pairwise
     graph and the reference 2-coloring."""
     G = dual_graph(K)
     assert G.adjacency == dual_graph_pairwise(K).adjacency
     check = is_bipartite(G)
     assert (check.colors, check.odd_cycle) == two_coloring(G)
-
-
-@pytest.mark.parametrize("n, tuples", [(MASK_VERTICES - 1, False),
-                                       (MASK_VERTICES, True)])
-def test_ridges_are_keyed_by_masks_only_below_the_bound(monkeypatch, n,
-                                                        tuples):
-    calls = []
-    combinations_ = complexes.combinations
-
-    def counted(*args):
-        calls.append(args)
-        return combinations_(*args)
-
-    monkeypatch.setattr(complexes, "combinations", counted)
-    K = cyclic_up_to(n)
-    assert dual_graph(K).adjacency == dual_graph_pairwise(K).adjacency
-    assert len(calls) == (len(K.facets) if tuples else 0)
 
 
 @settings(max_examples=300, deadline=None)
