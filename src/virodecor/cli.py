@@ -63,14 +63,22 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+def _echo(message: str, err: bool = False):
+    """click.echo to the current sys.stdout or sys.stderr, named: without
+    a stream, click keeps each stream it wraps in a cache keyed by the
+    stream, so every in-process run (CliRunner) would leave its captured
+    output behind."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail_usage(msg: str):
-    click.echo(f"error: {msg}", err=True)
+    _echo(f"error: {msg}", err=True)
     sys.exit(EXIT_USAGE)
 
 
 def _write(path: Path, text: str):
     path.write_text(text if text.endswith("\n") else text + "\n")
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
 def _precision() -> int:
@@ -210,7 +218,7 @@ def family(kind, n, d, poset_path, out_dir):
     if fam.coloring is not None:
         _write(out / "coloring.json",
                json.dumps(coloring_to_json_dict(fam.coloring, K.n_vertices)))
-    click.echo(f"{kind}: {len(K.facets)} facets on {K.n_vertices} vertices")
+    _echo(f"{kind}: {len(K.facets)} facets on {K.n_vertices} vertices")
 
 
 @main.command()
@@ -281,10 +289,10 @@ def check(complex_path, matrix_path, points_path, heights_path,
     if unimodular:
         report["unimodular"] = {"ok": is_unimodular(K, A)}
     if fmt == "json":
-        click.echo(json.dumps(report))
+        _echo(json.dumps(report))
     else:
         for name, body in report.items():
-            click.echo(f"{name}: {'pass' if body['ok'] else 'FAIL'}")
+            _echo(f"{name}: {'pass' if body['ok'] else 'FAIL'}")
     sys.exit(0 if all(body["ok"] for body in report.values())
              else EXIT_CHECK_FAILED)
 
@@ -304,14 +312,14 @@ def decorate(complex_path, restarts, seed, out_path):
     except ValueError as exc:
         _fail_usage(str(exc))
     if outcome.decoration is None:
-        click.echo(json.dumps({"found": False,
-                               "diagnostics": outcome.diagnostics}))
+        _echo(json.dumps({"found": False,
+                          "diagnostics": outcome.diagnostics}))
         sys.exit(EXIT_CHECK_FAILED)
     if out_path is not None:
         _write(Path(out_path), outcome.decoration.to_json())
     else:
-        click.echo(outcome.decoration.to_json())
-    click.echo(f"decoration found via {outcome.method}, exactly verified")
+        _echo(outcome.decoration.to_json())
+    _echo(f"decoration found via {outcome.method}, exactly verified")
 
 
 @main.command()
@@ -333,9 +341,9 @@ def viro(points_path, matrix_path, heights_path, out_path, render):
     if out_path is not None:
         _write(Path(out_path), S.to_json())
     else:
-        click.echo(S.to_json())
+        _echo(S.to_json())
     if render:
-        click.echo(render_system(S))
+        _echo(render_system(S))
 
 
 @main.command()
@@ -369,15 +377,15 @@ def count(system_path, complex_path, t_str, expect, fmt):
         # an undecorated or degenerate facet: the system does not fit K
         _fail_usage(f"malformed system file {system_path}: {exc}")
     except ArithmeticError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        _echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     if fmt == "json":
-        click.echo(json.dumps(result.to_json_dict(t)))
+        _echo(json.dumps(result.to_json_dict(t)))
     else:
-        click.echo(f"count: {result.count} at {result.precision} bits "
-                   f"(heuristic floating-point certificate)")
+        _echo(f"count: {result.count} at {result.precision} bits "
+              f"(heuristic floating-point certificate)")
         for f, reason in result.failures:
-            click.echo(f"  facet {f}: {reason}")
+            _echo(f"  facet {f}: {reason}")
     if expect is not None and result.count < expect:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -473,7 +481,7 @@ def verify_paper(case):
     else:
         lines = _verify_prism(bits)
     for line in lines:
-        click.echo(line)
+        _echo(line)
     sys.exit(0 if all(line.startswith("pass") for line in lines)
              else EXIT_CHECK_FAILED)
 

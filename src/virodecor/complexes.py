@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -23,8 +23,11 @@ from typing import Mapping, NamedTuple, Sequence
 from .exactlinalg import (
     Elimination,
     PrefixTrie,
+    RankDeficiencyError,
     RationalMatrix,
     _determinant,
+    _kernel_line,
+    _one_signed,
     _oriented,
     common_integer_rows,
     eliminate_prefixes,
@@ -245,23 +248,43 @@ def _shared_order(facets: Sequence[tuple[int, ...]]) -> _Listing:
     of its vertices in increasing order, as the rule would.  On cross(8)
     the decoration walk over the listed facets takes 255 pivot steps,
     where the sorted facets take 1,024.
+
+    A group of facets is a bitmask of their indices, and the facets
+    through a vertex are one too, so the group's count of a vertex is a
+    popcount.  A node's counts are taken once, by its parent, and those
+    of the facets that branch off are subtracted from what is left.
     """
     listed: list = [None] * len(facets)
+    holding: dict[int, int] = {}   # vertex -> the facets through it
+    for i, f in enumerate(facets):
+        for v in f:
+            holding[v] = holding.get(v, 0) | 1 << i
 
-    def branch(group: set[int], head: tuple[int, ...]):
-        if len(group) == 1:
-            (i,) = group
+    def branch(group: int, head: tuple[int, ...], counts: dict[int, int]):
+        """List the facets of group below head; counts holds each vertex
+        beyond head that a facet of the group contains, with the number
+        of those facets."""
+        if not group & (group - 1):
+            i = group.bit_length() - 1
             listed[i] = head + tuple(v for v in facets[i] if v not in head)
             return
         while group:
-            counts = Counter(chain.from_iterable(facets[i] for i in group))
-            v = min(counts.keys() - head, key=lambda w: (-counts[w], w))
-            below = {i for i in group if v in facets[i]}
-            group -= below
-            branch(below, head + (v,))
+            v = min(counts, key=lambda w: (-counts[w], w))
+            below = group & holding[v]
+            group ^= below
+            del counts[v]
+            inner = {w: c for w in counts
+                     if (c := (below & holding[w]).bit_count())}
+            for w, c in inner.items():
+                if counts[w] == c:
+                    del counts[w]
+                else:
+                    counts[w] -= c
+            branch(below, head + (v,), inner)
 
     if facets:
-        branch(set(range(len(facets))), ())
+        branch((1 << len(facets)) - 1, (),
+               {v: m.bit_count() for v, m in holding.items()})
     return _Listing(tuple(listed), tuple(map(_parity, facets, listed)))
 
 
@@ -569,41 +592,120 @@ def is_positively_decorated(
     return (not failing, failing)
 
 
+def _positive_kernel_vectors(
+    C: RationalMatrix, facets: Sequence[tuple[int, ...]], trie: PrefixTrie,
+) -> list[tuple[Fraction, ...] | ValueError]:
+    """positive_kernel_vector of each facet's columns of C, in the order
+    of facets, from one walk over the trie of the same facets as listed
+    (for a complex, K._listing.trie, which the decoration check walks).
+
+    The walk is is_positively_decorated's: each column of C scaled to
+    integers by its own lcm L_v, and a facet's kernel line w read in its
+    listed order.  The kernel of the unscaled columns is then
+    v_u = L_u * w_u, taken back to the facet's own order and divided by
+    its first entry, which gives exactly positive_kernel_vector's
+    Fractions.  Where positive_kernel_vector raises or finds no positive
+    vector, the entry is the error that truncated_solution raises for the
+    facet: RankDeficiencyError below rank d, or ValueError naming it.
+    """
+    d = C.rows
+    if facets and len(facets[0]) != d + 1:
+        raise ValueError("expected shape d x (d+1)")
+    columns, scales = integer_rows(zip(*C.to_lists()))
+
+    def line(listed: Sequence[int], e: Elimination):
+        if len(e.rows) < d:
+            return RankDeficiencyError(
+                "matrix has rank < d; kernel is not a line")
+        w = _kernel_line(listed, e)
+        return w if _one_signed(w) else None
+
+    out: list = []
+    for facet, listed, w in zip(facets, trie.facets,
+                                eliminate_prefixes(columns, trie, line)):
+        if w is None:
+            w = ValueError(f"facet {facet} is not positively decorated")
+        elif not isinstance(w, ValueError):
+            at = dict(zip(listed, w))
+            v = [scales[u - 1] * at[u] for u in facet]
+            w = tuple(Fraction(x, v[0]) for x in v)
+        out.append(w)
+    return out
+
+
 _Coordinates = tuple[int, tuple[int, ...],
-                     tuple[tuple[int, Sequence[int]], ...]]
+                     tuple[tuple[int, Sequence[int]], ...],
+                     tuple[Sequence[int], ...]]
 
 
 class _LiftedTable(NamedTuple):
     """The lifted configuration eliminated once per facet of a complex.
 
-    scale is P^d, for the common denominator P of the points.  dets holds
-    P^d times each facet's lifted determinant, 0 where the facet's points
-    are affinely dependent.  coords holds, per facet, (D, vertices,
-    pairs): D is the last pivot, vertices[r] is the vertex whose column
-    was pivoted in row r, and pairs lists (p, x) for each point p outside
-    the facet, in increasing order, with D * (1, a_p) = sum_r x[r] *
-    (1, a_v) over the rows r and their vertices v = vertices[r].  So x / D
-    are p's barycentric coordinates on the facet, kept as integers.
+    denominator is the common denominator P of the points, and scale is
+    P^d.  dets holds P^d times each facet's lifted determinant, 0 where
+    the facet's points are affinely dependent.  coords holds, per facet,
+    (D, vertices, pairs, units), from the lifted columns (1, P * a_p):
+    - D is the last pivot, and vertices[r] is the vertex whose column was
+      pivoted in row r;
+    - pairs lists (p, x) for each point p outside the facet, in
+      increasing order, with D * (1, a_p) = sum_r x[r] * (1, a_v) over
+      the rows r and their vertices v = vertices[r].  So x / D are p's
+      barycentric coordinates on the facet, kept as integers;
+    - units lists y_j for each unit vector e_j, j = 0..d, with
+      D * e_j = sum_r y_j[r] * (1, P * a_v): y_j[r] / D is the entry of
+      the inverse of the facet's lifted matrix at (v, j).
     coords is None for a dependent facet.  None of it depends on heights.
     """
 
     scale: int
     dets: tuple[int, ...]
     coords: tuple[_Coordinates | None, ...]
+    denominator: int
 
 
-def _facet_entry(facet: Sequence[int],
-                 e: Elimination) -> tuple[int, _Coordinates | None]:
-    """(lifted determinant, barycentric coordinates) of one facet, read off
-    the elimination of its d+1 lifted columns: if they took every pivot,
-    an outside column is D times its coordinates on them in the pivot
-    rows, here every row; if not, the facet is affinely dependent."""
+def _facet_entry(facet: Sequence[int], e: Elimination,
+                 n: int) -> tuple[int, _Coordinates | None]:
+    """(lifted determinant, coordinates) of one facet, read off the
+    elimination of its d+1 lifted columns: if they took every pivot, each
+    other column, of the n points and then of the unit vectors, is D
+    times its coordinates on them in the pivot rows, here every row; if
+    not, the facet is affinely dependent."""
     if e.pivots != tuple(facet):
         return 0, None
     vertices = [0] * len(facet)
     for r, v in zip(e.rows, e.pivots):
         vertices[r] = v
-    return e.sign * e.D, (e.D, tuple(vertices), tuple(e.columns.items()))
+    columns = e.columns
+    return e.sign * e.D, (
+        e.D, tuple(vertices),
+        tuple((p, x) for p, x in columns.items() if p <= n),
+        tuple(columns[n + j] for j in range(1, len(facet) + 1)))
+
+
+def _lifted_walk(points: Sequence[Sequence[Fraction]], d: int,
+                 listed: Sequence[Sequence[int]]
+                 ) -> tuple[int, list[tuple[int, _Coordinates | None]]]:
+    """The common denominator P of the points in R^d, and _facet_entry of
+    each facet as listed: one walk of the lifted columns (1, P * a_p) and
+    the d+1 unit vectors after them.
+
+    Each facet is followed by the points outside it, in increasing order,
+    and then by the unit vectors, so one walk over the prefix trie of
+    these lists, built here, pivots on the facet's d+1 lifted columns and
+    carries every other column.  Facets that part within their own
+    vertices are each one run from there on.
+    """
+    m = d + 1
+    points, P = common_integer_rows(points)
+    n = len(points)
+    every = range(1, n + 1)
+    units = range(n + 1, n + m + 1)
+    return P, eliminate_prefixes(
+        [(1, *p) for p in points]
+        + [tuple(int(i == j) for i in range(m)) for j in range(m)],
+        prefix_trie((*f, *(p for p in every if p not in f), *units)
+                    for f in listed),
+        lambda facet, e: _facet_entry(facet[:m], e, n))
 
 
 @functools.lru_cache(maxsize=1)
@@ -613,33 +715,22 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     The points are scaled to integers by one common denominator P, which
     multiplies every lifted determinant by P^d > 0 and leaves every
     barycentric coordinate unchanged.  Each facet is listed with its
-    vertices in the complex's shared order (_shared_order) and the points
-    outside it after them, in increasing order, so one walk over the
-    prefix trie of these lists, built here, pivots on the facet's d+1
-    lifted columns and carries every other point's.  The facets part
-    within their own vertices, so each is one run from there on, and the
-    trie has the nodes of the listing's.  The determinant is the facet's
-    parity times sign times the last pivot; the barycentric coordinates
-    do not depend on the order.  The table does not depend on heights,
-    so the last one is kept, with (A, K) as its key: regularity under
-    any heights, the volumes and the simplex signs of one complex read
-    one walk.
+    vertices in the complex's shared order (_shared_order) for the walk
+    (_lifted_walk), whose trie then has the nodes of the listing's.  The
+    determinant is the facet's parity times sign times the last pivot;
+    the coordinates do not depend on the order.  The table does not
+    depend on heights, so the last one is kept, with (A, K) as its key:
+    regularity under any heights, the volumes, the simplex signs and the
+    affine supports of a count of one complex read one walk.
     """
-    m = A.dimension + 1
     if K.facets and K.dimension != A.dimension:
         raise ValueError("determinant requires a square matrix")
-    points, P = common_integer_rows(A.points)
-    every = range(1, len(points) + 1)
     listing = K._listing
-    entries = eliminate_prefixes(
-        [(1, *p) for p in points],
-        prefix_trie((*f, *(p for p in every if p not in f))
-                    for f in listing.facets),
-        lambda listed, e: _facet_entry(listed[:m], e))
+    P, entries = _lifted_walk(A.points, A.dimension, listing.facets)
     return _LiftedTable(P ** A.dimension,
                         tuple(parity * det for parity, (det, _)
                               in zip(listing.parities, entries)),
-                        tuple(coords for _, coords in entries))
+                        tuple(coords for _, coords in entries), P)
 
 
 def simplex_signs(
@@ -691,14 +782,14 @@ def is_unimodular(K: SimplicialComplex, A: PointConfiguration) -> bool:
     of the same complex, under any heights, it runs no elimination.
     """
     A.require_vertices(K)
-    scale, dets, _ = _lifted_table(A, K)
+    scale, dets, _, _ = _lifted_table(A, K)
     return all(abs(det) == scale for det in dets)
 
 
 def total_normalized_volume(K: SimplicialComplex,
                             A: PointConfiguration) -> Fraction:
     A.require_vertices(K)
-    scale, dets, _ = _lifted_table(A, K)
+    scale, dets, _, _ = _lifted_table(A, K)
     return Fraction(sum(map(abs, dets)), scale)
 
 

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 
@@ -222,16 +222,18 @@ def _json_int(s: str) -> int:
 # fraction-free step below, on columns kept as their exact integers.
 
 
-def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def integer_rows(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
     """Scale each row to integers by its own positive lcm; return the rows
-    and the product of the scalings."""
+    and the scalings."""
     out = []
-    scale = 1
+    scales = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return out, scale
+        scales.append(mult)
+    return out, scales
 
 
 def common_integer_rows(
@@ -446,8 +448,9 @@ def determinant(M: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    a, scale = integer_rows(M.to_lists())
-    return Fraction(_determinant(range(1, M.cols + 1), eliminate(a)), scale)
+    a, scales = integer_rows(M.to_lists())
+    return Fraction(_determinant(range(1, M.cols + 1), eliminate(a)),
+                    prod(scales))
 
 
 def rank(M: RationalMatrix) -> int:

@@ -18,7 +18,14 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .complexes import PointConfiguration, SimplicialComplex, _lifted_table
+from .complexes import (
+    PointConfiguration,
+    SimplicialComplex,
+    _Coordinates,
+    _lifted_table,
+    _lifted_walk,
+    _positive_kernel_vectors,
+)
 from .exactlinalg import (
     RationalMatrix,
     RankDeficiencyError,
@@ -26,8 +33,7 @@ from .exactlinalg import (
     format_rational,
     loads_exact,
     parse_rational,
-    positive_kernel_vector,
-    solve,
+    prefix_trie,
 )
 from .precision import Arithmetic, default_precision
 
@@ -156,24 +162,53 @@ def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
     """Exact affine function (offset, gradient) matching the lift on a facet.
 
     The support solves one equation per vertex v: (1, a_v) . (offset,
-    gradient) = h_v.
+    gradient) = h_v.  It is read off the lifted walk of the facet's own
+    points (_lifted_walk), as a count reads each facet's off the lifted
+    table of its complex (_support).
     """
     _require_heights(A, heights)
+    facet = tuple(facet)
     for v in facet:
         if not 1 <= v <= A.n_points:
-            raise ValueError(f"vertex {v} of facet {tuple(facet)} out of "
+            raise ValueError(f"vertex {v} of facet {facet} out of "
                              f"range 1..{A.n_points}")
     if A.dimension + 1 != len(facet):
-        raise ValueError(f"facet {tuple(facet)} does not have "
+        raise ValueError(f"facet {facet} does not have "
                          f"{A.dimension + 1} vertices")
-    try:
-        offset, *gradient = solve(
-            RationalMatrix([(1, *A.points[v - 1]) for v in facet]),
-            [heights[v - 1] for v in facet])
-    except RankDeficiencyError:
-        raise RankDeficiencyError(
-            f"facet {tuple(facet)} is affinely degenerate") from None
-    return offset, tuple(gradient)
+    own = range(1, len(facet) + 1)
+    P, ((_, coords),) = _lifted_walk([A.points[v - 1] for v in facet],
+                                     A.dimension, [own])
+    return _support(facet, coords, P,
+                    *_integer_heights([heights[v - 1] for v in facet]))
+
+
+def _integer_heights(heights: Sequence) -> tuple[list[int], int]:
+    """The heights scaled to integers by their positive common
+    denominator Q, and Q."""
+    (lift,), Q = common_integer_rows([[Fraction(h) for h in heights]])
+    return lift, Q
+
+
+def _support(facet: tuple[int, ...], coords: _Coordinates | None, P: int,
+             lift: Sequence[int], Q: int
+             ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(offset, gradient) of the lift on a facet, from its entry in a
+    lifted table, whose points the denominator P scaled, and the heights
+    scaled to integers by Q.
+
+    With z_j = sum_r y_j[r] * lift[v_r] / (D * Q) for the unit columns y_j
+    (the transposed inverse applied to the heights), the support of the
+    scaled points is (z_0, z_1, ..., z_d), so the offset is z_0 and the
+    gradient is P * (z_1, ..., z_d), as regularity_check forms its gaps.
+    An affinely dependent facet raises RankDeficiencyError.
+    """
+    if coords is None:
+        raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
+    D, vertices, _, units = coords
+    lift_v = [lift[v - 1] for v in vertices]
+    offset, *gradient = (sum(map(mul, y, lift_v)) for y in units)
+    return (Fraction(offset, D * Q),
+            tuple(Fraction(P * g, D * Q) for g in gradient))
 
 
 def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
@@ -207,12 +242,12 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     _require_heights(A, heights)
     if K.facets and len(K.facets[0]) != d + 1:
         raise ValueError(f"facet {K.facets[0]} does not have {d + 1} vertices")
-    (lift,), _ = common_integer_rows([[Fraction(h) for h in heights]])
+    lift, _ = _integer_heights(heights)
     above, below, ties = [], [], []
     for facet, coords in zip(K.facets, _lifted_table(A, K).coords):
         if coords is None:
             raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
-        D, vertices, pairs = coords
+        D, vertices, pairs, _ = coords
         lift_v = [lift[v - 1] for v in vertices]
         for p, x in pairs:
             gap = D * lift[p - 1] - sum(map(mul, x, lift_v))
@@ -324,26 +359,41 @@ def truncated_solution(A: PointConfiguration, C: RationalMatrix,
     The exact positive kernel vector v of the facet's coefficient submatrix
     is mapped through the lifted exponent matrix: solving the transposed
     lifted system against log v yields (log lambda, u) with u the log of the
-    positive solution.
+    positive solution.  v comes from the walk a count makes over a
+    complex's facets (_positive_kernel_vectors), over this facet alone.
     """
     facet = tuple(facet)
-    sub = C.submatrix_columns([v - 1 for v in facet])
-    v = positive_kernel_vector(sub)
-    if v is None:
-        raise ValueError(f"facet {facet} is not positively decorated")
+    (kernel,) = _positive_kernel_vectors(C, [facet], prefix_trie([facet]))
     bits = prec or default_precision()
-    ops = Arithmetic(bits)
     with mp.workprec(bits):
-        # the transposed lifted matrix: one row (1, a_v) per vertex v
-        mat = [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *A.points[v - 1])]
-               for v in facet]
-        try:
-            sol = _lu_solve(_lu_factor(mat, ops),
-                            [log_fraction(x)._mpf_ for x in v], ops)
-        except ZeroDivisionError as exc:
-            raise RankDeficiencyError(
-                f"degenerate facet {facet}: lifted matrix singular") from exc
-        return TruncatedSolution(facet, tuple(map(mp.make_mpf, sol[1:])))
+        return TruncatedSolution(facet, _log_solution(
+            facet, kernel, _point_rows(A.points[v - 1] for v in facet),
+            Arithmetic(bits)))
+
+
+def _point_rows(points) -> list[list[tuple]]:
+    """The row (1, a_p) of each point, as raw mpf values at the working
+    precision."""
+    return [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *p)]
+            for p in points]
+
+
+def _log_solution(facet: tuple[int, ...],
+                  kernel: tuple[Fraction, ...] | ValueError,
+                  rows: list[list[tuple]], ops: Arithmetic
+                  ) -> tuple[mp.mpf, ...]:
+    """u of the facet's truncated solution: the transposed lifted matrix,
+    one row (1, a_v) per vertex v, solved against log kernel, less its
+    first entry.  A kernel that is an error is raised."""
+    if isinstance(kernel, ValueError):
+        raise kernel
+    try:
+        sol = _lu_solve(_lu_factor(rows, ops),
+                        [log_fraction(x)._mpf_ for x in kernel], ops)
+    except ZeroDivisionError as exc:
+        raise RankDeficiencyError(
+            f"degenerate facet {facet}: lifted matrix singular") from exc
+    return tuple(map(mp.make_mpf, sol[1:]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -351,15 +401,33 @@ def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
                      bits: int) -> tuple[tuple, ...]:
     """(facet, truncated log-solution, mpf gradient of the affine
     support) per facet of K.  None of it depends on t, so the last build
-    is kept: counts of one system at many t solve each facet once."""
+    is kept: counts of one system at many t solve each facet once.
+
+    The exact data come from walks made once per complex: the kernel
+    vectors from one walk of C's columns over the complex's listing trie
+    (_positive_kernel_vectors), and the affine supports from the lifted
+    table of (A, K) (_support), which a regularity check of the same
+    complex has already built.  Each point's row is converted to mpf once.
+    A complex with more vertices than the points is refused first, as
+    regularity_check refuses it.  Then a facet that is not decorated or is
+    degenerate raises, the first in the order of K.facets, with
+    truncated_solution's error and then facet_affine_support's.
+    """
+    A = S.configuration
+    A.require_vertices(K)
+    kernels = _positive_kernel_vectors(S.coefficients, K.facets,
+                                       K._listing.trie)
+    table = _lifted_table(A, K)
+    lift, Q = _integer_heights(S.heights)
+    ops = Arithmetic(bits)
     out = []
     with mp.workprec(bits):
-        for facet in K.facets:
-            trunc = truncated_solution(S.configuration, S.coefficients, facet,
-                                       prec=bits)
-            _, grad = facet_affine_support(S.configuration, S.heights, facet)
-            out.append((facet, trunc.log_point,
-                        tuple(mpf_fraction(g) for g in grad)))
+        rows = _point_rows(A.points)
+        for facet, kernel, coords in zip(K.facets, kernels, table.coords):
+            u = _log_solution(facet, kernel, [rows[v - 1] for v in facet],
+                              ops)
+            _, grad = _support(facet, coords, table.denominator, lift, Q)
+            out.append((facet, u, tuple(map(mpf_fraction, grad))))
     return tuple(out)
 
 

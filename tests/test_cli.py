@@ -1,6 +1,8 @@
 """CLI adapters: JSON parity with the library and the exit-code contract."""
 
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -861,3 +863,24 @@ def test_loader_fuzz_never_crashes(tmp_path_factory, name, data):
         or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert result.exit_code in (0, 1, 2), result.output
+
+
+def test_in_process_runs_keep_no_output(runner):
+    """Every line is echoed to a named stream: click caches each stream it
+    wraps for itself, so 300 in-process runs retain none of their output
+    (about 700 KB when they did)."""
+    for _ in range(20):
+        runner.invoke(main, ["verify-paper", "table1"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(300):
+            assert runner.invoke(main, ["verify-paper", "table1"]).exit_code \
+                == 0
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert retained < 100_000

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,6 +14,7 @@ from virodecor import catalog, numerics, viro
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
+    _lifted_table,
     decoration_from_coloring,
 )
 from virodecor.exactlinalg import RationalMatrix, positive_kernel_vector
@@ -339,27 +341,63 @@ def test_count_compiles_the_system_once(monkeypatch):
     assert calls == [Fraction(1, 97)]
 
 
+def spy_on_builds(monkeypatch):
+    """The facet lists of the kernel walks a count makes (one per build
+    of its per-facet data) and the facets it solves in mpf, as they
+    happen."""
+    builds, solves = [], []
+    kernels = viro._positive_kernel_vectors
+    log_solution = viro._log_solution
+
+    def counted_kernels(C, facets, trie):
+        builds.append(tuple(facets))
+        return kernels(C, facets, trie)
+
+    def counted_solve(facet, *args):
+        solves.append(facet)
+        return log_solution(facet, *args)
+
+    monkeypatch.setattr(viro, "_positive_kernel_vectors", counted_kernels)
+    monkeypatch.setattr(viro, "_log_solution", counted_solve)
+    return builds, solves
+
+
 def test_count_solves_each_facet_once_per_system(monkeypatch):
-    """The truncated solutions do not depend on t: two counts of one
-    system solve each facet once, and a count of another system solves
-    them again."""
-    calls = []
-    solve = viro.truncated_solution
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(viro, "truncated_solution", counted)
+    """The per-facet data do not depend on t: two counts of one system
+    walk its complex once and solve each facet once, and a count of
+    another system builds them again."""
+    builds, solves = spy_on_builds(monkeypatch)
     planar, P = planar_system()
     snd63, S = snd63_system()
     certified_positive_count(P, planar.complex, Fraction(1, 1000))
-    calls.clear()
+    builds.clear()
+    solves.clear()
     for t in (Fraction(1, 10), Fraction(1, 100)):
         assert certified_positive_count(S, snd63.complex, t).count == 5
-    assert len(calls) == 5
+    assert builds == [snd63.complex.facets]
+    assert solves == list(snd63.complex.facets)
     certified_positive_count(P, planar.complex, Fraction(1, 1000))
-    assert len(calls) == 5 + len(planar.complex.facets)
+    assert builds == [snd63.complex.facets, planar.complex.facets]
+    assert solves == list(snd63.complex.facets + planar.complex.facets)
+
+
+def test_count_needs_no_single_facet_solve(monkeypatch):
+    """A cold count reads its kernel vectors and affine supports off the
+    walks of the whole complex: with positive_kernel_vector and solve
+    raising wherever they are held, snd-11-5 still counts 38."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a count made a single-facet solve")
+
+    for name, module in list(sys.modules.items()):
+        if name == "virodecor" or name.startswith("virodecor."):
+            for attr in ("positive_kernel_vector", "solve"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refused)
+    viro._facet_solutions.cache_clear()
+    _lifted_table.cache_clear()
+    f, S = snd115_system()
+    assert certified_positive_count(S, f.complex, Fraction(1, 1000)).count \
+        == 38
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
@@ -412,14 +450,12 @@ def test_equal_systems_share_one_build(monkeypatch):
     # a t no other test uses, so no earlier build is kept for it
     t = Fraction(1, 89)
     first = certified_positive_count(S, f.complex, t)
-    logs, solves = [], []
+    logs = []
     monkeypatch.setattr(numerics, "log_fraction",
                         lambda x: logs.append(x) or log_fraction(x))
-    solve = viro.truncated_solution
-    monkeypatch.setattr(viro, "truncated_solution",
-                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    builds, solves = spy_on_builds(monkeypatch)
     second = certified_positive_count(twin, f.complex, t)
-    assert (logs, solves) == ([], [])
+    assert (logs, builds, solves) == ([], [], [])
     assert second.count == first.count == 5
     assert [w.log_point for w in second.witnesses] == \
         [w.log_point for w in first.witnesses]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virodecor import catalog, complexes, exactlinalg
+from virodecor import catalog, complexes, exactlinalg, viro
 from virodecor.complexes import (
     PointConfiguration,
     SimplicialComplex,
@@ -26,6 +26,7 @@ from virodecor.exactlinalg import (
     RationalMatrix,
     determinant,
     eliminate_prefixes,
+    positive_kernel_vector,
     prefix_trie,
     solve,
 )
@@ -36,11 +37,15 @@ from virodecor.families import (
     order_polytope_triangulation,
     snd_subcomplex,
 )
+from virodecor.precision import Arithmetic
 from virodecor.viro import (
     RegularityReport,
     ViroSystem,
+    _lu_factor,
+    _lu_solve,
     build_viro_system,
     facet_affine_support,
+    log_fraction,
     mpf_fraction,
     predicted_solutions,
     regularity_check,
@@ -376,6 +381,109 @@ def test_shared_order_matches_fraction_oracles(inputs):
                                for f in K.facets)
 
 
+# -- a count's per-facet data against per-facet oracles --------------------
+
+
+def facet_solutions_by_facet(S, K, bits):
+    """A count's per-facet data built one facet at a time, in the order
+    of K.facets: positive_kernel_vector of the facet's columns, the lifted
+    LU solve against its logs, then the affine support by an exact solve.
+    The first error raised is the count's.  Raw mpf tuples."""
+    A, C = S.configuration, S.coefficients
+    ops = Arithmetic(bits)
+    out = []
+    for facet in K.facets:
+        v = positive_kernel_vector(C.submatrix_columns([u - 1 for u in facet]))
+        if v is None:
+            raise ValueError(f"facet {facet} is not positively decorated")
+        with mp.workprec(bits):
+            rows = [[mpf_fraction(Fraction(x))._mpf_
+                     for x in (1, *A.points[u - 1])] for u in facet]
+            try:
+                sol = _lu_solve(_lu_factor(rows, ops),
+                                [log_fraction(x)._mpf_ for x in v], ops)
+            except ZeroDivisionError:
+                raise RankDeficiencyError(
+                    f"degenerate facet {facet}: lifted matrix singular")
+            try:
+                _, grad = facet_affine_support_by_solve(A, S.heights, facet)
+            except RankDeficiencyError:
+                raise RankDeficiencyError(
+                    f"facet {facet} is affinely degenerate") from None
+            out.append((facet, tuple(sol[1:]),
+                        tuple(mpf_fraction(g)._mpf_ for g in grad)))
+    return out
+
+
+def raw_facet_solutions(S, K, bits):
+    return [(facet, tuple(x._mpf_ for x in u), tuple(g._mpf_ for g in grad))
+            for facet, u, grad in viro._facet_solutions(S, K, bits)]
+
+
+@st.composite
+def decorated_complexes(draw):
+    """(A, heights, K, C) with every facet of K decorated, so that a
+    count reaches each facet's lifted solve and affine support: a random
+    colouring of the vertices, facets drawn from the rainbow ones, and the
+    coloring decoration with positive column scales.  Small integer points
+    make some facets affinely degenerate."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 4))
+    colors = draw(st.lists(st.integers(0, d), min_size=n, max_size=n)
+                  .filter(lambda cs: len(set(cs)) == d + 1))
+    rainbow = [f for f in combinations(range(1, n + 1), d + 1)
+               if len({colors[v - 1] for v in f}) == d + 1]
+    facets = draw(st.lists(st.sampled_from(rainbow), min_size=1,
+                           max_size=6, unique=True))
+    small = st.integers(-1, 2).map(Fraction)
+    points = draw(st.lists(st.tuples(*[st.one_of(small, coords)] * d),
+                           min_size=n, max_size=n))
+    heights = draw(heights_over(points, draw(st.sampled_from(HEIGHT_KINDS))))
+    scales = draw(st.lists(st.fractions(Fraction(1, 9), 5), min_size=n,
+                           max_size=n).filter(all))
+    C = RationalMatrix([[x * (-1 if c == d else int(c == i))
+                         for c, x in zip(colors, scales)] for i in range(d)])
+    return (PointConfiguration.from_rows(points), heights,
+            SimplicialComplex.from_facets(d, n, facets), C)
+
+
+@given(st.one_of(lifted_complexes(), shared_prefix_complexes(),
+                 relabelled_cross_polytopes(), decorated_complexes()),
+       st.sampled_from([53, 113, 256]))
+@settings(max_examples=200, deadline=None)
+def test_count_data_match_per_facet_oracles(inputs, bits):
+    """Each facet's kernel vector, from the walk over the complex's
+    listing, is positive_kernel_vector's, and its affine support, from the
+    lifted table, is the exact solve's; an undecorated or degenerate
+    facet gets the error a count raises for it.  A count then raises the
+    first facet's error, in the order of K.facets, or builds every
+    facet's data bit for bit as the per-facet build does."""
+    A, heights, K, C = inputs
+    kernels = complexes._positive_kernel_vectors(C, K.facets,
+                                                 K._listing.trie)
+    table = _lifted_table(A, K)
+    lift, Q = viro._integer_heights(heights)
+    for facet, kernel, coords in zip(K.facets, kernels, table.coords):
+        oracle = outcome(positive_kernel_vector,
+                         C.submatrix_columns([v - 1 for v in facet]))
+        if oracle is None:
+            oracle = (ValueError, f"facet {facet} is not positively decorated")
+        if isinstance(kernel, ValueError):
+            kernel = type(kernel), str(kernel)
+        assert kernel == oracle
+        ours = outcome(viro._support, facet, coords, table.denominator,
+                       lift, Q)
+        oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
+        if oracle[0] is RankDeficiencyError:
+            oracle = (RankDeficiencyError,
+                      f"facet {facet} is affinely degenerate")
+        assert ours == oracle
+    S = build_viro_system(A, C, heights)
+    viro._facet_solutions.cache_clear()
+    assert outcome(raw_facet_solutions, S, K, bits) \
+        == outcome(facet_solutions_by_facet, S, K, bits)
+
+
 def test_cold_lifted_table_takes_fewer_pivot_steps_than_sorted_facets(
         monkeypatch):
     """cross(8): the table pivots on each of the 511 nodes of the shared
@@ -492,8 +600,10 @@ def test_one_walk_of_the_lifted_points_serves_every_check(monkeypatch):
         simplex_signs(K, A, C)
         normalized_volume(A, K.facets[0])
     assert senses == ["convex", "convex", None, "concave"] * 2
+    # the table's walk carries the d+1 unit vectors after the points
     lifted = [(1, *p) for p in A.points]
-    assert [facets for vectors, facets in walks if vectors == lifted] \
+    assert [facets for vectors, facets in walks
+            if vectors[:len(lifted)] == lifted] \
         == [list(K.facets)] + [[K.facets[0]]] * len(heights) * 2
 
 
