@@ -593,11 +593,11 @@ def is_positively_decorated(
 
 
 def _positive_kernel_vectors(
-    C: RationalMatrix, facets: Sequence[tuple[int, ...]], trie: PrefixTrie,
+    C: RationalMatrix, K: SimplicialComplex,
 ) -> list[tuple[Fraction, ...] | ValueError]:
     """positive_kernel_vector of each facet's columns of C, in the order
-    of facets, from one walk over the trie of the same facets as listed
-    (for a complex, K._listing.trie, which the decoration check walks).
+    of K.facets, from one walk over the complex's listing trie, which the
+    decoration check walks too.
 
     The walk is is_positively_decorated's: each column of C scaled to
     integers by its own lcm L_v, and a facet's kernel line w read in its
@@ -605,11 +605,11 @@ def _positive_kernel_vectors(
     v_u = L_u * w_u, taken back to the facet's own order and divided by
     its first entry, which gives exactly positive_kernel_vector's
     Fractions.  Where positive_kernel_vector raises or finds no positive
-    vector, the entry is the error that truncated_solution raises for the
-    facet: RankDeficiencyError below rank d, or ValueError naming it.
+    vector, the entry is the error that a count raises for the facet:
+    RankDeficiencyError below rank d, or ValueError naming it.
     """
     d = C.rows
-    if facets and len(facets[0]) != d + 1:
+    if K.facets and len(K.facets[0]) != d + 1:
         raise ValueError("expected shape d x (d+1)")
     columns, scales = integer_rows(zip(*C.to_lists()))
 
@@ -620,8 +620,9 @@ def _positive_kernel_vectors(
         w = _kernel_line(listed, e)
         return w if _one_signed(w) else None
 
+    trie = K._listing.trie
     out: list = []
-    for facet, listed, w in zip(facets, trie.facets,
+    for facet, listed, w in zip(K.facets, trie.facets,
                                 eliminate_prefixes(columns, trie, line)):
         if w is None:
             w = ValueError(f"facet {facet} is not positively decorated")
@@ -682,32 +683,6 @@ def _facet_entry(facet: Sequence[int], e: Elimination,
         tuple(columns[n + j] for j in range(1, len(facet) + 1)))
 
 
-def _lifted_walk(points: Sequence[Sequence[Fraction]], d: int,
-                 listed: Sequence[Sequence[int]]
-                 ) -> tuple[int, list[tuple[int, _Coordinates | None]]]:
-    """The common denominator P of the points in R^d, and _facet_entry of
-    each facet as listed: one walk of the lifted columns (1, P * a_p) and
-    the d+1 unit vectors after them.
-
-    Each facet is followed by the points outside it, in increasing order,
-    and then by the unit vectors, so one walk over the prefix trie of
-    these lists, built here, pivots on the facet's d+1 lifted columns and
-    carries every other column.  Facets that part within their own
-    vertices are each one run from there on.
-    """
-    m = d + 1
-    points, P = common_integer_rows(points)
-    n = len(points)
-    every = range(1, n + 1)
-    units = range(n + 1, n + m + 1)
-    return P, eliminate_prefixes(
-        [(1, *p) for p in points]
-        + [tuple(int(i == j) for i in range(m)) for j in range(m)],
-        prefix_trie((*f, *(p for p in every if p not in f), *units)
-                    for f in listed),
-        lambda facet, e: _facet_entry(facet[:m], e, n))
-
-
 @functools.lru_cache(maxsize=1)
 def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     """Eliminate the lifted columns (1, a_p) of every facet, in one walk.
@@ -715,18 +690,32 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     The points are scaled to integers by one common denominator P, which
     multiplies every lifted determinant by P^d > 0 and leaves every
     barycentric coordinate unchanged.  Each facet is listed with its
-    vertices in the complex's shared order (_shared_order) for the walk
-    (_lifted_walk), whose trie then has the nodes of the listing's.  The
-    determinant is the facet's parity times sign times the last pivot;
-    the coordinates do not depend on the order.  The table does not
-    depend on heights, so the last one is kept, with (A, K) as its key:
-    regularity under any heights, the volumes, the simplex signs and the
-    affine supports of a count of one complex read one walk.
+    vertices in the complex's shared order (_shared_order), followed by
+    the points outside it, in increasing order, and then by the d+1 unit
+    vectors.  One walk over the prefix trie of these lists, whose nodes
+    are then the listing's, pivots on each facet's d+1 lifted columns and
+    carries every other column (_facet_entry).  The determinant is the
+    facet's parity times sign times the last pivot; the coordinates do
+    not depend on the order.  The table does not depend on heights, so
+    the last one is kept, with (A, K) as its key: regularity under any
+    heights, the volumes, the simplex signs and the affine supports of a
+    count of one complex read one walk.
     """
     if K.facets and K.dimension != A.dimension:
-        raise ValueError("determinant requires a square matrix")
+        raise ValueError(f"the complex has dimension {K.dimension} but "
+                         f"the configuration has dimension {A.dimension}")
+    m = A.dimension + 1
+    points, P = common_integer_rows(A.points)
+    n = len(points)
+    every = range(1, n + 1)
+    units = range(n + 1, n + m + 1)
     listing = K._listing
-    P, entries = _lifted_walk(A.points, A.dimension, listing.facets)
+    entries = eliminate_prefixes(
+        [(1, *p) for p in points]
+        + [tuple(int(i == j) for i in range(m)) for j in range(m)],
+        prefix_trie((*f, *(p for p in every if p not in f), *units)
+                    for f in listing.facets),
+        lambda facet, e: _facet_entry(facet[:m], e, n))
     return _LiftedTable(P ** A.dimension,
                         tuple(parity * det for parity, (det, _)
                               in zip(listing.parities, entries)),

@@ -3,8 +3,9 @@
 A system here is the family f_i(X) = sum_j C_ij t^{h_j} X^{a_j} for a
 positive parameter t.  This module validates the container, certifies that
 a height function induces the given triangulation (strict lower-hull
-inequalities, checked exactly), and computes the per-facet truncated
-positive solutions that seed the numerical solver.
+inequalities, checked exactly), and builds each facet's truncated positive
+solution and affine support, from walks over the whole complex, to seed
+the numerical solver.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .complexes import (
     SimplicialComplex,
     _Coordinates,
     _lifted_table,
-    _lifted_walk,
     _positive_kernel_vectors,
 )
 from .exactlinalg import (
@@ -33,7 +33,6 @@ from .exactlinalg import (
     format_rational,
     loads_exact,
     parse_rational,
-    prefix_trie,
 )
 from .precision import Arithmetic, default_precision
 
@@ -152,36 +151,6 @@ class RegularityReport:
     violations: list[tuple[tuple[int, ...], int]]  # (facet, 1-based point)
 
 
-def _require_heights(A: PointConfiguration, heights: Sequence) -> None:
-    if len(heights) != A.n_points:
-        raise ValueError(f"{len(heights)} heights for {A.n_points} points")
-
-
-def facet_affine_support(A: PointConfiguration, heights: Sequence[Fraction],
-                         facet: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact affine function (offset, gradient) matching the lift on a facet.
-
-    The support solves one equation per vertex v: (1, a_v) . (offset,
-    gradient) = h_v.  It is read off the lifted walk of the facet's own
-    points (_lifted_walk), as a count reads each facet's off the lifted
-    table of its complex (_support).
-    """
-    _require_heights(A, heights)
-    facet = tuple(facet)
-    for v in facet:
-        if not 1 <= v <= A.n_points:
-            raise ValueError(f"vertex {v} of facet {facet} out of "
-                             f"range 1..{A.n_points}")
-    if A.dimension + 1 != len(facet):
-        raise ValueError(f"facet {facet} does not have "
-                         f"{A.dimension + 1} vertices")
-    own = range(1, len(facet) + 1)
-    P, ((_, coords),) = _lifted_walk([A.points[v - 1] for v in facet],
-                                     A.dimension, [own])
-    return _support(facet, coords, P,
-                    *_integer_heights([heights[v - 1] for v in facet]))
-
-
 def _integer_heights(heights: Sequence) -> tuple[list[int], int]:
     """The heights scaled to integers by their positive common
     denominator Q, and Q."""
@@ -234,17 +203,18 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
     depend on the heights: checks of one (A, K) under many heights, and
     the volumes of the same complex, share one elimination, and a check
     after the first is only integer dot products.  A facet whose points are
-    affinely dependent raises RankDeficiencyError.  Violations follow
-    the order of K.facets, and within a facet the order of the points.
+    affinely dependent raises RankDeficiencyError, and a complex whose
+    dimension is not A's is refused as the table refuses it.  Violations
+    follow the order of K.facets, and within a facet the order of the
+    points.
     """
-    d = A.dimension
     A.require_vertices(K)
-    _require_heights(A, heights)
-    if K.facets and len(K.facets[0]) != d + 1:
-        raise ValueError(f"facet {K.facets[0]} does not have {d + 1} vertices")
+    if len(heights) != A.n_points:
+        raise ValueError(f"{len(heights)} heights for {A.n_points} points")
+    table = _lifted_table(A, K)
     lift, _ = _integer_heights(heights)
     above, below, ties = [], [], []
-    for facet, coords in zip(K.facets, _lifted_table(A, K).coords):
+    for facet, coords in zip(K.facets, table.coords):
         if coords is None:
             raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
         D, vertices, pairs, _ = coords
@@ -271,9 +241,8 @@ def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
 
 @dataclass
 class TruncatedSolution:
-    """A point in log coordinates for one facet: the positive solution of
-    its truncated system (truncated_solution), or its Newton start at a
-    given t (predicted_solutions)."""
+    """A facet's Newton start at a given t, in log coordinates
+    (predicted_solutions)."""
 
     facet: tuple[int, ...]
     log_point: tuple[mp.mpf, ...]
@@ -351,33 +320,6 @@ def _lu_solve(factors: tuple[list[list], list[int]], b: Sequence,
     return x
 
 
-def truncated_solution(A: PointConfiguration, C: RationalMatrix,
-                       facet: Sequence[int],
-                       prec: int | None = None) -> TruncatedSolution:
-    """Solve the facet-truncated system exactly-then-numerically.
-
-    The exact positive kernel vector v of the facet's coefficient submatrix
-    is mapped through the lifted exponent matrix: solving the transposed
-    lifted system against log v yields (log lambda, u) with u the log of the
-    positive solution.  v comes from the walk a count makes over a
-    complex's facets (_positive_kernel_vectors), over this facet alone.
-    """
-    facet = tuple(facet)
-    (kernel,) = _positive_kernel_vectors(C, [facet], prefix_trie([facet]))
-    bits = prec or default_precision()
-    with mp.workprec(bits):
-        return TruncatedSolution(facet, _log_solution(
-            facet, kernel, _point_rows(A.points[v - 1] for v in facet),
-            Arithmetic(bits)))
-
-
-def _point_rows(points) -> list[list[tuple]]:
-    """The row (1, a_p) of each point, as raw mpf values at the working
-    precision."""
-    return [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *p)]
-            for p in points]
-
-
 def _log_solution(facet: tuple[int, ...],
                   kernel: tuple[Fraction, ...] | ValueError,
                   rows: list[list[tuple]], ops: Arithmetic
@@ -407,22 +349,23 @@ def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
     vectors from one walk of C's columns over the complex's listing trie
     (_positive_kernel_vectors), and the affine supports from the lifted
     table of (A, K) (_support), which a regularity check of the same
-    complex has already built.  Each point's row is converted to mpf once.
-    A complex with more vertices than the points is refused first, as
-    regularity_check refuses it.  Then a facet that is not decorated or is
-    degenerate raises, the first in the order of K.facets, with
-    truncated_solution's error and then facet_affine_support's.
+    complex has already built.  Each point's row (1, a_p) is converted to
+    raw mpf once.  A complex with more vertices than the points is refused
+    first, as regularity_check refuses it.  Then the first facet, in the
+    order of K.facets, that is not decorated or is degenerate raises: its
+    kernel's error (_positive_kernel_vectors), a singular lifted matrix
+    (_log_solution), or an affinely degenerate facet (_support).
     """
     A = S.configuration
     A.require_vertices(K)
-    kernels = _positive_kernel_vectors(S.coefficients, K.facets,
-                                       K._listing.trie)
+    kernels = _positive_kernel_vectors(S.coefficients, K)
     table = _lifted_table(A, K)
     lift, Q = _integer_heights(S.heights)
     ops = Arithmetic(bits)
     out = []
     with mp.workprec(bits):
-        rows = _point_rows(A.points)
+        rows = [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *p)]
+                for p in A.points]
         for facet, kernel, coords in zip(K.facets, kernels, table.coords):
             u = _log_solution(facet, kernel, [rows[v - 1] for v in facet],
                               ops)

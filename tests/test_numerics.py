@@ -349,9 +349,9 @@ def spy_on_builds(monkeypatch):
     kernels = viro._positive_kernel_vectors
     log_solution = viro._log_solution
 
-    def counted_kernels(C, facets, trie):
-        builds.append(tuple(facets))
-        return kernels(C, facets, trie)
+    def counted_kernels(C, K):
+        builds.append(K.facets)
+        return kernels(C, K)
 
     def counted_solve(facet, *args):
         solves.append(facet)
@@ -782,7 +782,8 @@ def oracle_count(S, K, t, bits):
 
 
 def oracle_truncated(A, C, facet, bits):
-    """The lifted solve of viro.truncated_solution through the oracle LU."""
+    """A facet's truncated log-solution, as a count builds it
+    (viro._log_solution), through the oracle LU."""
     v = positive_kernel_vector(C.submatrix_columns([i - 1 for i in facet]))
     with mp.workprec(bits):
         lifted = lifted_matrix(A, facet)
@@ -819,10 +820,8 @@ SND115_TS = [Fraction(1, q) for q in (1000, 300, 100, 30, 10, 5, 3, 2)]
 @pytest.mark.parametrize("bits", ORACLE_BITS)
 def test_snd115_count_is_bit_identical_to_the_mpf_oracle(bits):
     f, S = snd115_system()
-    for facet in f.complex.facets:
-        trunc = viro.truncated_solution(f.configuration, f.coefficients,
-                                        facet, prec=bits)
-        assert raw(trunc.log_point) == raw(oracle_truncated(
+    for facet, u, _ in viro._facet_solutions(S, f.complex, bits):
+        assert raw(u) == raw(oracle_truncated(
             f.configuration, f.coefficients, facet, bits))
     for t in SND115_TS:
         got = certified_positive_count(S, f.complex, t, prec=bits)

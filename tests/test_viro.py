@@ -44,13 +44,11 @@ from virodecor.viro import (
     _lu_factor,
     _lu_solve,
     build_viro_system,
-    facet_affine_support,
     log_fraction,
     mpf_fraction,
     predicted_solutions,
     regularity_check,
     render_system,
-    truncated_solution,
 )
 
 from exact_oracles import lifted_matrix, maximal_minors, transpose
@@ -120,19 +118,30 @@ def test_regularity_monotone_under_subcomplex():
     assert full.ok
 
 
-def test_affine_support_needs_d_plus_one_vertices():
+@pytest.mark.parametrize("check", [
+    lambda A, K: is_unimodular(K, A),
+    lambda A, K: total_normalized_volume(K, A),
+    lambda A, K: simplex_signs(K, A, RationalMatrix([[1, -1, 0]])),
+    lambda A, K: regularity_check(A, [0, 1, 1], K),
+], ids=["is_unimodular", "total_normalized_volume", "simplex_signs",
+        "regularity_check"])
+def test_a_configuration_of_another_dimension_is_refused(check):
     A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        facet_affine_support(A, [0, 1, 1], (1, 2))
-    with pytest.raises(ValueError):
-        regularity_check(A, [0, 1, 1],
-                         SimplicialComplex.from_facets(1, 3, [(1, 2)]))
+    K = SimplicialComplex.from_facets(1, 3, [(1, 2)])
+    with pytest.raises(ValueError) as refused:
+        check(A, K)
+    assert str(refused.value) == ("the complex has dimension 1 but the "
+                                  "configuration has dimension 2")
 
 
 def test_affine_support_interpolates_exactly():
+    """Each facet's support, read off the lifted table as a count reads
+    it, meets the lift at the facet's vertices."""
     f = catalog.snd63_fixture()
-    for facet in f.complex.facets:
-        b, a = facet_affine_support(f.configuration, f.heights, facet)
+    table = _lifted_table(f.configuration, f.complex)
+    lift, Q = viro._integer_heights(f.heights)
+    for facet, coords in zip(f.complex.facets, table.coords):
+        b, a = viro._support(facet, coords, table.denominator, lift, Q)
         for v in facet:
             point = f.configuration.points[v - 1]
             assert f.heights[v - 1] == b + sum(
@@ -300,8 +309,11 @@ def assert_matches_fraction_oracles(A, heights, K, C):
     """Every per-facet check against its per-facet Fraction oracle, with
     reports and errors in the order of K.facets."""
     assert_regularity_matches(A, heights, K)
-    for facet in K.facets:
-        ours = outcome(facet_affine_support, A, heights, facet)
+    table = _lifted_table(A, K)
+    lift, Q = viro._integer_heights(heights)
+    for facet, coords in zip(K.facets, table.coords):
+        ours = outcome(viro._support, facet, coords, table.denominator,
+                       lift, Q)
         oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
         assert ours == oracle or ours[0] is oracle[0] is RankDeficiencyError
         assert normalized_volume(A, facet) == volume_by_determinant(A, facet)
@@ -459,8 +471,7 @@ def test_count_data_match_per_facet_oracles(inputs, bits):
     first facet's error, in the order of K.facets, or builds every
     facet's data bit for bit as the per-facet build does."""
     A, heights, K, C = inputs
-    kernels = complexes._positive_kernel_vectors(C, K.facets,
-                                                 K._listing.trie)
+    kernels = complexes._positive_kernel_vectors(C, K)
     table = _lifted_table(A, K)
     lift, Q = viro._integer_heights(heights)
     for facet, kernel, coords in zip(K.facets, kernels, table.coords):
@@ -646,8 +657,6 @@ def test_vertex_labels_out_of_range_are_refused(facet):
     A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1), (5, 5)])
     with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
         normalized_volume(A, facet)
-    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
-        facet_affine_support(A, [0, 1, 1, 3], facet)
 
 
 def test_complex_with_more_vertices_than_points_is_refused():
@@ -668,19 +677,25 @@ def test_a_height_count_other_than_the_points_is_refused(heights):
     message = f"^{len(heights)} heights for 3 points$"
     with pytest.raises(ValueError, match=message):
         regularity_check(A, heights, K)
-    with pytest.raises(ValueError, match=message):
-        facet_affine_support(A, heights, (1, 2, 3))
 
 
 # -- truncated solutions ---------------------------------------------------
+
+
+def truncated_log_points(A, C, facets, heights=None):
+    """u of each facet's truncated solution at 256 bits, as a count builds
+    it (viro._facet_solutions) over the complex of these facets."""
+    K = SimplicialComplex.from_facets(A.dimension, A.n_points, facets)
+    S = build_viro_system(A, C, heights or [0] * A.n_points)
+    return [u for _, u, _ in viro._facet_solutions(S, K, 256)]
 
 
 def test_truncated_solution_univariate():
     # 1 - 2x truncated on its own support: root x = 1/2
     A = PointConfiguration.from_rows([(0,), (1,)])
     C = RationalMatrix([[1, -2]])
-    sol = truncated_solution(A, C, (1, 2))
-    assert abs(mp.e ** sol.log_point[0] - mp.mpf(1) / 2) < mp.mpf("1e-40")
+    (u,) = truncated_log_points(A, C, [(1, 2)])
+    assert abs(mp.e ** u[0] - mp.mpf(1) / 2) < mp.mpf("1e-40")
 
 
 def test_truncated_solution_unit_simplex():
@@ -691,10 +706,10 @@ def test_truncated_solution_unit_simplex():
 
     v = positive_kernel_vector(C)
     assert v is not None
-    sol = truncated_solution(A, C, (1, 2, 3))
+    (u,) = truncated_log_points(A, C, [(1, 2, 3)])
     for k in range(2):
         expected = mp.mpf(v[k + 1].numerator) / mp.mpf(v[k + 1].denominator)
-        assert abs(mp.e ** sol.log_point[k] - expected) < mp.mpf("1e-40")
+        assert abs(mp.e ** u[k] - expected) < mp.mpf("1e-40")
 
 
 def _truncated_residual(A, C, facet, u):
@@ -719,20 +734,22 @@ def _truncated_residual(A, C, facet, u):
 
 def test_truncated_residuals_small_on_snd63():
     f = catalog.snd63_fixture()
-    for facet in f.complex.facets:
-        sol = truncated_solution(f.configuration, f.coefficients, facet)
-        # the solve returns the point only; the residual is this oracle's
-        assert [x.name for x in fields(sol)] == ["facet", "log_point"]
+    # a start is the point only; the residual is this oracle's
+    assert [x.name for x in fields(viro.TruncatedSolution)] == [
+        "facet", "log_point"]
+    for facet, u in zip(f.complex.facets, truncated_log_points(
+            f.configuration, f.coefficients, f.complex.facets, f.heights)):
         with mp.workprec(256):
             assert _truncated_residual(f.configuration, f.coefficients,
-                                       facet, sol.log_point) < mp.mpf("1e-60")
+                                       facet, u) < mp.mpf("1e-60")
 
 
 def test_truncated_solution_rejects_undecorated_facet():
     A = PointConfiguration.from_rows([(0, 0), (1, 0), (0, 1)])
     C = RationalMatrix([[1, 1, 1], [0, 1, -1]])  # all-positive row: no kernel
-    with pytest.raises(ValueError):
-        truncated_solution(A, C, (1, 2, 3))
+    with pytest.raises(ValueError,
+                       match=r"^facet \(1, 2, 3\) is not positively decorated$"):
+        truncated_log_points(A, C, [(1, 2, 3)])
 
 
 def test_predicted_solutions_count_and_shift():
@@ -744,8 +761,8 @@ def test_predicted_solutions_count_and_shift():
     with mp.workprec(256):
         dlnt = mp.log(mp.mpf(1) / 1000) - mp.log(mp.mpf(1) / 100)
         for s1, s2 in zip(starts, other):
-            _, grad = facet_affine_support(S.configuration, S.heights,
-                                           s1.facet)
+            _, grad = facet_affine_support_by_solve(S.configuration,
+                                                    S.heights, s1.facet)
             for k in range(2):
                 g = mp.mpf(grad[k].numerator) / mp.mpf(grad[k].denominator)
                 assert abs((s1.log_point[k] - s2.log_point[k]) + dlnt * g) \
