@@ -166,14 +166,15 @@ def decorate(K: SimplicialComplex, restarts: int = 100,
     ridge-sign conflict is a definitive obstruction (a non-bipartite dual
     graph is not: the 5-triangle Moebius band is decorable); otherwise
     seeded margin searches run until one rounded candidate passes the
-    exact verification.  A negative restart count or seed is a
-    ValueError, and so is a complex of dimension 0, since a decoration
-    matrix has one row per dimension.
+    exact verification.  A restart count or seed that is not a
+    non-negative integer is a ValueError, and so is a complex of
+    dimension 0, since a decoration matrix has one row per dimension.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        # bool, a subclass of int, is refused
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"{name} must be a non-negative integer, got {value!r}")
     if K.dimension == 0:
         raise ValueError("a decoration matrix has one row per dimension; "
                          "the complex has dimension 0")

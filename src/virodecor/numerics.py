@@ -6,9 +6,10 @@ representable even when heights reach 10^6; an evaluation takes one exp
 per monomial and one per distinct row support, and accumulates each
 residual and each Jacobian entry exactly (fsum, dot) before rounding it
 once.  Newton evaluates each iterate once, and forms the Jacobian from
-the weights of that evaluation only for the iterates it accepts.
-Newton's steps and the condition numbers are solved with the LU of
-`viro`, on Python lists.
+the weights of that evaluation only for the iterates it accepts; at a
+root it also reports that Jacobian's condition number.  Newton's steps
+and the condition numbers are solved with the LU of `viro`, on Python
+lists.
 
 Work that cannot change a bit is left out: the compiled system drops the
 zero coordinates of the points and the zero entries of the Jacobian
@@ -26,9 +27,9 @@ working precision directly on the tuple, which gives the same bits
 because libmp rounds correctly (and fsum and dot take mpf_sum's loop
 step for step); exp, le and any zero or non-finite operand go to libmp
 itself.  So every value is bit-identical to mpf-class code at every
-precision.  Values become mpfs only at the public edges: `evaluate`,
-`jacobian`, `NewtonResult`, `Witness` and `condition_estimate`, which
-takes and returns mpfs.
+precision.  Values become mpfs only at the public edges: `NewtonResult`,
+`Witness` and the result of `condition_estimate`, which takes raw rows
+and the caller's arithmetic.
 
 Counts produced here are floating-point certificates (residual +
 nonsingular Jacobian + pairwise separation), not interval-arithmetic
@@ -141,58 +142,9 @@ def _compile(S: ViroSystem, t: Fraction, bits: int):
     return system
 
 
-def _require_length(S: ViroSystem, u: Sequence) -> None:
-    if len(u) != S.dimension:
-        raise ValueError(f"log-point has {len(u)} coordinates; the system "
-                         f"has dimension {S.dimension}")
-
-
-def _evaluate(S: ViroSystem, t: Fraction, u: Sequence, prec: int | None):
-    """_compile's evaluation at u.  An mpf coordinate is taken as it is,
-    at any precision, as the mpf operators take it; any other number is
-    converted at the working precision first."""
-    _require_length(S, u)
-    bits = prec or default_precision()
-    with mp.workprec(bits):
-        u = [x._mpf_ if hasattr(x, "_mpf_") else mp.mpf(x)._mpf_ for x in u]
-    _require_finite(u)
-    return _compile(S, Fraction(t), bits)(u)
-
-
-def evaluate(S: ViroSystem, t: Fraction, u: Sequence,
-             prec: int | None = None):
-    """Row-scaled residuals at log-point u.
-
-    Returns (residuals, scales): residual_i = f_i(exp u) / exp(scale_i)
-    where scale_i is the row's maximal term exponent.
-    """
-    if Fraction(t) <= 0:
-        raise ValueError("t must be positive")
-    residuals, scales, _ = _evaluate(S, t, u, prec)
-    return [mp.make_mpf(r) for r in residuals], [mp.make_mpf(m)
-                                                 for m in scales]
-
-
-def jacobian(S: ViroSystem, t: Fraction, u: Sequence,
-             prec: int | None = None):
-    """Jacobian in log coordinates, with the same row scaling as evaluate."""
-    return _matrix(_evaluate(S, t, u, prec)[2]())
-
-
-def _matrix(rows) -> mp.matrix:
-    return mp.matrix([[mp.make_mpf(x) for x in row] for row in rows])
-
-
 def _finite(x) -> bool:
     """Whether the raw value x is finite: zero or with a mantissa."""
     return bool(x[1]) or not x[2]
-
-
-def _require_finite(u: Sequence) -> None:
-    for k, x in enumerate(u):
-        if not _finite(x):
-            raise ValueError(f"log-point coordinate {k} is "
-                             f"{mp.make_mpf(x)}; it must be finite")
 
 
 def _in_range(x, bits: int) -> bool:
@@ -213,7 +165,7 @@ class NewtonResult:
     log_point: tuple | None
     residual: object | None
     iterations: int
-    jacobian: object | None = None   # at the root; None unless converged
+    condition: object | None = None  # at the root; None unless converged
     halvings: int = 0                # step halvings, summed over the run
 
 
@@ -234,21 +186,31 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     one whose residual does not fall.  Each iterate is evaluated once: the
     accepted line-search trial's evaluation supplies the next residual
     and, from its weights, the next Jacobian; a rejected trial forms no
-    Jacobian.  The iteration runs on raw mpmath values; the start is
+    Jacobian; the root's Jacobian gives its condition number, in the same
+    arithmetic.  The iteration runs on raw mpmath values; the start is
     rounded to the working precision first, and the result holds mpfs.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
+    # bool, a subclass of int, is refused
+    if type(max_iter) is not int or max_iter < 1:
         raise ValueError(f"max_iter must be a positive whole number; "
                          f"got {max_iter!r}")
-    _require_length(S, u0)
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if len(u0) != S.dimension:
+        raise ValueError(f"log-point has {len(u0)} coordinates; the system "
+                         f"has dimension {S.dimension}")
     bits = prec or default_precision()
     ops = Arithmetic(bits)
     add, mul, lt, max_abs = ops.add, ops.mul, ops.lt, ops.max_abs
     tol = mpf_shift(ops.one, -(bits // 2))
     with mp.workprec(bits):
         u = [mp.mpf(x)._mpf_ for x in u0]
-    _require_finite(u)
-    system = _compile(S, Fraction(t), bits)
+    for k, x in enumerate(u):
+        if not _finite(x):
+            raise ValueError(f"log-point coordinate {k} is "
+                             f"{mp.make_mpf(x)}; it must be finite")
+    system = _compile(S, t, bits)
     res, _, jacobian = system(u)
     halvings = 0
     for it in range(1, max_iter + 1):
@@ -283,24 +245,24 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
                                  mul(tol, size)):
             return NewtonResult("converged", tuple(map(mp.make_mpf, u)),
                                 mp.make_mpf(max_abs(res)), it,
-                                _matrix(jacobian()), halvings=halvings)
+                                condition_estimate(jacobian(), ops),
+                                halvings=halvings)
     return NewtonResult("max_iter", None, mp.make_mpf(rnorm), max_iter,
                         halvings=halvings)
 
 
-def condition_estimate(J) -> object:
-    """1-norm condition number of a small square mpmath matrix.
+def condition_estimate(rows: list[list], ops: Arithmetic) -> object:
+    """1-norm condition number of a small square matrix J, as an mpf.
 
-    ||J||_1 times the largest column 1-norm of J^-1, whose columns are
-    solved from one LU factorization; inf when J is singular.  Runs on
-    the raw values of J at the context's working precision.  When J is
-    finite, each unit column's forward substitution starts at the row
-    where its 1 lands: the rows above it hold exact zeros, every product
-    of a finite multiplier with an exact zero is an exact zero, and a
-    left-to-right sum from 0 is unchanged by leading zero terms.
+    J is given as its rows of raw values, and every value is rounded in
+    `ops`.  ||J||_1 times the largest column 1-norm of J^-1, whose
+    columns are solved from one LU factorization; inf when J is
+    singular.  When J is finite, each unit column's forward substitution
+    starts at the row where its 1 lands: the rows above it hold exact
+    zeros, every product of a finite multiplier with an exact zero is an
+    exact zero, and a left-to-right sum from 0 is unchanged by leading
+    zero terms.
     """
-    ops = Arithmetic(mp.mp.prec)
-    rows = [[x._mpf_ for x in row] for row in J.tolist()]
     try:
         factors = _lu_factor(rows, ops)
     except ZeroDivisionError:
@@ -440,12 +402,11 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
                                  f"iterations (residual {residual}, "
                                  f"{result.halvings} halvings)"))
                 continue
-            cond = condition_estimate(result.jacobian)
-            if not mp.isfinite(cond):
+            if not mp.isfinite(result.condition):
                 failures.append((start.facet, "singular jacobian at root"))
                 continue
             witnesses.append(Witness(result.log_point, result.residual,
-                                     cond, start.facet))
+                                     result.condition, start.facet))
         # deterministic single-threaded deduplication in facet order
         keep, min_sep = _deduplicate([[x._mpf_ for x in w.log_point]
                                       for w in witnesses], Arithmetic(bits))

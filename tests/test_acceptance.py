@@ -46,7 +46,7 @@ from virodecor.families import (
     order_polytope_triangulation,
     snd_subcomplex,
 )
-from virodecor.numerics import certified_positive_count, evaluate, jacobian
+from virodecor.numerics import certified_positive_count
 from virodecor.viro import build_viro_system, regularity_check, render_system
 
 from exact_oracles import lifted_matrix, matvec, maximal_minors

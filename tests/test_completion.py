@@ -1,5 +1,6 @@
 """Ridge-sign decoration search."""
 
+import re
 from math import cos, radians, sin
 
 import numpy as np
@@ -155,9 +156,15 @@ def test_decorate_deterministic_per_seed():
     assert first.diagnostics == second.diagnostics
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"seed": -1}])
+@pytest.mark.parametrize("kwargs", [
+    {name: value} for value in (-1, True, 2.5, "3")
+    for name in ("restarts", "seed")])
 def test_decorate_rejects_bad_search_settings(kwargs, monkeypatch):
+    """A negative number, a boolean and a non-integer are each refused,
+    naming the setting."""
     # rejected before any work: no dual graph is built
     monkeypatch.setattr("virodecor.completion.dual_graph", None)
-    with pytest.raises(ValueError):
+    [(name, value)] = kwargs.items()
+    message = f"{name} must be a non-negative integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         decorate(S63, **kwargs)

@@ -29,8 +29,6 @@ from virodecor.numerics import (
     Witness,
     certified_positive_count,
     condition_estimate,
-    evaluate,
-    jacobian,
     newton_refine,
 )
 from virodecor.precision import Arithmetic
@@ -64,10 +62,30 @@ def snd63_system():
     return f, build_viro_system(f.configuration, f.coefficients, f.heights)
 
 
+def raw(xs):
+    return [x._mpf_ for x in xs]
+
+
+def raw_rows(rows):
+    return [raw(row) for row in rows]
+
+
+def evaluated(S, t, u, bits=PREC):
+    """The compiled system's residuals, scales and Jacobian rows at the
+    point u of mpfs, taken as they are, as mpfs."""
+    residuals, scales, jacobian = numerics._compile(S, Fraction(t), bits)(
+        raw(u))
+
+    def mpfs(xs):
+        return [mp.make_mpf(x) for x in xs]
+
+    return mpfs(residuals), mpfs(scales), [mpfs(row) for row in jacobian()]
+
+
 def test_evaluate_single_monomial_row():
     A = PointConfiguration.from_rows([(2,)])
     S = build_viro_system(A, RationalMatrix([[5]]), [3])
-    res, scales = evaluate(S, Fraction(1, 10), [mp.mpf(1)])
+    res, scales, _ = evaluated(S, Fraction(1, 10), [mp.mpf(1)])
     with mp.workprec(PREC):
         assert abs(res[0] - 5) < mp.mpf("1e-70")
         expected = 3 * mp.log(mp.mpf(1) / 10) + 2
@@ -136,8 +154,7 @@ def test_evaluation_matches_the_row_loop(case):
     S, t, u, bits = case
     with mp.workprec(bits):
         u = [mp.mpf(x) for x in u]
-    res, scales = evaluate(S, t, u, prec=bits)
-    J = jacobian(S, t, u, prec=bits)
+    res, scales, J = evaluated(S, t, u, bits)
     want_res, want_scales, want_J = row_loop_oracle(S, t, u, bits)
     assert scales == want_scales
     unit = mp.ldexp(1, 8 - bits)
@@ -146,15 +163,7 @@ def test_evaluation_matches_the_row_loop(case):
         assert abs(res[i] - want_res[i]) <= unit * sum(map(abs, row))
         for k in range(S.dimension):
             bound = unit * sum(abs(c * p[k]) for c, p in zip(row, points))
-            assert abs(J[i, k] - want_J[i][k]) <= bound
-
-
-def raw(xs):
-    return [x._mpf_ for x in xs]
-
-
-def raw_rows(rows):
-    return [raw(row) for row in rows]
+            assert abs(J[i][k] - want_J[i][k]) <= bound
 
 
 def well_conditioned(rnd, n):
@@ -184,14 +193,15 @@ def test_lu_matches_mpmath(bits):
                 assert err <= tol * max(abs(w) for w in want)
                 J = mp.matrix(rows)
                 want = mp.mnorm(J, 1) * mp.mnorm(J ** -1, 1)
-                assert abs(condition_estimate(J) - want) <= tol * want
+                got = condition_estimate(raw_rows(rows), ops)
+                assert abs(got - want) <= tol * want
 
 
 def test_lu_refuses_a_singular_matrix():
     rows = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]]
     with pytest.raises(ZeroDivisionError):
         _lu_factor(raw_rows(rows), Arithmetic(PREC))
-    assert condition_estimate(mp.matrix(rows)) == mp.inf
+    assert condition_estimate(raw_rows(rows), Arithmetic(PREC)) == mp.inf
 
 
 def test_newton_reports_a_singular_jacobian():
@@ -218,8 +228,7 @@ def test_jacobian_matches_finite_differences():
             S = random_system(rnd, d)
             t = Fraction(1, rnd.randint(2, 50))
             u = [mp.mpf(rnd.uniform(-1.5, 1.5)) for _ in range(d)]
-            J = jacobian(S, t, u, prec=PREC)
-            res0, sc0 = evaluate(S, t, u, prec=PREC)
+            res0, sc0, J = evaluated(S, t, u)
             ok_system = True
             for i in range(d):
                 # unscaled row sum computed directly from the Fractions
@@ -238,12 +247,12 @@ def test_jacobian_matches_finite_differences():
                 um = list(u)
                 up[k] += h
                 um[k] -= h
-                rp, sp = evaluate(S, t, up, prec=PREC)
-                rm, sm = evaluate(S, t, um, prec=PREC)
+                rp, sp, _ = evaluated(S, t, up)
+                rm, sm, _ = evaluated(S, t, um)
                 for i in range(d):
                     fd = (rp[i] * mp.e ** sp[i] - rm[i] * mp.e ** sm[i]) \
                         / (2 * h)
-                    an = J[i, k] * mp.e ** sc0[i]
+                    an = J[i][k] * mp.e ** sc0[i]
                     denom = max(abs(fd), abs(an), mp.mpf("1e-30"))
                     if abs(fd - an) / denom >= mp.mpf("1e-6"):
                         ok_system = False
@@ -281,7 +290,7 @@ def test_newton_reports_failure_not_crash():
                            [mp.mpf(500), mp.mpf(-500)], max_iter=20)
     assert result.status in ("diverged", "singular", "max_iter")
     assert result.log_point is None
-    assert result.jacobian is None
+    assert result.condition is None
     # the count says why each facet failed: status word, then iterations
     t = Fraction(1, 10)
     count = certified_positive_count(S, f.complex, t)
@@ -312,16 +321,18 @@ def test_newton_failure_reports_its_step_halvings():
         assert reason.endswith(f", {again.halvings} halvings)")
 
 
-def test_newton_returns_the_jacobian_at_the_root():
+def test_newton_returns_the_condition_number_at_the_root():
+    """The condition number of the Jacobian formed afresh at the root, bit
+    for bit, at 256 and at 53 bits."""
     f, S = snd63_system()
     t = Fraction(1, 10)
-    for start in predicted_solutions(S, f.complex, t):
-        result = newton_refine(S, t, start.log_point)
-        assert result.status == "converged"
-        J = jacobian(S, t, result.log_point)
-        assert (result.jacobian.rows, result.jacobian.cols) == (J.rows, J.cols)
-        assert all(result.jacobian[i, k] == J[i, k]
-                   for i in range(J.rows) for k in range(J.cols))
+    for bits in (256, 53):
+        for start in predicted_solutions(S, f.complex, t, prec=bits):
+            result = newton_refine(S, t, start.log_point, prec=bits)
+            assert result.status == "converged"
+            J = numerics._compile(S, t, bits)(raw(result.log_point))[2]()
+            assert bits_of(result.condition) == \
+                bits_of(condition_estimate(J, Arithmetic(bits)))
 
 
 def test_count_compiles_the_system_once(monkeypatch):
@@ -433,6 +444,18 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
         assert len(set(points)) == len(points)
         assert len(jacobians) == result.iterations + 1
         assert jacobians[-1] == tuple(raw(result.log_point))
+
+
+def test_count_makes_no_mpmath_matrix(monkeypatch):
+    """A count passes each root Jacobian to its condition number as raw
+    rows: with mpmath.matrix raising, snd-11-5 still counts 38."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a count built an mpmath matrix")
+
+    monkeypatch.setattr(mp, "matrix", refused)
+    f, S = snd115_system()
+    assert certified_positive_count(S, f.complex, Fraction(1, 1000)).count \
+        == 38
 
 
 def test_equal_systems_share_one_build(monkeypatch):
@@ -726,7 +749,8 @@ def oracle_newton(S, t, u0, max_iter=100, prec=PREC):
             size = max(1, _max_abs(u))
             if rnorm < tol and _max_abs(lam * dx for dx in step) < tol * size:
                 return NewtonResult("converged", tuple(u), _max_abs(res), it,
-                                    mp.matrix(jacobian()), halvings=halvings)
+                                    oracle_condition(mp.matrix(jacobian())),
+                                    halvings=halvings)
         return NewtonResult("max_iter", None, rnorm, max_iter,
                             halvings=halvings)
 
@@ -757,12 +781,11 @@ def oracle_count(S, K, t, bits):
                                  f"iterations (residual {residual}, "
                                  f"{result.halvings} halvings)"))
                 continue
-            cond = oracle_condition(result.jacobian)
-            if not mp.isfinite(cond):
+            if not mp.isfinite(result.condition):
                 failures.append((start.facet, "singular jacobian at root"))
                 continue
             witnesses.append(Witness(result.log_point, result.residual,
-                                     cond, start.facet))
+                                     result.condition, start.facet))
         distinct, min_sep = [], None
         for w in witnesses:
             dup = False
@@ -799,11 +822,10 @@ def bits_of(x):
 
 
 def newton_bits(result):
-    jac = result.jacobian
     return (result.status, result.iterations, result.halvings,
             bits_of(result.residual),
             None if result.log_point is None else raw(result.log_point),
-            None if jac is None else raw_rows(jac.tolist()))
+            bits_of(result.condition))
 
 
 def count_bits(result):
@@ -879,9 +901,12 @@ def test_singular_jacobian_is_bit_identical_to_the_mpf_oracle(bits):
     assert got.status == "singular"
     assert newton_bits(got) == newton_bits(
         oracle_newton(S, Fraction(1, 10), u, prec=bits))
+    J = numerics._compile(S, Fraction(1, 10), bits)(raw(u))[2]()
     with mp.workprec(bits):
-        J = jacobian(S, Fraction(1, 10), u, prec=bits)
-        assert condition_estimate(J) == oracle_condition(J) == mp.inf
+        want_J = oracle_compile(S, Fraction(1, 10), bits)(u)[2]()
+        assert raw_rows(want_J) == J
+        assert condition_estimate(J, Arithmetic(bits)) == \
+            oracle_condition(mp.matrix(want_J)) == mp.inf
 
 
 def n_poset_system():
@@ -936,11 +961,11 @@ def test_an_evaluation_takes_one_exp_per_monomial_and_one_per_support(
     monkeypatch.setattr(numerics, "Arithmetic", Counted)
     numerics._compile.cache_clear()
     try:
-        evaluate(S, t, u)
+        system = numerics._compile(S, t, PREC)
+        _, _, jacobian = system(raw(u))
         assert len(calls) == 12
-        residuals, _, jacobian_ = numerics._evaluate(S, t, u, None)
-        jacobian_()
-        assert len(calls) == 24
+        jacobian()
+        assert len(calls) == 12
     finally:
         numerics._compile.cache_clear()
 
@@ -948,9 +973,9 @@ def test_an_evaluation_takes_one_exp_per_monomial_and_one_per_support(
 @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, float("inf"),
                                  float("nan")])
 def test_a_non_finite_log_point_is_refused(bad, monkeypatch):
-    """Before any work, naming the coordinate: evaluate(S, t, [inf, 0, 0,
-    0, 0]) once returned NaN residuals, and Newton from there reported
-    divergence with a NaN residual."""
+    """Before any work, naming the coordinate: the evaluation at
+    [inf, 0, 0, 0, 0] once returned NaN residuals, and Newton from there
+    reported divergence with a NaN residual."""
     f, S = snd115_system()
     u = [mp.mpf(0), mp.mpf(1), bad, mp.mpf(0), mp.mpf(0)]
 
@@ -959,9 +984,8 @@ def test_a_non_finite_log_point_is_refused(bad, monkeypatch):
 
     monkeypatch.setattr(numerics, "_compile", no_work)
     message = f"log-point coordinate 2 is {mp.mpf(bad)}; it must be finite"
-    for call in (evaluate, jacobian, newton_refine):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            call(S, Fraction(1, 100), u)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        newton_refine(S, Fraction(1, 100), u)
 
 
 def all_pairs_deduplication(points, ops):
@@ -1047,32 +1071,29 @@ def test_newton_is_bit_identical_to_the_mpf_oracle(case):
     got = newton_refine(S, t, u, max_iter=max_iter, prec=bits)
     assert newton_bits(got) == newton_bits(
         oracle_newton(S, t, u, max_iter=max_iter, prec=bits))
-    if got.jacobian is not None:
-        with mp.workprec(bits):
-            assert bits_of(condition_estimate(got.jacobian)) == \
-                bits_of(oracle_condition(got.jacobian))
 
 
 @settings(max_examples=100, deadline=None)
 @given(large_systems())
 def test_evaluation_is_bit_identical_to_the_mpf_oracle(case):
-    """Floats and mpfs of any precision are taken as the mpf operators
-    take them."""
+    """Floats, and mpfs of more bits than the working precision, are
+    taken as the mpf operators take them."""
     S, t, u, bits = case
+    with mp.workprec(bits):
+        exact = [mp.mpf(x) for x in u]       # bits >= 53: exact
     with mp.workprec(bits + 7):
         wide = [mp.mpf(x) / 3 for x in u]
-    for point in (u, wide):
-        res, scales = evaluate(S, t, point, prec=bits)
+    for point, mpfs in ((u, exact), (wide, wide)):
+        res, scales, J = evaluated(S, t, mpfs, bits)
         with mp.workprec(bits):
             want_res, want_scales, want_J = oracle_compile(S, t, bits)(point)
             want_J = want_J()
         assert raw(res) == raw(want_res)
         assert raw(scales) == raw(want_scales)
-        J = jacobian(S, t, point, prec=bits)
-        assert raw_rows(J.tolist()) == raw_rows(want_J)
+        assert raw_rows(J) == raw_rows(want_J)
         with mp.workprec(bits):
-            assert bits_of(condition_estimate(J)) == \
-                bits_of(oracle_condition(mp.matrix(want_J)))
+            assert bits_of(condition_estimate(raw_rows(J), Arithmetic(bits))) \
+                == bits_of(oracle_condition(mp.matrix(want_J)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1094,12 +1115,12 @@ def test_lu_is_bit_identical_to_the_mpf_oracle(entries, bits):
         if want is None:
             with pytest.raises(ZeroDivisionError):
                 _lu_factor(raw_rows(rows), ops)
-            assert condition_estimate(mp.matrix(rows)) == mp.inf
+            assert condition_estimate(raw_rows(rows), ops) == mp.inf
             return
         got = _lu_factor(raw_rows(rows), ops)
         assert got == (raw_rows(want[0]), want[1])
         assert _lu_solve(got, raw(b), ops) == raw(oracle_lu_solve(want, b))
-        assert bits_of(condition_estimate(mp.matrix(rows))) == \
+        assert bits_of(condition_estimate(raw_rows(rows), ops)) == \
             bits_of(oracle_condition(mp.matrix(rows)))
 
 
@@ -1123,13 +1144,27 @@ def test_newton_rejects_a_runaway_step(bits):
         rootless_system(), Fraction(1, 2), [2.54], max_iter=24, prec=bits))
 
 
-@pytest.mark.parametrize("max_iter", [0, -1, 2.5])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
 def test_newton_refuses_a_bad_iteration_budget(max_iter):
     f, S = snd115_system()
     start = predicted_solutions(S, f.complex, Fraction(1, 100))[0]
     with pytest.raises(ValueError, match=f"max_iter .*{max_iter!r}"):
         newton_refine(S, Fraction(1, 100), start.log_point,
                       max_iter=max_iter)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(-1, 2), -3])
+def test_newton_refuses_a_non_positive_t(t, monkeypatch):
+    """Before any work: the system is never compiled."""
+    f, S = snd115_system()
+    start = predicted_solutions(S, f.complex, Fraction(1, 100))[0]
+
+    def no_work(*args):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(numerics, "_compile", no_work)
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        newton_refine(S, t, start.log_point)
 
 
 @pytest.mark.parametrize("length", [0, 3, 6])
@@ -1145,11 +1180,8 @@ def test_a_log_point_of_the_wrong_length_is_refused(length, monkeypatch):
     monkeypatch.setattr(numerics, "_compile", no_work)
     message = f"log-point has {length} coordinates; the system has " \
         f"dimension 5"
-    for call in (lambda: newton_refine(S, Fraction(1, 100), u),
-                 lambda: evaluate(S, Fraction(1, 100), u),
-                 lambda: jacobian(S, Fraction(1, 100), u)):
-        with pytest.raises(ValueError, match=message):
-            call()
+    with pytest.raises(ValueError, match=message):
+        newton_refine(S, Fraction(1, 100), u)
 
 
 @pytest.mark.parametrize("bits", ORACLE_BITS)
