@@ -652,7 +652,7 @@ class _LiftedTable(NamedTuple):
       increasing order, with D * (1, a_p) = sum_r x[r] * (1, a_v) over
       the rows r and their vertices v = vertices[r].  So x / D are p's
       barycentric coordinates on the facet, kept as integers;
-    - units lists y_j for each unit vector e_j, j = 0..d, with
+    - units lists y_j for each unit vector e_j, j = 1..d, with
       D * e_j = sum_r y_j[r] * (1, P * a_v): y_j[r] / D is the entry of
       the inverse of the facet's lifted matrix at (v, j).
     coords is None for a dependent facet.  None of it depends on heights.
@@ -680,7 +680,7 @@ def _facet_entry(facet: Sequence[int], e: Elimination,
     return e.sign * e.D, (
         e.D, tuple(vertices),
         tuple((p, x) for p, x in columns.items() if p <= n),
-        tuple(columns[n + j] for j in range(1, len(facet) + 1)))
+        tuple(columns[n + j] for j in range(1, len(facet))))
 
 
 @functools.lru_cache(maxsize=1)
@@ -691,15 +691,15 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     multiplies every lifted determinant by P^d > 0 and leaves every
     barycentric coordinate unchanged.  Each facet is listed with its
     vertices in the complex's shared order (_shared_order), followed by
-    the points outside it, in increasing order, and then by the d+1 unit
-    vectors.  One walk over the prefix trie of these lists, whose nodes
-    are then the listing's, pivots on each facet's d+1 lifted columns and
-    carries every other column (_facet_entry).  The determinant is the
-    facet's parity times sign times the last pivot; the coordinates do
-    not depend on the order.  The table does not depend on heights, so
-    the last one is kept, with (A, K) as its key: regularity under any
-    heights, the volumes, the simplex signs and the affine supports of a
-    count of one complex read one walk.
+    the points outside it, in increasing order, and then by the unit
+    vectors e_1..e_d.  One walk over the prefix trie of these lists, whose
+    nodes are then the listing's, pivots on each facet's d+1 lifted
+    columns and carries every other column (_facet_entry).  The
+    determinant is the facet's parity times sign times the last pivot;
+    the coordinates do not depend on the order.  The table does not
+    depend on heights, so the last one is kept, with (A, K) as its key:
+    regularity under any heights, the volumes, the simplex signs and a
+    count's per-facet inverses of one complex read one walk.
     """
     if K.facets and K.dimension != A.dimension:
         raise ValueError(f"the complex has dimension {K.dimension} but "
@@ -708,11 +708,11 @@ def _lifted_table(A: PointConfiguration, K: SimplicialComplex) -> _LiftedTable:
     points, P = common_integer_rows(A.points)
     n = len(points)
     every = range(1, n + 1)
-    units = range(n + 1, n + m + 1)
+    units = range(n + 1, n + m)
     listing = K._listing
     entries = eliminate_prefixes(
         [(1, *p) for p in points]
-        + [tuple(int(i == j) for i in range(m)) for j in range(m)],
+        + [tuple(int(i == j) for i in range(m)) for j in range(1, m)],
         prefix_trie((*f, *(p for p in every if p not in f), *units)
                     for f in listing.facets),
         lambda facet, e: _facet_entry(facet[:m], e, n))

@@ -8,8 +8,8 @@ residual and each Jacobian entry exactly (fsum, dot) before rounding it
 once.  Newton evaluates each iterate once, and forms the Jacobian from
 the weights of that evaluation only for the iterates it accepts; at a
 root it also reports that Jacobian's condition number.  Newton's steps
-and the condition numbers are solved with the LU of `viro`, on Python
-lists.
+and the condition numbers are solved with the one small LU defined here,
+on Python lists; nothing else factors a matrix in floating point.
 
 Work that cannot change a bit is left out: the compiled system drops the
 zero coordinates of the points and the zero entries of the Jacobian
@@ -48,15 +48,8 @@ import mpmath as mp
 from mpmath.libmp import mpf_shift
 
 from .complexes import SimplicialComplex
-from .precision import Arithmetic, default_precision
-from .viro import (
-    ViroSystem,
-    _lu_factor,
-    _lu_solve,
-    log_fraction,
-    mpf_fraction,
-    predicted_solutions,
-)
+from .precision import Arithmetic, working_precision
+from .viro import ViroSystem, log_fraction, mpf_fraction, predicted_solutions
 
 DEDUP_LOG_DISTANCE = mp.mpf("1e-6")
 
@@ -159,6 +152,62 @@ def _in_range(x, bits: int) -> bool:
     return exp + bc <= bits if man else not exp
 
 
+def _lu_factor(rows: Sequence[Sequence],
+               ops: Arithmetic) -> tuple[list[list], list[int]]:
+    """LU factors of a small square matrix given as a list of rows of raw
+    mpmath values, in the arithmetic `ops`.
+
+    Partial pivoting, keeping the first of equal candidates; returns
+    (lu, perm), where lu holds U on and above the diagonal and L's
+    multipliers below it, and row i of L*U is row perm[i] of the input.
+    As in mpmath, a pivot p with |p| <= ||A||_1 * eps counts as singular:
+    ZeroDivisionError.
+    """
+    sub, mul, div, abs_ = ops.sub, ops.mul, ops.div, ops.abs
+    a = [list(row) for row in rows]
+    n = len(a)
+    tol = mul(ops.max(ops.total(abs_(row[k]) for row in a) for k in range(n)),
+              ops.eps)
+    perm = list(range(n))
+    for j in range(n):
+        magnitudes = [abs_(a[i][j]) for i in range(j, n)]
+        best = ops.max(magnitudes)
+        if ops.le(best, tol):
+            raise ZeroDivisionError("matrix is numerically singular")
+        p = j + magnitudes.index(best)
+        a[j], a[p] = a[p], a[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        pivot_row = a[j]
+        pivot = pivot_row[j]
+        for row in a[j + 1:]:
+            f = row[j] = div(row[j], pivot)
+            for k in range(j + 1, n):
+                row[k] = sub(row[k], mul(f, pivot_row[k]))
+    return a, perm
+
+
+def _lu_solve(factors: tuple[list[list], list[int]], b: Sequence,
+              ops: Arithmetic, first: int = 0) -> list:
+    """Solve A x = b from _lu_factor(A, ops), in the same arithmetic.
+
+    The forward substitution starts at row `first` of the permuted b,
+    whose rows above it the caller knows to stay exact zeros.
+    """
+    a, perm = factors
+    sub, mul, total = ops.sub, ops.mul, ops.total
+    n = len(a)
+    x = [b[p] for p in perm]
+    for i in range(first + 1, n):
+        row = a[i]
+        x[i] = sub(x[i], total([mul(row[k], x[k]) for k in range(first, i)]))
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        x[i] = ops.div(sub(x[i], total([mul(row[k], x[k])
+                                         for k in range(i + 1, n)])),
+                       row[i])
+    return x
+
+
 @dataclass
 class NewtonResult:
     status: str                      # converged | singular | diverged | max_iter
@@ -200,7 +249,7 @@ def newton_refine(S: ViroSystem, t: Fraction, u0: Sequence,
     if len(u0) != S.dimension:
         raise ValueError(f"log-point has {len(u0)} coordinates; the system "
                          f"has dimension {S.dimension}")
-    bits = prec or default_precision()
+    bits = working_precision(prec)
     ops = Arithmetic(bits)
     add, mul, lt, max_abs = ops.add, ops.mul, ops.lt, ops.max_abs
     tol = mpf_shift(ops.one, -(bits // 2))
@@ -387,7 +436,7 @@ def certified_positive_count(S: ViroSystem, K: SimplicialComplex,
     would, bit for bit.
     """
     t = Fraction(t)
-    bits = prec or default_precision()
+    bits = working_precision(prec)
     with mp.workprec(bits):
         starts = predicted_solutions(S, K, t, prec=bits)
         witnesses: list[Witness] = []

@@ -3,12 +3,12 @@
 All log-space numerics run under mpmath at an extended precision (default
 256-bit significand).  The default can be overridden through the
 ``VIRODECOR_PRECISION_BITS`` environment variable or per call via the
-``prec`` keyword arguments.  Any precision of at least 53 bits is
-supported: Newton refinement stops when the residual falls below
-tol = 2^-(prec // 2) and the step below tol * max(1, |u|), so its
-tolerance follows the precision, and the step test scales with roots
-far from the origin in log coordinates.  A count reports the precision
-it ran at.
+``prec`` keyword arguments, each a whole number of at least 53 bits.
+Any such precision is supported: Newton refinement stops when the
+residual falls below tol = 2^-(prec // 2) and the step below
+tol * max(1, |u|), so its tolerance follows the precision, and the step
+test scales with roots far from the origin in log coordinates.  A count
+reports the precision it ran at.
 
 `Arithmetic(prec)` binds the operations that the numerical kernel uses to
 one precision.  They act on raw mpmath values, the (sign, man, exp, bc)
@@ -63,9 +63,21 @@ def default_precision() -> int:
         bits = int(raw)
     except ValueError:
         bits = None
-    if bits is None or bits < 53:
-        raise ValueError(f"VIRODECOR_PRECISION_BITS must be a whole number "
-                         f"of bits, at least 53; got {raw!r}")
+    return _checked(bits, "VIRODECOR_PRECISION_BITS", raw)
+
+
+def working_precision(prec: int | None) -> int:
+    """prec, checked as VIRODECOR_PRECISION_BITS is; None means the default."""
+    if prec is None:
+        return default_precision()
+    return _checked(prec, "prec", prec)
+
+
+def _checked(bits, name: str, raw) -> int:
+    # a whole number of bits, at least 53; bool, a subclass of int, is refused
+    if type(bits) is not int or bits < 53:
+        raise ValueError(f"{name} must be a whole number of bits, "
+                         f"at least 53; got {raw!r}")
     return bits
 
 

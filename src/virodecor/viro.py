@@ -5,7 +5,8 @@ positive parameter t.  This module validates the container, certifies that
 a height function induces the given triangulation (strict lower-hull
 inequalities, checked exactly), and builds each facet's truncated positive
 solution and affine support, from walks over the whole complex, to seed
-the numerical solver.
+the numerical solver.  Both are read off the exact inverse of the facet's
+lifted matrix in the lifted table, so degeneracy is decided exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exactlinalg import (
     loads_exact,
     parse_rational,
 )
-from .precision import Arithmetic, default_precision
+from .precision import Arithmetic, working_precision
 
 
 @dataclass(frozen=True)
@@ -158,28 +159,6 @@ def _integer_heights(heights: Sequence) -> tuple[list[int], int]:
     return lift, Q
 
 
-def _support(facet: tuple[int, ...], coords: _Coordinates | None, P: int,
-             lift: Sequence[int], Q: int
-             ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(offset, gradient) of the lift on a facet, from its entry in a
-    lifted table, whose points the denominator P scaled, and the heights
-    scaled to integers by Q.
-
-    With z_j = sum_r y_j[r] * lift[v_r] / (D * Q) for the unit columns y_j
-    (the transposed inverse applied to the heights), the support of the
-    scaled points is (z_0, z_1, ..., z_d), so the offset is z_0 and the
-    gradient is P * (z_1, ..., z_d), as regularity_check forms its gaps.
-    An affinely dependent facet raises RankDeficiencyError.
-    """
-    if coords is None:
-        raise RankDeficiencyError(f"facet {facet} is affinely degenerate")
-    D, vertices, _, units = coords
-    lift_v = [lift[v - 1] for v in vertices]
-    offset, *gradient = (sum(map(mul, y, lift_v)) for y in units)
-    return (Fraction(offset, D * Q),
-            tuple(Fraction(P * g, D * Q) for g in gradient))
-
-
 def regularity_check(A: PointConfiguration, heights: Sequence[Fraction],
                      K: SimplicialComplex) -> RegularityReport:
     """Strict hull test: the lift must stay strictly on one side of every
@@ -259,83 +238,36 @@ def mpf_fraction(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-# The one dense solver of the floating-point side: Newton's step, the
-# condition estimate and the lifted solve below all factor with it.  It
-# runs on raw mpmath values with the operations of one `Arithmetic`.
+def _facet_data(facet: tuple[int, ...],
+                kernel: tuple[Fraction, ...] | ValueError,
+                coords: _Coordinates | None, P: int, lift: Sequence[int],
+                Q: int, ops: Arithmetic) -> tuple[tuple, tuple]:
+    """(u, gradient) of a facet: the log of its truncated solution, as
+    mpfs, and the exact gradient of the lift's affine support on it.
 
-
-def _lu_factor(rows: Sequence[Sequence],
-               ops: Arithmetic) -> tuple[list[list], list[int]]:
-    """LU factors of a small square matrix given as a list of rows of raw
-    mpmath values, in the arithmetic `ops`.
-
-    Partial pivoting, keeping the first of equal candidates; returns
-    (lu, perm), where lu holds U on and above the diagonal and L's
-    multipliers below it, and row i of L*U is row perm[i] of the input.
-    As in mpmath, a pivot p with |p| <= ||A||_1 * eps counts as singular:
-    ZeroDivisionError.
+    Both solve u_0 + <u, a_v> = r_v at the vertices v, with r_v = log
+    lambda_v for the kernel vector lambda and r_v = h_v, so both are read
+    off the facet's entry in a lifted table whose points the denominator
+    P scaled.  With its unit columns y_k, last pivot D and vertex v_r
+    pivoted in row r, u_k = sum_r (P * y_k[r] / D) * log lambda_{v_r},
+    each coefficient converted to mpf once and summed by one
+    `Arithmetic.dot`, and the gradient is P * sum_r y_k[r] * lift[v_r] /
+    (D * Q) for the heights scaled to integers by Q.  A kernel that is an
+    error is raised; then a facet without an entry is degenerate.
     """
-    sub, mul, div, abs_ = ops.sub, ops.mul, ops.div, ops.abs
-    a = [list(row) for row in rows]
-    n = len(a)
-    tol = mul(ops.max(ops.total(abs_(row[k]) for row in a) for k in range(n)),
-              ops.eps)
-    perm = list(range(n))
-    for j in range(n):
-        magnitudes = [abs_(a[i][j]) for i in range(j, n)]
-        best = ops.max(magnitudes)
-        if ops.le(best, tol):
-            raise ZeroDivisionError("matrix is numerically singular")
-        p = j + magnitudes.index(best)
-        a[j], a[p] = a[p], a[j]
-        perm[j], perm[p] = perm[p], perm[j]
-        pivot_row = a[j]
-        pivot = pivot_row[j]
-        for row in a[j + 1:]:
-            f = row[j] = div(row[j], pivot)
-            for k in range(j + 1, n):
-                row[k] = sub(row[k], mul(f, pivot_row[k]))
-    return a, perm
-
-
-def _lu_solve(factors: tuple[list[list], list[int]], b: Sequence,
-              ops: Arithmetic, first: int = 0) -> list:
-    """Solve A x = b from _lu_factor(A, ops), in the same arithmetic.
-
-    The forward substitution starts at row `first` of the permuted b,
-    whose rows above it the caller knows to stay exact zeros.
-    """
-    a, perm = factors
-    sub, mul, total = ops.sub, ops.mul, ops.total
-    n = len(a)
-    x = [b[p] for p in perm]
-    for i in range(first + 1, n):
-        row = a[i]
-        x[i] = sub(x[i], total([mul(row[k], x[k]) for k in range(first, i)]))
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        x[i] = ops.div(sub(x[i], total([mul(row[k], x[k])
-                                         for k in range(i + 1, n)])),
-                       row[i])
-    return x
-
-
-def _log_solution(facet: tuple[int, ...],
-                  kernel: tuple[Fraction, ...] | ValueError,
-                  rows: list[list[tuple]], ops: Arithmetic
-                  ) -> tuple[mp.mpf, ...]:
-    """u of the facet's truncated solution: the transposed lifted matrix,
-    one row (1, a_v) per vertex v, solved against log kernel, less its
-    first entry.  A kernel that is an error is raised."""
     if isinstance(kernel, ValueError):
         raise kernel
-    try:
-        sol = _lu_solve(_lu_factor(rows, ops),
-                        [log_fraction(x)._mpf_ for x in kernel], ops)
-    except ZeroDivisionError as exc:
+    if coords is None:
         raise RankDeficiencyError(
-            f"degenerate facet {facet}: lifted matrix singular") from exc
-    return tuple(map(mp.make_mpf, sol[1:]))
+            f"degenerate facet {facet}: lifted matrix singular")
+    D, vertices, _, units = coords
+    at = dict(zip(facet, kernel))
+    logs = [log_fraction(at[v])._mpf_ for v in vertices]
+    lift_v = [lift[v - 1] for v in vertices]
+    u = tuple(mp.make_mpf(ops.dot([mpf_fraction(Fraction(P * x, D))._mpf_
+                                   for x in y], logs)) for y in units)
+    return u, tuple(Fraction(P * sum(map(mul, y, lift_v)), D * Q)
+                    for y in units)
 
 
 @functools.lru_cache(maxsize=1)
@@ -343,18 +275,17 @@ def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
                      bits: int) -> tuple[tuple, ...]:
     """(facet, truncated log-solution, mpf gradient of the affine
     support) per facet of K.  None of it depends on t, so the last build
-    is kept: counts of one system at many t solve each facet once.
+    is kept: counts of one system at many t read each facet once.
 
     The exact data come from walks made once per complex: the kernel
     vectors from one walk of C's columns over the complex's listing trie
-    (_positive_kernel_vectors), and the affine supports from the lifted
-    table of (A, K) (_support), which a regularity check of the same
-    complex has already built.  Each point's row (1, a_p) is converted to
-    raw mpf once.  A complex with more vertices than the points is refused
-    first, as regularity_check refuses it.  Then the first facet, in the
-    order of K.facets, that is not decorated or is degenerate raises: its
-    kernel's error (_positive_kernel_vectors), a singular lifted matrix
-    (_log_solution), or an affinely degenerate facet (_support).
+    (_positive_kernel_vectors), and each facet's inverse from the lifted
+    table of (A, K) (_facet_data), which a regularity check of the same
+    complex has already built.  A complex with more vertices than the
+    points is refused first, as regularity_check refuses it.  Then the
+    first facet, in the order of K.facets, that is not decorated or is
+    degenerate raises: its kernel's error (_positive_kernel_vectors), or
+    a singular lifted matrix.
     """
     A = S.configuration
     A.require_vertices(K)
@@ -364,13 +295,10 @@ def _facet_solutions(S: ViroSystem, K: SimplicialComplex,
     ops = Arithmetic(bits)
     out = []
     with mp.workprec(bits):
-        rows = [[mpf_fraction(Fraction(x))._mpf_ for x in (1, *p)]
-                for p in A.points]
         for facet, kernel, coords in zip(K.facets, kernels, table.coords):
-            u = _log_solution(facet, kernel, [rows[v - 1] for v in facet],
-                              ops)
-            _, grad = _support(facet, coords, table.denominator, lift, Q)
-            out.append((facet, u, tuple(map(mpf_fraction, grad))))
+            u, gradient = _facet_data(facet, kernel, coords,
+                                      table.denominator, lift, Q, ops)
+            out.append((facet, u, tuple(map(mpf_fraction, gradient))))
     return tuple(out)
 
 
@@ -380,7 +308,7 @@ def predicted_solutions(S: ViroSystem, K: SimplicialComplex, t: Fraction,
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    bits = prec or default_precision()
+    bits = working_precision(prec)
     with mp.workprec(bits):
         lnt = log_fraction(t)
         return [TruncatedSolution(facet, tuple(x - lnt * g

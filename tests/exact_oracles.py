@@ -82,6 +82,22 @@ def lifted_matrix(A, facet):
     return RationalMatrix(rows)
 
 
+def inverse(M):
+    """M^-1 of a nonsingular square M of size at least 2, by its
+    adjugate: entry (i, j) is (-1)^(i+j) times the minor of M without row
+    j and column i, over det M."""
+    rows = M.to_lists()
+    det = determinant(M)
+
+    def minor(r, c):
+        return determinant(RationalMatrix([row[:c] + row[c + 1:]
+                                           for k, row in enumerate(rows)
+                                           if k != r]))
+
+    return RationalMatrix([[(-1) ** (i + j) * minor(j, i) / det
+                            for j in range(M.rows)] for i in range(M.rows)])
+
+
 def two_coloring(G):
     """(colors, odd_cycle) of the dual graph G by a breadth-first search
     from each uncolored node in turn, each node's neighbours taken in

@@ -172,6 +172,37 @@ def test_count_reports_its_precision(runner, tmp_path):
     assert result.output.splitlines()[0].startswith("count: 5 at 53 bits ")
 
 
+def test_a_nonsingular_facet_counts_at_53_bits(runner, tmp_path):
+    """Points 0, 2^-60 and 1 on the line: the facet (1, 2) is exactly
+    nonsingular, so the regular, decorated triangulation is checked and
+    counted, not refused as malformed, at 53 bits."""
+    files = {
+        "P.json": {"dimension": 1, "points": [["0"], [f"1/{2 ** 60}"],
+                                              ["1"]]},
+        "K.json": {"dimension": 1, "n_vertices": 3,
+                   "facets": [[1, 2], [2, 3]]},
+        "C.json": {"rows": 1, "cols": 3, "entries": ["1", "-1", "1"]},
+        "H.json": {"heights": ["0", "0", "1"]},
+    }
+    for name, body in files.items():
+        (tmp_path / name).write_text(json.dumps(body))
+    path = {name: str(tmp_path / name) for name in files}
+    result = runner.invoke(main, [
+        "check", "--complex", path["K.json"], "--matrix", path["C.json"],
+        "--points", path["P.json"], "--heights", path["H.json"],
+        "--decorated", "--regular"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "viro", "--points", path["P.json"], "--matrix", path["C.json"],
+        "--heights", path["H.json"], "--out", str(tmp_path / "S.json")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "count", "--system", str(tmp_path / "S.json"), "--complex",
+        path["K.json"]], env={"VIRODECOR_PRECISION_BITS": "53"})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["precision"] == 53
+
+
 @pytest.mark.parametrize("bits", ["abc", "", "10"])
 @pytest.mark.parametrize("command", ["count", "verify-paper"])
 def test_bad_precision_is_a_usage_error(runner, tmp_path, command, bits):

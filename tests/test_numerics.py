@@ -27,21 +27,21 @@ from virodecor.numerics import (
     DEDUP_LOG_DISTANCE,
     NewtonResult,
     Witness,
+    _lu_factor,
+    _lu_solve,
     certified_positive_count,
     condition_estimate,
     newton_refine,
 )
 from virodecor.precision import Arithmetic
 from virodecor.viro import (
-    _lu_factor,
-    _lu_solve,
     build_viro_system,
     log_fraction,
     mpf_fraction,
     predicted_solutions,
 )
 
-from exact_oracles import lifted_matrix
+from exact_oracles import inverse, lifted_matrix
 
 PREC = 256
 
@@ -354,28 +354,28 @@ def test_count_compiles_the_system_once(monkeypatch):
 
 def spy_on_builds(monkeypatch):
     """The facet lists of the kernel walks a count makes (one per build
-    of its per-facet data) and the facets it solves in mpf, as they
-    happen."""
+    of its per-facet data) and the facets whose u and gradient it reads
+    off the lifted table, as they happen."""
     builds, solves = [], []
     kernels = viro._positive_kernel_vectors
-    log_solution = viro._log_solution
+    facet_data = viro._facet_data
 
     def counted_kernels(C, K):
         builds.append(K.facets)
         return kernels(C, K)
 
-    def counted_solve(facet, *args):
+    def counted_read(facet, *args):
         solves.append(facet)
-        return log_solution(facet, *args)
+        return facet_data(facet, *args)
 
     monkeypatch.setattr(viro, "_positive_kernel_vectors", counted_kernels)
-    monkeypatch.setattr(viro, "_log_solution", counted_solve)
+    monkeypatch.setattr(viro, "_facet_data", counted_read)
     return builds, solves
 
 
 def test_count_solves_each_facet_once_per_system(monkeypatch):
     """The per-facet data do not depend on t: two counts of one system
-    walk its complex once and solve each facet once, and a count of
+    walk its complex once and read each facet once, and a count of
     another system builds them again."""
     builds, solves = spy_on_builds(monkeypatch)
     planar, P = planar_system()
@@ -409,6 +409,54 @@ def test_count_needs_no_single_facet_solve(monkeypatch):
     f, S = snd115_system()
     assert certified_positive_count(S, f.complex, Fraction(1, 1000)).count \
         == 38
+
+
+@pytest.mark.parametrize("bits", [256, 53])
+def test_a_count_solves_no_lifted_matrix_in_floating_point(monkeypatch,
+                                                           bits):
+    """With _lu_factor raising wherever it is held, snd-11-5's per-facet
+    data are still built: u and the gradient come from the lifted table's
+    exact inverse."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a count factored a matrix in floating point")
+
+    for name, module in list(sys.modules.items()):
+        if name == "virodecor" or name.startswith("virodecor."):
+            if hasattr(module, "_lu_factor"):
+                monkeypatch.setattr(module, "_lu_factor", refused)
+    viro._facet_solutions.cache_clear()
+    f, S = snd115_system()
+    built = viro._facet_solutions(S, f.complex, bits)
+    assert [facet for facet, _, _ in built] == list(f.complex.facets)
+
+
+@pytest.mark.parametrize("prec", [True, 0, 8, 52, 2.5, "64"])
+@pytest.mark.parametrize("call", [
+    lambda S, K, prec: certified_positive_count(S, K, Fraction(1, 10),
+                                                prec=prec),
+    lambda S, K, prec: newton_refine(S, Fraction(1, 10), [0, 0, 0],
+                                     prec=prec),
+    lambda S, K, prec: predicted_solutions(S, K, Fraction(1, 10),
+                                           prec=prec),
+], ids=["certified_positive_count", "newton_refine", "predicted_solutions"])
+def test_an_explicit_precision_goes_through_the_policy(call, prec):
+    """An explicit prec is checked as VIRODECOR_PRECISION_BITS is: a
+    whole number of bits, at least 53, and no bool."""
+    f, S = snd63_system()
+    with pytest.raises(ValueError) as refused:
+        call(S, f.complex, prec)
+    assert str(refused.value) == (f"prec must be a whole number of bits, "
+                                  f"at least 53; got {prec!r}")
+
+
+def test_an_explicit_precision_of_53_bits_is_accepted():
+    f, S = snd63_system()
+    t = Fraction(1, 10)
+    assert certified_positive_count(S, f.complex, t, prec=53).precision \
+        == 53
+    (start, *_) = predicted_solutions(S, f.complex, t, prec=53)
+    assert newton_refine(S, t, start.log_point, prec=53).status \
+        == "converged"
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
@@ -806,15 +854,15 @@ def oracle_count(S, K, t, bits):
 
 def oracle_truncated(A, C, facet, bits):
     """A facet's truncated log-solution, as a count builds it
-    (viro._log_solution), through the oracle LU."""
+    (viro._facet_data): u_k is the fdot of column k of the inverse of
+    the lifted matrix, by the adjugate, each entry converted to mpf, with
+    the logs of the kernel vector."""
     v = positive_kernel_vector(C.submatrix_columns([i - 1 for i in facet]))
+    inv = inverse(lifted_matrix(A, facet)).to_lists()
     with mp.workprec(bits):
-        lifted = lifted_matrix(A, facet)
-        mat = [[mpf_fraction(lifted[i, j]) for i in range(lifted.rows)]
-               for j in range(lifted.cols)]
-        sol = oracle_lu_solve(oracle_lu_factor(mat),
-                              [log_fraction(x) for x in v])
-        return tuple(sol[1:])
+        logs = [log_fraction(x) for x in v]
+        return tuple(mp.fdot([mpf_fraction(row[k]) for row in inv], logs)
+                     for k in range(1, len(facet)))
 
 
 def bits_of(x):

@@ -41,8 +41,6 @@ from virodecor.precision import Arithmetic
 from virodecor.viro import (
     RegularityReport,
     ViroSystem,
-    _lu_factor,
-    _lu_solve,
     build_viro_system,
     log_fraction,
     mpf_fraction,
@@ -51,7 +49,7 @@ from virodecor.viro import (
     render_system,
 )
 
-from exact_oracles import lifted_matrix, maximal_minors, transpose
+from exact_oracles import inverse, lifted_matrix, maximal_minors, transpose
 
 
 def planar_system():
@@ -134,18 +132,34 @@ def test_a_configuration_of_another_dimension_is_refused(check):
                                   "configuration has dimension 2")
 
 
+def table_gradients(A, heights, K):
+    """Each facet's exact gradient of the lift's affine support, as a
+    count reads it off the lifted table (viro._facet_data), or the type
+    and message of the error raised for it.  The kernel vector passed is
+    all ones, so every facet reaches its gradient."""
+    table = _lifted_table(A, K)
+    lift, Q = viro._integer_heights(heights)
+    ops = Arithmetic(53)
+
+    def gradient(facet, coords):
+        return viro._facet_data(facet, (Fraction(1),) * len(facet), coords,
+                                table.denominator, lift, Q, ops)[1]
+
+    return [outcome(gradient, facet, coords)
+            for facet, coords in zip(K.facets, table.coords)]
+
+
 def test_affine_support_interpolates_exactly():
-    """Each facet's support, read off the lifted table as a count reads
-    it, meets the lift at the facet's vertices."""
+    """Each facet's gradient g, read off the lifted table as a count reads
+    it, interpolates the lift: h_v - <g, a_v> is one constant over the
+    facet's vertices."""
     f = catalog.snd63_fixture()
-    table = _lifted_table(f.configuration, f.complex)
-    lift, Q = viro._integer_heights(f.heights)
-    for facet, coords in zip(f.complex.facets, table.coords):
-        b, a = viro._support(facet, coords, table.denominator, lift, Q)
-        for v in facet:
-            point = f.configuration.points[v - 1]
-            assert f.heights[v - 1] == b + sum(
-                g * x for g, x in zip(a, point))
+    A = f.configuration
+    for facet, g in zip(f.complex.facets,
+                        table_gradients(A, f.heights, f.complex)):
+        assert len(g) == A.dimension
+        assert len({f.heights[v - 1] - sum(x * y for x, y in zip(
+            g, A.points[v - 1])) for v in facet}) == 1
 
 
 # -- the integer path against per-facet Fraction oracles -------------------
@@ -156,6 +170,20 @@ def facet_affine_support_by_solve(A, heights, facet):
     sol = solve(transpose(lifted_matrix(A, facet)),
                 [Fraction(heights[v - 1]) for v in facet])
     return sol[0], sol[1:]
+
+
+def assert_gradients_match(A, heights, K):
+    """The gradient a count reads off the lifted table is the exact
+    solve's, and a facet that the solve finds singular is refused as a
+    count refuses it."""
+    for facet, ours in zip(K.facets, table_gradients(A, heights, K)):
+        oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
+        if oracle[0] is RankDeficiencyError:
+            oracle = (RankDeficiencyError,
+                      f"degenerate facet {facet}: lifted matrix singular")
+        else:
+            oracle = tuple(oracle[1])
+        assert ours == oracle
 
 
 def regularity_by_fraction_gaps(A, heights, K):
@@ -309,13 +337,8 @@ def assert_matches_fraction_oracles(A, heights, K, C):
     """Every per-facet check against its per-facet Fraction oracle, with
     reports and errors in the order of K.facets."""
     assert_regularity_matches(A, heights, K)
-    table = _lifted_table(A, K)
-    lift, Q = viro._integer_heights(heights)
-    for facet, coords in zip(K.facets, table.coords):
-        ours = outcome(viro._support, facet, coords, table.denominator,
-                       lift, Q)
-        oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
-        assert ours == oracle or ours[0] is oracle[0] is RankDeficiencyError
+    assert_gradients_match(A, heights, K)
+    for facet in K.facets:
         assert normalized_volume(A, facet) == volume_by_determinant(A, facet)
     volumes = [volume_by_determinant(A, f) for f in K.facets]
     assert is_unimodular(K, A) == all(v == 1 for v in volumes)
@@ -398,31 +421,35 @@ def test_shared_order_matches_fraction_oracles(inputs):
 
 def facet_solutions_by_facet(S, K, bits):
     """A count's per-facet data built one facet at a time, in the order
-    of K.facets: positive_kernel_vector of the facet's columns, the lifted
-    LU solve against its logs, then the affine support by an exact solve.
-    The first error raised is the count's.  Raw mpf tuples."""
+    of K.facets: positive_kernel_vector of the facet's columns; a facet
+    whose lifted matrix M has determinant 0 is degenerate; u_k is the
+    fdot of column k of M^-1, by the adjugate, each entry converted to
+    mpf, with the logs of the kernel vector; and the affine support comes
+    from an exact solve.  The first error raised is the count's.  Raw
+    mpf tuples.
+
+    fdot sums its exact products exactly and rounds once, as the count's
+    dot does, so taking the terms in facet order rather than the lifted
+    table's pivot order changes no bit: the products here never lie the
+    2 * prec bits apart at which the running sum drops a term.
+    """
     A, C = S.configuration, S.coefficients
-    ops = Arithmetic(bits)
     out = []
     for facet in K.facets:
         v = positive_kernel_vector(C.submatrix_columns([u - 1 for u in facet]))
         if v is None:
             raise ValueError(f"facet {facet} is not positively decorated")
+        M = lifted_matrix(A, facet)
+        if determinant(M) == 0:
+            raise RankDeficiencyError(
+                f"degenerate facet {facet}: lifted matrix singular")
+        inv = inverse(M).to_lists()
+        _, grad = facet_affine_support_by_solve(A, S.heights, facet)
         with mp.workprec(bits):
-            rows = [[mpf_fraction(Fraction(x))._mpf_
-                     for x in (1, *A.points[u - 1])] for u in facet]
-            try:
-                sol = _lu_solve(_lu_factor(rows, ops),
-                                [log_fraction(x)._mpf_ for x in v], ops)
-            except ZeroDivisionError:
-                raise RankDeficiencyError(
-                    f"degenerate facet {facet}: lifted matrix singular")
-            try:
-                _, grad = facet_affine_support_by_solve(A, S.heights, facet)
-            except RankDeficiencyError:
-                raise RankDeficiencyError(
-                    f"facet {facet} is affinely degenerate") from None
-            out.append((facet, tuple(sol[1:]),
+            logs = [log_fraction(x) for x in v]
+            u = [mp.fdot([mpf_fraction(row[k]) for row in inv], logs)
+                 for k in range(1, len(facet))]
+            out.append((facet, tuple(x._mpf_ for x in u),
                         tuple(mpf_fraction(g)._mpf_ for g in grad)))
     return out
 
@@ -465,16 +492,14 @@ def decorated_complexes(draw):
 @settings(max_examples=200, deadline=None)
 def test_count_data_match_per_facet_oracles(inputs, bits):
     """Each facet's kernel vector, from the walk over the complex's
-    listing, is positive_kernel_vector's, and its affine support, from the
+    listing, is positive_kernel_vector's, and its gradient, from the
     lifted table, is the exact solve's; an undecorated or degenerate
     facet gets the error a count raises for it.  A count then raises the
     first facet's error, in the order of K.facets, or builds every
     facet's data bit for bit as the per-facet build does."""
     A, heights, K, C = inputs
     kernels = complexes._positive_kernel_vectors(C, K)
-    table = _lifted_table(A, K)
-    lift, Q = viro._integer_heights(heights)
-    for facet, kernel, coords in zip(K.facets, kernels, table.coords):
+    for facet, kernel in zip(K.facets, kernels):
         oracle = outcome(positive_kernel_vector,
                          C.submatrix_columns([v - 1 for v in facet]))
         if oracle is None:
@@ -482,13 +507,7 @@ def test_count_data_match_per_facet_oracles(inputs, bits):
         if isinstance(kernel, ValueError):
             kernel = type(kernel), str(kernel)
         assert kernel == oracle
-        ours = outcome(viro._support, facet, coords, table.denominator,
-                       lift, Q)
-        oracle = outcome(facet_affine_support_by_solve, A, heights, facet)
-        if oracle[0] is RankDeficiencyError:
-            oracle = (RankDeficiencyError,
-                      f"facet {facet} is affinely degenerate")
-        assert ours == oracle
+    assert_gradients_match(A, heights, K)
     S = build_viro_system(A, C, heights)
     viro._facet_solutions.cache_clear()
     assert outcome(raw_facet_solutions, S, K, bits) \
@@ -611,7 +630,7 @@ def test_one_walk_of_the_lifted_points_serves_every_check(monkeypatch):
         simplex_signs(K, A, C)
         normalized_volume(A, K.facets[0])
     assert senses == ["convex", "convex", None, "concave"] * 2
-    # the table's walk carries the d+1 unit vectors after the points
+    # the table's walk carries the d unit vectors e_1..e_d after the points
     lifted = [(1, *p) for p in A.points]
     assert [facets for vectors, facets in walks
             if vectors[:len(lifted)] == lifted] \
@@ -637,6 +656,43 @@ def test_degenerate_facets_are_reported_in_complex_order():
         == [1, 0, 1, 0]
     with pytest.raises(ValueError, match=r"degenerate facet \(1, 4, 5\)"):
         simplex_signs(UNSORTED, LINE_POINTS, RAINBOW_TWO)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_a_count_refuses_an_exactly_degenerate_facet(bits):
+    """(2, 3, 4) and the collinear (1, 4, 5), both decorated: a count
+    reads the first and refuses the second, at every precision."""
+    K = SimplicialComplex(2, 5, ((2, 3, 4), (1, 4, 5)))
+    C = decoration_from_coloring({1: 0, 2: 1, 3: 0, 4: 2, 5: 1}, 5, 2)
+    assert is_positively_decorated(K, C) == (True, [])
+    S = build_viro_system(LINE_POINTS, C, [0] * 5)
+    viro._facet_solutions.cache_clear()
+    with pytest.raises(RankDeficiencyError, match=r"^degenerate facet "
+                       r"\(1, 4, 5\): lifted matrix singular$"):
+        predicted_solutions(S, K, Fraction(1, 10), prec=bits)
+
+
+# two facets of the line, (1, 2) of length 2^-60; its lifted matrix is
+# exactly nonsingular, and an LU at 53 bits would find it singular
+TINY_SEGMENT = build_viro_system(
+    PointConfiguration.from_rows([(0,), (Fraction(1, 2 ** 60),), (1,)]),
+    RationalMatrix([[1, -1, 1]]), [0, 0, 1])
+TINY_COMPLEX = SimplicialComplex(1, 3, ((1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_degeneracy_is_decided_exactly_at_every_precision(bits):
+    """Both facets are built from the exact inverse: each kernel is
+    (1, 1), so u = 0, and the gradients are 0 and 1 / (1 - 2^-60)."""
+    A, K = TINY_SEGMENT.configuration, TINY_COMPLEX
+    assert regularity_check(A, TINY_SEGMENT.heights, K).ok
+    viro._facet_solutions.cache_clear()
+    built = viro._facet_solutions(TINY_SEGMENT, K, bits)
+    with mp.workprec(bits):
+        assert built == (
+            ((1, 2), (mp.mpf(0),), (mp.mpf(0),)),
+            ((2, 3), (mp.mpf(0),),
+             (mpf_fraction(Fraction(2 ** 60, 2 ** 60 - 1)),)))
 
 
 def test_failing_facets_follow_complex_order():
