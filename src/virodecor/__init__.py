@@ -1,5 +1,14 @@
 """Exact and numerical tools for sparse polynomial systems whose positive
-solutions are counted through positively decorated triangulations."""
+solutions are counted through positively decorated triangulations.
+
+Importing the package loads only the exact layers: exactlinalg,
+complexes and families.  The names it exports from viro, numerics and
+completion are resolved on first access (PEP 562), so the first of them
+that is read loads its module, and viro or numerics loads precision and
+mpmath with it.
+"""
+
+import importlib
 
 from .complexes import (
     BipartitenessCheck,
@@ -16,7 +25,6 @@ from .complexes import (
     simplex_signs,
     total_normalized_volume,
 )
-from .completion import decorate
 from .exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
@@ -42,16 +50,33 @@ from .families import (
     order_polytope_triangulation,
     snd_subcomplex,
 )
-from .numerics import CertifiedCount, certified_positive_count, newton_refine
-from .viro import (
-    ViroSystem,
-    build_viro_system,
-    predicted_solutions,
-    regularity_check,
-    render_system,
-)
 
 __version__ = "0.1.0"
+
+# export -> the module that defines it, imported on first access
+_LAZY = {
+    "decorate": "completion",
+    "CertifiedCount": "numerics",
+    "certified_positive_count": "numerics",
+    "newton_refine": "numerics",
+    "ViroSystem": "viro",
+    "build_viro_system": "viro",
+    "predicted_solutions": "viro",
+    "regularity_check": "viro",
+    "render_system": "viro",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "BipartitenessCheck",

@@ -3,6 +3,13 @@
 Every subcommand is a thin adapter over the library API; JSON written here
 is byte-identical to the corresponding ``to_json`` output.  Exit codes:
 0 success/pass, 1 check failed, 2 usage error, 3 numeric failure.
+
+Importing this module loads only the exact layers (exactlinalg,
+complexes, families, catalog).  Each command imports the rest where it
+runs it: `check --regular` and `viro` load viro, which loads precision
+and mpmath; `count` and every `verify-paper` case read the precision,
+and those that count load viro and numerics; `decorate` loads
+completion.  `family` and the other checks load none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .complexes import (
     is_positively_decorated,
     is_unimodular,
 )
-from .completion import decorate as decorate_complex
 from .exactlinalg import (
     RankDeficiencyError,
     RationalMatrix,
@@ -47,15 +53,6 @@ from .families import (
     diagonal_coefficients,
     order_polytope_triangulation,
     snd_subcomplex,
-)
-from .numerics import certified_positive_count
-from .precision import default_precision
-from .viro import (
-    ViroSystem,
-    build_viro_system,
-    regularity_check,
-    render_system,
-    require_rows,
 )
 
 EXIT_CHECK_FAILED = 1
@@ -84,6 +81,7 @@ def _write(path: Path, text: str):
 def _precision() -> int:
     """The working precision, read once before any work: a bad
     VIRODECOR_PRECISION_BITS is a usage error, not a fault of an input file."""
+    from .precision import default_precision
     try:
         return default_precision()
     except ValueError as exc:
@@ -277,6 +275,7 @@ def check(complex_path, matrix_path, points_path, heights_path,
         report["decorated"] = {"ok": ok,
                                "failing_facets": [list(f) for f in failing]}
     if regular:
+        from .viro import regularity_check
         try:
             r = regularity_check(A, heights, K)
         except RankDeficiencyError as exc:
@@ -306,6 +305,7 @@ def check(complex_path, matrix_path, points_path, heights_path,
               help="write the decoration matrix JSON here")
 def decorate(complex_path, restarts, seed, out_path):
     """Search for an exactly verified decoration of a complex."""
+    from .completion import decorate as decorate_complex
     K = _load_complex(complex_path)
     try:
         outcome = decorate_complex(K, restarts=restarts, seed=seed)
@@ -334,6 +334,7 @@ def decorate(complex_path, restarts, seed, out_path):
 @click.option("--render", is_flag=True, help="print the equations")
 def viro(points_path, matrix_path, heights_path, out_path, render):
     """Assemble a deformed system from points, coefficients and heights."""
+    from .viro import build_viro_system, render_system, require_rows
     A = _load_points(points_path)
     C = _load_matrix(matrix_path,
                      lambda rows, _: _as_usage_error(require_rows, A, rows))
@@ -358,6 +359,8 @@ def viro(points_path, matrix_path, heights_path, out_path, render):
               default="json", show_default=True)
 def count(system_path, complex_path, t_str, expect, fmt):
     """Count distinct positive roots reachable from the per-facet starts."""
+    from .numerics import certified_positive_count
+    from .viro import ViroSystem
     bits = _precision()
     if expect is not None and expect < 0:
         _fail_usage(f"expect must be >= 0, got {expect}")
@@ -416,6 +419,8 @@ def _verify_decoration(fixture) -> list[str]:
 
 def _count_line(name: str, fixture, C, t: Fraction, minimum: int,
                 bits: int) -> str:
+    from .numerics import certified_positive_count
+    from .viro import build_viro_system
     S = build_viro_system(fixture.configuration, C, fixture.heights)
     result = certified_positive_count(S, fixture.complex, t, prec=bits)
     return (f"{'pass' if result.count >= minimum else 'FAIL'} {name}: "
@@ -425,6 +430,7 @@ def _count_line(name: str, fixture, C, t: Fraction, minimum: int,
 
 def _verify_count(fixture, C, t: Fraction, minimum: int,
                   bits: int) -> list[str]:
+    from .viro import regularity_check
     reg = regularity_check(fixture.configuration, fixture.heights,
                            fixture.complex)
     return [f"{'pass' if reg.ok else 'FAIL'} {fixture.name}: heights induce "
@@ -433,6 +439,7 @@ def _verify_count(fixture, C, t: Fraction, minimum: int,
 
 
 def _verify_prism(bits: int) -> list[str]:
+    from .viro import regularity_check
     fam = order_polytope_triangulation(Poset.from_relations(3, [(1, 2)]))
     lines = []
     ok = len(fam.complex.facets) == 3

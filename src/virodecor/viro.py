@@ -19,6 +19,7 @@ from operator import mul
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .complexes import (
     PointConfiguration,
@@ -235,7 +236,9 @@ def log_fraction(x: Fraction) -> mp.mpf:
 
 
 def mpf_fraction(x: Fraction) -> mp.mpf:
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    """x rounded once, to nearest at the working precision."""
+    return mp.make_mpf(from_rational(x.numerator, x.denominator,
+                                     mp.mp.prec, round_nearest))
 
 
 def _facet_data(facet: tuple[int, ...],
@@ -250,10 +253,11 @@ def _facet_data(facet: tuple[int, ...],
     off the facet's entry in a lifted table whose points the denominator
     P scaled.  With its unit columns y_k, last pivot D and vertex v_r
     pivoted in row r, u_k = sum_r (P * y_k[r] / D) * log lambda_{v_r},
-    each coefficient converted to mpf once and summed by one
-    `Arithmetic.dot`, and the gradient is P * sum_r y_k[r] * lift[v_r] /
-    (D * Q) for the heights scaled to integers by Q.  A kernel that is an
-    error is raised; then a facet without an entry is degenerate.
+    each coefficient rounded once from its integers P * y_k[r] and D at
+    the working precision and summed by one `Arithmetic.dot`, and the
+    gradient is P * sum_r y_k[r] * lift[v_r] / (D * Q) for the heights
+    scaled to integers by Q.  A kernel that is an error is raised; then a
+    facet without an entry is degenerate.
     """
     if isinstance(kernel, ValueError):
         raise kernel
@@ -264,8 +268,10 @@ def _facet_data(facet: tuple[int, ...],
     at = dict(zip(facet, kernel))
     logs = [log_fraction(at[v])._mpf_ for v in vertices]
     lift_v = [lift[v - 1] for v in vertices]
-    u = tuple(mp.make_mpf(ops.dot([mpf_fraction(Fraction(P * x, D))._mpf_
-                                   for x in y], logs)) for y in units)
+    prec = mp.mp.prec
+    u = tuple(mp.make_mpf(ops.dot(
+        [from_rational(P * x, D, prec, round_nearest) for x in y], logs))
+        for y in units)
     return u, tuple(Fraction(P * sum(map(mul, y, lift_v)), D * Q)
                     for y in units)
 

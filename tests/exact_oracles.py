@@ -82,6 +82,27 @@ def lifted_matrix(A, facet):
     return RationalMatrix(rows)
 
 
+def rounded(x, prec):
+    """The Fraction x rounded to the nearest number with a prec-bit
+    significand, ties to even, by integer division alone."""
+    if x == 0:
+        return Fraction(0)
+    p, q = abs(x.numerator), x.denominator
+    e = p.bit_length() - q.bit_length() - prec
+    while True:
+        num, den = (p, q << e) if e >= 0 else (p << -e, q)
+        m, r = divmod(num, den)
+        if m >> prec:
+            e += 1
+        elif not m >> (prec - 1):
+            e -= 1
+        else:
+            break
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    return (1 if x > 0 else -1) * m * Fraction(2) ** e
+
+
 def inverse(M):
     """M^-1 of a nonsingular square M of size at least 2, by its
     adjugate: entry (i, j) is (-1)^(i+j) times the minor of M without row

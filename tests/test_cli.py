@@ -247,7 +247,7 @@ def test_count_refuses_a_negative_expect_before_counting(runner, tmp_path,
     kp = tmp_path / "K.json"
     sp.write_text(S.to_json())
     kp.write_text(f.complex.to_json())
-    monkeypatch.setattr("virodecor.cli.certified_positive_count",
+    monkeypatch.setattr("virodecor.numerics.certified_positive_count",
                         lambda *a, **k: pytest.fail("counted"))
     result = runner.invoke(main, ["count", "--system", str(sp),
                                   "--complex", str(kp), "--expect", "-1"])
@@ -285,7 +285,7 @@ def test_count_refuses_an_unprintable_t_before_any_work(runner, tmp_path,
     kp = tmp_path / "K.json"
     sp.write_text(S.to_json())
     kp.write_text(f.complex.to_json())
-    monkeypatch.setattr("virodecor.cli.certified_positive_count",
+    monkeypatch.setattr("virodecor.numerics.certified_positive_count",
                         lambda *a, **k: pytest.fail("counted"))
     for t in ("1e-9999", "1e9999", "1e-99999999", *LONG_RUNS):
         result = runner.invoke(main, ["count", "--system", str(sp),

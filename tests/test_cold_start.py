@@ -1,4 +1,5 @@
-"""numpy is loaded only by the sign search of `decorate`.
+"""numpy is loaded only by the sign search of `decorate`, and mpmath only by
+the commands that need floating point.
 
 Each check runs in a fresh interpreter, so that no module imported by
 the rest of the suite can hide an eager import.
@@ -10,19 +11,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import virodecor
 
 SRC = str(Path(virodecor.__file__).resolve().parents[1])
 
-# Drives the CLI through CliRunner in a scratch directory given as argv[2].
-# "commands" runs every command that needs no sign search and reports
-# whether numpy was loaded after each; "decorate" runs the sign-search
-# decorate of snd(6, 3) and reports its stdout, with numpy imported first
-# when argv[3] is "numpy-first".
+# the floating-point side: what an exact command must not load
+FLOATING = ["mpmath", "virodecor.completion", "virodecor.numerics",
+            "virodecor.precision", "virodecor.viro"]
+
+# Drives the CLI through CliRunner in a scratch directory given as argv[2],
+# after importing the modules named in argv[3:].  "commands" runs every
+# command that needs no sign search, exact ones first, and reports after
+# each which of numpy, mpmath and the package's modules are loaded;
+# "decorate" runs the sign-search decorate of snd(6, 3).
 DRIVER = r"""
-import json, os, sys
-if sys.argv[3:] == ["numpy-first"]:
-    import numpy
+import importlib, json, os, sys
+for name in sys.argv[3:]:
+    importlib.import_module(name)
 from click.testing import CliRunner
 from virodecor.cli import main
 
@@ -30,23 +37,44 @@ os.chdir(sys.argv[2])
 runner = CliRunner()
 
 
+def loaded():
+    return sorted(m for m in sys.modules if m in ("mpmath", "numpy")
+                  or m.startswith("virodecor."))
+
+
 def run(*args):
     result = runner.invoke(main, list(args))
     return {"args": list(args), "exit": result.exit_code,
-            "stdout": result.stdout, "numpy": "numpy" in sys.modules}
+            "stdout": result.stdout, "loaded": loaded()}
+
+
+def coloring_decoration(directory):
+    # the decoration of the complex's balanced coloring, by exact code only
+    from virodecor.complexes import (
+        SimplicialComplex, balanced_coloring, decoration_from_coloring)
+    with open(f"{directory}/complex.json") as f:
+        K = SimplicialComplex.from_json(f.read())
+    C = decoration_from_coloring(balanced_coloring(K), K.n_vertices,
+                                 K.dimension)
+    with open(f"{directory}/C0.json", "w") as f:
+        f.write(C.to_json())
 
 
 if sys.argv[1] == "commands":
-    steps = [
-        run("family", "cross", "--d", "3", "--out", "cross"),
-        run("family", "snd", "--n", "6", "--d", "3", "--out", "snd"),
+    steps = [run("family", "cross", "--d", "3", "--out", "cross"),
+             run("family", "snd", "--n", "6", "--d", "3", "--out", "snd")]
+    coloring_decoration("cross")
+    steps += [
         run("check", "--complex", "cross/complex.json", "--bipartite",
             "--balanced"),
         run("check", "--complex", "cross/complex.json",
-            "--points", "cross/points.json",
-            "--heights", "cross/heights.json", "--regular", "--unimodular"),
+            "--matrix", "cross/C0.json", "--points", "cross/points.json",
+            "--bipartite", "--balanced", "--decorated", "--unimodular"),
         run("decorate", "--complex", "cross/complex.json",
             "--out", "cross/C.json"),
+        run("check", "--complex", "cross/complex.json",
+            "--points", "cross/points.json",
+            "--heights", "cross/heights.json", "--regular", "--unimodular"),
         run("viro", "--points", "cross/points.json",
             "--matrix", "cross/C.json", "--heights", "cross/heights.json",
             "--out", "cross/S.json"),
@@ -59,6 +87,9 @@ else:
              run("decorate", "--complex", "snd/complex.json", "--seed", "0")]
 print(json.dumps(steps))
 """
+
+# the steps of "commands" that are exact, and those after the decorate
+EXACT_STEPS, FLOATING_STEPS = slice(0, 4), slice(5, None)
 
 
 def _python(*args, cwd):
@@ -76,22 +107,69 @@ def _drive(tmp_path, *args):
                               cwd=tmp_path))
 
 
+def _floating(step):
+    return [m for m in FLOATING if m in step["loaded"]]
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    """The "commands" steps of one fresh interpreter."""
+    return _drive(tmp_path_factory.mktemp("cold"), "commands")
+
+
 def test_importing_the_package_and_cli_loads_no_numpy(tmp_path):
     out = _python("-c", "import sys, virodecor, virodecor.cli; "
                   "print('numpy' in sys.modules)", cwd=tmp_path)
     assert out == "False\n"
 
 
-def test_only_the_completion_search_loads_numpy(tmp_path):
-    for step in _drive(tmp_path, "commands"):
+def test_importing_the_package_and_cli_loads_no_floating_point(tmp_path):
+    out = _python("-c", "import json, sys, virodecor, virodecor.cli; "
+                  f"print(json.dumps([m for m in {FLOATING!r} "
+                  "if m in sys.modules]))", cwd=tmp_path)
+    assert json.loads(out) == []
+
+
+def test_only_the_completion_search_loads_numpy(tmp_path, commands):
+    for step in commands:
         assert step["exit"] == 0, step
-        assert not step["numpy"], step["args"]
+        assert "numpy" not in step["loaded"], step["args"]
     lazy = _drive(tmp_path, "decorate")
-    eager = _drive(tmp_path, "decorate", "numpy-first")
+    eager = _drive(tmp_path, "decorate", "numpy")
     assert [s["exit"] for s in lazy] == [0, 0]
-    assert not lazy[0]["numpy"] and lazy[1]["numpy"]
+    assert "numpy" not in lazy[0]["loaded"]
+    assert "numpy" in lazy[1]["loaded"]
     assert "decoration found via sign search" in lazy[1]["stdout"]
     assert lazy[1]["stdout"] == eager[1]["stdout"]
+
+
+def test_exact_commands_load_no_floating_point(commands):
+    """family and the exact checks load neither mpmath nor the numerics;
+    decorate on the coloring path loads completion and nothing else."""
+    for step in commands[EXACT_STEPS]:
+        assert step["exit"] == 0, step
+        assert _floating(step) == [], step["args"]
+    decorate = commands[EXACT_STEPS.stop]
+    assert decorate["args"][0] == "decorate"
+    assert "decoration found via coloring" in decorate["stdout"]
+    assert _floating(decorate) == ["virodecor.completion"]
+
+
+def test_the_floating_point_commands_print_what_an_eager_import_prints(
+        tmp_path, commands):
+    lazy = commands
+    eager = _drive(tmp_path, "commands", "virodecor.numerics")
+    assert [s["args"][0] for s in lazy[FLOATING_STEPS]] == [
+        "check", "viro", "count", "verify-paper"]
+    for step, first in zip(lazy[FLOATING_STEPS], eager[FLOATING_STEPS]):
+        assert step["exit"] == 0, step
+        assert step["stdout"] == first["stdout"], step["args"]
+    assert [s["stdout"] for s in lazy] == [s["stdout"] for s in eager]
+    # check --regular loads viro, and only a count loads the numerics
+    regular, *_, last = lazy[FLOATING_STEPS]
+    assert _floating(regular) == [m for m in FLOATING
+                                  if m != "virodecor.numerics"]
+    assert _floating(last) == FLOATING
 
 
 # decorate of a 6-triangle Moebius band, from the library and the CLI: its

@@ -1,5 +1,6 @@
 """Deformed systems: container, regularity certificates, truncated roots."""
 
+import random
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -49,7 +50,13 @@ from virodecor.viro import (
     render_system,
 )
 
-from exact_oracles import inverse, lifted_matrix, maximal_minors, transpose
+from exact_oracles import (
+    inverse,
+    lifted_matrix,
+    maximal_minors,
+    rounded,
+    transpose,
+)
 
 
 def planar_system():
@@ -693,6 +700,22 @@ def test_degeneracy_is_decided_exactly_at_every_precision(bits):
             ((1, 2), (mp.mpf(0),), (mp.mpf(0),)),
             ((2, 3), (mp.mpf(0),),
              (mpf_fraction(Fraction(2 ** 60, 2 ** 60 - 1)),)))
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_a_wide_fraction_is_rounded_once(bits):
+    """Numerators and denominators 17 bits wider than the precision: an
+    mpf of each part, then a quotient, rounds twice and misses the
+    correctly rounded value by an ulp on about a third of them."""
+    rng = random.Random(bits)
+    wide = bits + 17
+    with mp.workprec(bits):
+        for _ in range(2000):
+            x = Fraction(rng.choice((-1, 1)) * rng.getrandbits(wide),
+                         rng.getrandbits(wide) | 1 << (wide - 1))
+            sign, man, exp, _ = mpf_fraction(x)._mpf_
+            assert (-1) ** sign * man * Fraction(2) ** exp == \
+                rounded(x, bits), x
 
 
 def test_failing_facets_follow_complex_order():
